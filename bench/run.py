@@ -90,24 +90,47 @@ def run_op(op, tracer, op_id):
 
 
 def run_loop(wl, tracer, seconds):
-    """Closed loop, one operation at a time, until `seconds` of operation
-    time and enough operations for the tail percentile have passed."""
+    """Closed loop, one operation at a time, for `seconds` of wall time and
+    at least enough operations for the tail percentile.
+
+    A run stops at the round end nearest to `seconds`, so it lasts
+    `seconds` give or take half a round; a workload without whole rounds
+    also stops at the first operation that ends past `seconds`.
+
+    Returns ({position in the round: latencies}, failures, busy seconds)."""
     min_ops = math.ceil(10 / (1 - wl.tail_q))
-    latencies, failures = [], []
-    busy = 0.0
     ops = wl.round()
-    done = False
-    while not done:
-        for op in ops:
-            dt, message = run_op(op, tracer, len(latencies))
+    latencies = {i: [] for i in range(len(ops))}
+    failures = []
+    busy = 0.0
+    attempted = 0
+    t0 = time.perf_counter()
+    while True:
+        round_start = time.perf_counter()
+        for i, op in enumerate(ops):
+            dt, message = run_op(op, tracer, attempted)
+            attempted += 1
             busy += dt
-            latencies.append(dt)
+            latencies[i].append(dt)
             if message:
                 failures.append((op.label, op.known_fault, message))
-            done = busy >= seconds and len(latencies) >= min_ops
-            if done and not wl.whole_rounds:
-                break
-    return latencies, failures, busy
+            if not wl.whole_rounds and attempted >= min_ops \
+                    and time.perf_counter() - t0 >= seconds:
+                return latencies, failures, busy
+        now = time.perf_counter()
+        half_round = (now - round_start) / 2
+        if attempted >= min_ops and now - t0 + half_round >= seconds:
+            return latencies, failures, busy
+
+
+def op_p50(latencies):
+    """Median over the round's operations of each one's mean latency.
+
+    The host's speed changes in phases of several seconds; averaging the
+    repeats of one operation weighs each phase by how long it lasted,
+    where a median of single latencies jumps between the slow and the fast
+    phase's figure as their shares of a run cross one half."""
+    return statistics.median(statistics.fmean(v) for v in latencies.values() if v)
 
 
 def layer_metrics(tracer, infos):
@@ -196,13 +219,13 @@ def main(argv=None):
             install_hooks(tracer)
         wl.prepare()
         t0 = time.perf_counter()
-        latencies, failures, busy = run_loop(wl, tracer, args.seconds)
+        by_op, failures, busy = run_loop(wl, tracer, args.seconds)
         wall = time.perf_counter() - t0
     finally:
         wl.close()
 
-    lat = sorted(latencies)
-    p50 = statistics.median(lat)
+    lat = sorted(dt for v in by_op.values() for dt in v)
+    p50 = op_p50(by_op)
     tail = nearest_rank(lat, wl.tail_q)
     unexpected = [f for f in failures if not f[1]]
     print(f"bench: {args.workload} seed={args.seed} ops={len(lat)} "

@@ -274,8 +274,11 @@ class QuadOps:
             a = _short(l1 * c * c + l2 * s * s, 3)
             d = _short(l1 * s * s + l2 * c * c, 3)
             off = _short((l1 - l2) * c * s, 3)
-            b = [complex(_short(rng.uniform(-1, 1)), _short(rng.uniform(-1, 1)))
-                 for _ in range(2)]
+            # |Re b|, |Im b| <= 0.5: larger b adds two outer panels (16 % more
+            # work) to about two integrals in five, and how many of the eight
+            # get them would then set where the median of a round falls
+            b = [complex(_short(rng.uniform(-0.5, 0.5)),
+                         _short(rng.uniform(-0.5, 0.5))) for _ in range(2)]
             P = SparsePolynomial(2, {(2, 0): -a, (1, 1): -2 * off, (0, 2): -d,
                                      (1, 0): b[0], (0, 1): b[1]})
             self.cases.append(([[a, off], [off, d]], b,
