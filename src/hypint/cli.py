@@ -20,7 +20,7 @@ from .problem_io import (Problem, ProblemFormatError, dump_report,
 from .quadrature import (AlphaMonomial, AlphaOne, AlphaPowerProduct,
                          IntegrandSpec, QuadratureError, integrate)
 from .series import GammaTerm, gg_series
-from .verify import check_cayley_consistency, check_gg_system
+from .verify import _unit_exponents, check_cayley_consistency, check_gg_system
 
 
 def _op_struct(op, parameter=None, value=None) -> dict:
@@ -37,10 +37,6 @@ def _op_struct(op, parameter=None, value=None) -> dict:
         out["parameter"] = parameter
         out["parameter_value"] = value
     return out
-
-
-def _unit_exponents(n):
-    return [tuple(1 if i == j else 0 for i in range(n)) for j in range(n)]
 
 
 def cmd_system(problem: Problem) -> dict:

@@ -57,6 +57,16 @@ def _complex_out(value: complex) -> list:
     return [value.real, value.imag]
 
 
+def _number_in(value, where: str, kind=float):
+    """A JSON number as ``kind``; int fields take only integral values."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or (kind is int and not float(value).is_integer()):
+        raise ProblemFormatError(
+            f"{where}: expected {'an integer' if kind is int else 'a number'}, "
+            f"got {value!r}")
+    return kind(value)
+
+
 def _leg_in(data, where: str):
     if not isinstance(data, dict) or "kind" not in data:
         raise ProblemFormatError(f"{where}: a leg must be an object with a 'kind'")
@@ -202,13 +212,14 @@ def parse_problem(data: Mapping) -> Problem:
     tolerances = data.get("tolerances") or {}
     if not isinstance(tolerances, Mapping):
         raise ProblemFormatError("tolerances: expected an object")
-    quad_tol = float(tolerances.get("quad", 1e-9))
-    residual_tol = float(tolerances.get("residual", 1e-3))
-    order = int(data.get("order", 12))
+    quad_tol = _number_in(tolerances.get("quad", 1e-9), "tolerances.quad")
+    residual_tol = _number_in(tolerances.get("residual", 1e-3),
+                              "tolerances.residual")
+    order = _number_in(data.get("order", 12), "order", int)
     if order < 0:
         raise ProblemFormatError("order: must be >= 0")
     fd_step = data.get("fd_step")
-    fd_step = None if fd_step is None else float(fd_step)
+    fd_step = None if fd_step is None else _number_in(fd_step, "fd_step")
 
     return Problem(
         dimension=n, blocks=blocks, exponent_sets=tuple(sets),

@@ -8,20 +8,30 @@ innermost variable first, using interval halving with an embedded
 Gauss7/Kronrod15 pair so every subinterval carries its own error
 estimate.
 
-Unbounded legs are truncated where the integrand magnitude falls below
-1e-18 of its on-leg maximum; before that a decay check requires
-Re P < -50 within the sampled range, otherwise the integral is declared
-divergent.  For multivalued factors (non-integer exponents) the
-argument of each factor is continued along each leg by accumulating
-argument increments between consecutive sample points on a refined
-grid; quadrature nodes then pick up the winding number nearest to the
-tracked argument, which makes branch-corrected evaluation independent
-of the order in which the adaptive rule visits the points.  Power
-products with non-integer exponents are supported in one variable
+Each level is batched over its outer nodes (the values of the outer
+variables handed down by the level above): the integral over variable j
+is computed for all B nodes at once, one lockstep adaptive run per leg.
+Every round each unconverged node bisects its own worst interval, just
+as it would alone, and the panels of all nodes go to the integrand in
+one array call.  Above the innermost level that call is the next level,
+which takes all points of the round as its nodes, at most _NODE_CAP at
+a time so that memory stays bounded in three variables.  One variable
+is the B = 1 case.
+
+Unbounded legs are truncated, per node, where the integrand magnitude
+falls below 1e-18 of its on-leg maximum; before that a decay check
+requires Re P < -50 within the sampled range, otherwise the integral is
+declared divergent.  The scan over the radii runs for all nodes in one
+array pass.  For multivalued factors (non-integer exponents) the
+argument of each factor is continued along each node's path by
+accumulating argument increments between consecutive sample points on a
+refined grid; quadrature nodes then pick up the winding number nearest
+to the tracked argument, which makes branch-corrected evaluation
+independent of the order in which the adaptive rule visits the points.
+Power products with non-integer exponents are supported in one variable
 (their branch structure on higher-dimensional product contours is not
 modeled); integer powers work in any dimension.
 """
-
 from __future__ import annotations
 
 import heapq
@@ -39,6 +49,7 @@ DECAY_RE_P = -50.0          # required exponent decay on unbounded legs
 MAGNITUDE_CUT = 1e-18       # truncation threshold relative to on-leg max
 VANISH_TOL = 1e-12          # multivalued factor may not vanish on a leg
 ABS_FLOOR = 1e-14           # below this magnitude relative error is moot
+_NODE_CAP = 64              # outer nodes per inner-level call; bounds memory
 
 
 class QuadratureError(Exception):
@@ -285,82 +296,133 @@ _WG = np.array([
 ])
 _GAUSS_IDX = np.arange(1, 15, 2)
 
+# points handed to a batched integrand: which integral, and where
+_NODE_TAU = np.dtype([("node", np.intp), ("tau", float)])
 
-def _gk15(f, a, b):
+
+def _gk15(f, node, a, b, batched):
+    """Kronrod values and |Kronrod - Gauss| estimates of the panels
+    [a_k, b_k] of integrals node_k, all evaluated in one call of ``f``."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    x = mid + half * _XGK
-    fx = np.asarray(f(x), dtype=complex)
-    kron = half * np.dot(_WGK, fx)
-    gauss = half * np.dot(_WG, fx[_GAUSS_IDX])
-    return kron, abs(kron - gauss)
+    x = mid[:, None] + half[:, None] * _XGK
+    if batched:
+        points = np.empty(x.size, dtype=_NODE_TAU)
+        points["node"] = np.repeat(node, _XGK.size)
+        points["tau"] = x.ravel()
+    else:
+        points = x.ravel()
+    fx = np.asarray(f(points), dtype=complex).reshape(x.shape)
+    # weighted sums, not a matrix product: the complex product runs on
+    # multithreaded BLAS, whose threads made 3-D integrals up to 3x slower
+    kron = half * (fx * _WGK).sum(axis=1)
+    gauss = half * (fx[:, _GAUSS_IDX] * _WG).sum(axis=1)
+    return kron, np.abs(kron - gauss)
 
 
 def adaptive_quadrature(f, a, b, rel_tol, abs_floor, max_intervals=4096,
                         what="integral"):
     """Adaptive interval-halving with the embedded Gauss/Kronrod pair.
 
-    ``f`` is evaluated on numpy arrays of points.  Returns (value, err);
-    raises AccuracyError carrying the best estimate when the budget or
-    the bisection depth is exhausted.
+    With scalar ``a`` and ``b``, ``f`` is evaluated on numpy arrays of
+    points and (value, err, roundoff floor) is returned.  With length-B
+    arrays, B independent integrals run in lockstep: each round every
+    unconverged integral bisects its own worst interval, and ``f``
+    receives one array with fields ``node`` (which integral) and ``tau``
+    (the point) holding all panels requested in the round; the three
+    results are then length-B arrays.  Each integral stops on its own
+    target and follows exactly the bisections it would follow alone.
+    Raises AccuracyError carrying the best estimate of the failing
+    integral when its budget or bisection depth is exhausted.
     """
-    pieces = np.linspace(a, b, 9)
-    heap = []
-    total = 0j
-    err_total = 0.0
-    mass = 0.0
-    stuck_err = 0.0
-    tiebreak = 0
-    for lo, hi in zip(pieces, pieces[1:]):
-        val, err = _gk15(f, lo, hi)
-        total += val
-        err_total += err
-        mass += abs(val)
-        heapq.heappush(heap, (-err, tiebreak, lo, hi, val))
-        tiebreak += 1
-    count = len(heap)
-
-    def target():
-        # the roundoff floor relative to the accumulated mass is the best
-        # double precision can do when the integrand cancels
-        return max(abs_floor, rel_tol * abs(total), 5e-16 * mass)
-
-    while err_total > target():
-        if count >= max_intervals or not heap:
-            raise AccuracyError(
-                f"tolerance not met for {what} after {count} intervals "
-                f"(err {err_total:.3e}, value {total:.6e})",
-                total, err_total,
-            )
-        neg_err, _, lo, hi, val = heapq.heappop(heap)
-        if hi - lo < max(1e-15 * max(abs(lo), abs(hi)), 5e-300):
-            # cannot usefully subdivide; its error stays in the total
-            stuck_err -= neg_err
-            if stuck_err > target():
+    batched = np.ndim(a) > 0
+    pieces = np.linspace(np.atleast_1d(a), np.atleast_1d(b), 9, axis=1)
+    count = len(pieces)
+    vals, errs = _gk15(f, np.repeat(np.arange(count), 8),
+                       pieces[:, :-1].ravel(), pieces[:, 1:].ravel(), batched)
+    vals, errs = vals.reshape(count, 8), errs.reshape(count, 8)
+    total = np.zeros(count, dtype=complex)
+    err_total = np.zeros(count)
+    mass = np.zeros(count)
+    for k in range(8):
+        total += vals[:, k]
+        err_total += errs[:, k]
+        mass += np.abs(vals[:, k])
+    # a converged integral never changes again, so from here on only the
+    # active ones are visited, with their state as python scalars
+    total, err_total, mass = total.tolist(), err_total.tolist(), mass.tolist()
+    heaps = {}  # built when an integral first needs a bisection
+    stuck_err = {}
+    intervals = {}
+    tiebreak = 8  # the starting panels hold 0..7
+    active = range(count)
+    while True:
+        split = []
+        still = []
+        for i in active:
+            # the roundoff floor relative to the accumulated mass is the
+            # best double precision can do when the integrand cancels
+            target = max(abs_floor, rel_tol * abs(total[i]), 5e-16 * mass[i])
+            if err_total[i] <= target:
+                continue
+            still.append(i)
+            if i not in heaps:
+                heaps[i] = list(zip((-errs[i]).tolist(), range(8),
+                                    pieces[i, :-1].tolist(),
+                                    pieces[i, 1:].tolist(), vals[i].tolist()))
+                heapq.heapify(heaps[i])
+                stuck_err[i] = 0.0
+                intervals[i] = 8
+            if intervals[i] >= max_intervals or not heaps[i]:
                 raise AccuracyError(
-                    f"bisection depth exhausted for {what} "
-                    f"(err {err_total:.3e}, value {total:.6e})",
-                    total, err_total,
+                    f"tolerance not met for {what} after {intervals[i]} "
+                    f"intervals (err {err_total[i]:.3e}, value {total[i]:.6e})",
+                    total[i], err_total[i],
                 )
+            neg_err, _, lo, hi, val = heapq.heappop(heaps[i])
+            if hi - lo < max(1e-15 * max(abs(lo), abs(hi)), 5e-300):
+                # cannot usefully subdivide; its error stays in the total
+                stuck_err[i] -= neg_err
+                if stuck_err[i] > target:
+                    raise AccuracyError(
+                        f"bisection depth exhausted for {what} "
+                        f"(err {err_total[i]:.3e}, value {total[i]:.6e})",
+                        total[i], err_total[i],
+                    )
+                continue
+            split.append((i, lo, 0.5 * (lo + hi), hi, val, neg_err))
+        if not still:
+            break
+        active = still
+        if not split:
             continue
-        mid = 0.5 * (lo + hi)
-        v1, e1 = _gk15(f, lo, mid)
-        v2, e2 = _gk15(f, mid, hi)
-        total += v1 + v2 - val
-        err_total += e1 + e2 + neg_err  # neg_err subtracts the old estimate
-        mass += abs(v1) + abs(v2) - abs(val)
-        heapq.heappush(heap, (-e1, tiebreak, lo, mid, v1))
-        heapq.heappush(heap, (-e2, tiebreak + 1, mid, hi, v2))
-        tiebreak += 2
-        count += 1
-    return total, err_total, 5e-16 * mass
+        node, lo, mid, hi, _, _ = zip(*split)
+        v, e = _gk15(f, node + node, lo + mid, mid + hi, batched)
+        v, e = v.tolist(), e.tolist()
+        m = len(split)
+        for k, (i, lo, mid, hi, val, neg_err) in enumerate(split):
+            v1, v2, e1, e2 = v[k], v[m + k], e[k], e[m + k]
+            total[i] += v1 + v2 - val
+            err_total[i] += e1 + e2 + neg_err  # neg_err subtracts the old estimate
+            mass[i] += abs(v1) + abs(v2) - abs(val)
+            intervals[i] += 1
+            heapq.heappush(heaps[i], (-e1, tiebreak, lo, mid, v1))
+            heapq.heappush(heaps[i], (-e2, tiebreak + 1, mid, hi, v2))
+            tiebreak += 2
+    floor = [5e-16 * x for x in mass]
+    if batched:
+        return np.array(total), np.array(err_total), np.array(floor)
+    return total[0], err_total[0], floor[0]
 
 
 # ----------------------------------------------------------------------
 # leg parametrization
 
 class _Path:
-    """A leg mapped onto tau in [0, 1], orientation already applied."""
+    """A leg mapped onto tau in [0, 1] for each outer node, orientation
+    already applied; ``map`` and ``dmap`` take (node, tau) arrays."""
 
     def __init__(self, leg, index, map_fn, dmap_fn):
         self.leg = leg
@@ -372,29 +434,32 @@ class _Path:
         return f"leg {self.index + 1} ({type(self.leg).__name__})"
 
 
-def _segment_path(leg, index, z0, z1):
-    d = z1 - z0
-    return _Path(leg, index, lambda t: z0 + d * t, lambda t: np.full_like(t, d, dtype=complex))
+def _segment_path(leg, index, z0, z1, count):
+    z0 = np.broadcast_to(np.asarray(z0, dtype=complex), (count,))
+    d = np.broadcast_to(np.asarray(z1 - z0, dtype=complex), (count,))
+    return _Path(leg, index, lambda node, t: z0[node] + d[node] * t,
+                 lambda node, t: d[node])
 
 
-def _make_path(leg, index, cut):
-    """cut: (R,) for a ray, (Rneg, Rpos) for a line, ignored otherwise."""
+def _make_path(leg, index, cut, count):
+    """cut: (R,) for a ray, (Rneg, Rpos) for a line, ignored otherwise;
+    each radius is a length-``count`` array, one per outer node."""
     if isinstance(leg, Segment):
         z0, z1 = (leg.start, leg.end) if leg.orientation == 1 else (leg.end, leg.start)
-        return _segment_path(leg, index, complex(z0), complex(z1))
+        return _segment_path(leg, index, complex(z0), complex(z1), count)
     if isinstance(leg, Ray):
         direction = np.exp(1j * leg.angle)
         far = complex(leg.start) + direction * cut[0]
         if leg.orientation == 1:
-            return _segment_path(leg, index, complex(leg.start), far)
-        return _segment_path(leg, index, far, complex(leg.start))
+            return _segment_path(leg, index, complex(leg.start), far, count)
+        return _segment_path(leg, index, far, complex(leg.start), count)
     if isinstance(leg, Line):
         direction = np.exp(1j * leg.angle)
         z0 = -direction * cut[0]
         z1 = direction * cut[1]
         if leg.orientation == 1:
-            return _segment_path(leg, index, z0, z1)
-        return _segment_path(leg, index, z1, z0)
+            return _segment_path(leg, index, z0, z1, count)
+        return _segment_path(leg, index, z1, z0, count)
     # Arc
     th0, th1 = leg.angle_start, leg.angle_end
     if leg.orientation == -1:
@@ -402,10 +467,10 @@ def _make_path(leg, index, cut):
     span = th1 - th0
     c, r = complex(leg.center), leg.radius
 
-    def zmap(t):
+    def zmap(node, t):
         return c + r * np.exp(1j * (th0 + span * t))
 
-    def dmap(t):
+    def dmap(node, t):
         return 1j * r * span * np.exp(1j * (th0 + span * t))
 
     return _Path(leg, index, zmap, dmap)
@@ -419,19 +484,29 @@ def _wrap_angle(delta):
 
 
 class _BranchTracker:
-    """Continued argument of one factor along one already-built path."""
+    """Continued argument of one factor along one leg, separately on the
+    path of each outer node (the paths differ where a leg is truncated).
 
-    def __init__(self, base_fn, path, start_arg, what):
-        taus = np.linspace(1e-9, 1.0 - 1e-9, 129)
+    All nodes' sample grids sit in one flat array sorted by (node, tau);
+    a grid is refined where its own argument jumps, and no argument step
+    is taken across two nodes."""
+
+    def __init__(self, base_fn, path, start_args, what):
+        grid = np.linspace(1e-9, 1.0 - 1e-9, 129)
+        node = np.repeat(np.arange(len(start_args)), grid.size)
+        taus = np.tile(grid, len(start_args))
         for _ in range(14):
-            vals = base_fn(path.map(taus))
+            vals = base_fn(path.map(node, taus))
             pr = np.angle(vals)
-            gaps = np.abs(_wrap_angle(np.diff(pr)))
-            bad = np.nonzero(gaps > 0.6)[0]
+            steps = _wrap_angle(np.diff(pr))
+            steps[node[1:] != node[:-1]] = 0.0
+            bad = np.nonzero(np.abs(steps) > 0.6)[0]
             if bad.size == 0:
                 break
-            mids = 0.5 * (taus[bad] + taus[bad + 1])
-            taus = np.sort(np.concatenate([taus, mids]))
+            node = np.concatenate([node, node[bad]])
+            taus = np.concatenate([taus, 0.5 * (taus[bad] + taus[bad + 1])])
+            order = np.lexsort((taus, node))
+            node, taus = node[order], taus[order]
         else:
             raise QuadratureError(
                 f"branch tracking failed to resolve the argument of {what} "
@@ -443,38 +518,40 @@ class _BranchTracker:
                 f"{what} vanishes on {path.describe()}; the branch cannot "
                 "be continued"
             )
-        cont = np.empty_like(pr)
-        k0 = round((start_arg - pr[0]) / TWO_PI)
-        cont[0] = pr[0] + TWO_PI * k0
-        cont[1:] = cont[0] + np.cumsum(_wrap_angle(np.diff(pr)))
-        self.taus = taus
-        self.cont = cont
-        self.base_fn = base_fn
+        first = np.nonzero(np.r_[True, node[1:] != node[:-1]])[0]
+        last = np.r_[first[1:] - 1, node.size - 1]
+        start = pr[first] + TWO_PI * np.round((start_args - pr[first]) / TWO_PI)
+        cont = np.r_[0.0, np.cumsum(steps)]
+        # only the nearest winding number is read off these arguments, so
+        # a flat cumsum restarted at each node's first point is precise enough
+        self.cont = cont - cont[first][node] + start[node]
+        self.keys = 2.0 * node + taus
+        self.end_args = self.cont[last]
 
-    @property
-    def end_arg(self):
-        return float(self.cont[-1])
-
-    def args_at(self, taus, base_vals):
+    def args_at(self, node, taus, base_vals):
         principal = np.angle(base_vals)
-        estimate = np.interp(taus, self.taus, self.cont)
+        # every grid spans [1e-9, 1 - 1e-9]: clip so each node's estimate
+        # is held at its own end values, as interpolation on its grid does
+        keys = 2.0 * node + np.clip(taus, 1e-9, 1.0 - 1e-9)
+        estimate = np.interp(keys, self.keys, self.cont)
         k = np.round((estimate - principal) / TWO_PI)
         return principal + TWO_PI * k
 
 
-def _tracked_power(base_vals, tracker, taus, exponent):
+def _tracked_power(base_vals, tracker, node, taus, exponent):
     """base**exponent with the argument supplied by the tracker."""
     mags = np.abs(base_vals)
-    args = tracker.args_at(taus, base_vals)
+    args = tracker.args_at(node, taus, base_vals)
     return np.exp(exponent * (np.log(mags) + 1j * args))
 
 
 # ----------------------------------------------------------------------
 # the iterated driver
 
-def _collapse_along(P: SparsePolynomial, fixed: dict, axis: int):
-    """Partial evaluation of P: all variables fixed except ``axis``;
-    returns {degree: coefficient}."""
+def _collapse_along(P: SparsePolynomial, fixed: dict, axis: int, count: int):
+    """Partial evaluation of P at ``count`` nodes: the variables in
+    ``fixed`` (scalars or length-count arrays) are substituted and
+    variable ``axis`` is kept; returns {degree: length-count array}."""
     out = {}
     for exponent, coeff in P.terms.items():
         value = coeff
@@ -482,14 +559,16 @@ def _collapse_along(P: SparsePolynomial, fixed: dict, axis: int):
             if j != axis and e:
                 value *= fixed[j] ** e
         d = exponent[axis]
-        out[d] = out.get(d, 0j) + value
+        out[d] = out.get(d, np.zeros(count, dtype=complex)) + value
     return out
 
 
-def _eval_collapsed(coeffs: dict, z):
+def _eval_collapsed(coeffs: dict, z, pick):
+    """Sum of coeffs[d][pick] * z**d; ``pick`` selects each point's node
+    coefficients in a shape that broadcasts against ``z``."""
     total = np.zeros_like(z, dtype=complex)
     for d, c in coeffs.items():
-        total = total + (c * z ** d if d else c)
+        total = total + (c[pick] * z ** d if d else c[pick])
     return total
 
 
@@ -500,6 +579,8 @@ class _Run:
         self.tol = tol
         self.n = spec.P.dimension
         self.inner_rel = 0.0
+        self.outer_err = 0.0
+        self.outer_floor = 0.0
         alpha = spec.alpha
         self.u = getattr(alpha, "u", None)
         self.power_polys = getattr(alpha, "polys", ())
@@ -535,36 +616,30 @@ def _representatives(chain):
     return unique[:3]
 
 
-def _suffix_all(mask):
-    """suffix_all[i] = all(mask[i:])"""
-    out = np.empty_like(mask)
-    acc = True
-    for i in range(len(mask) - 1, -1, -1):
-        acc = acc and bool(mask[i])
-        out[i] = acc
-    return out
+_SCAN_RADII = np.concatenate([[0.0], np.geomspace(1e-4, 1e8, 121)])
 
 
-def _truncate_unbounded(run, leg, j, fixed, anchor, direction, what):
-    """Find the radius along anchor + direction*r where the integrand has
-    decayed for every representative slice of the inner variables."""
-    radii = np.concatenate([[0.0], np.geomspace(1e-4, 1e8, 121)])
+def _truncate_unbounded(run, j, fixed, count, anchor, direction, what):
+    """For each of the ``count`` outer nodes in ``fixed``, the radius along
+    anchor + direction*r where the integrand has decayed for every
+    representative slice of the inner variables; one array pass."""
+    radii = _SCAN_RADII
     z = anchor + direction * radii
     inner_chains = [run.contour.chains[i] for i in range(j + 1, run.n)]
     combos = [()]
     for chain in inner_chains:
         combos = [c + (p,) for c in combos for p in _representatives(chain)]
 
-    ok_decay = np.ones(len(radii), dtype=bool)
-    log_mag = np.full(len(radii), -np.inf)
+    rows = (slice(None), None)  # node coefficients down, radii across
+    ok_decay = np.ones((count, len(radii)), dtype=bool)
+    log_mag = np.full((count, len(radii)), -np.inf)
     rho = run.monomial_exponent(j)
     for combo in combos:
         fixed_all = dict(fixed)
-        fixed_all[j] = None
         for idx, val in zip(range(j + 1, run.n), combo):
             fixed_all[idx] = val
-        coeffs = _collapse_along(run.spec.P, fixed_all, j)
-        re_p = _eval_collapsed(coeffs, z).real
+        coeffs = _collapse_along(run.spec.P, fixed_all, j, count)
+        re_p = _eval_collapsed(coeffs, z, rows).real
         ok_decay &= re_p < DECAY_RE_P
         lm = re_p.copy()
         if rho is not None:
@@ -572,49 +647,52 @@ def _truncate_unbounded(run, leg, j, fixed, anchor, direction, what):
                 lm = lm + rho.real * np.log(np.maximum(np.abs(z), 1e-300))
         if run.n == 1:
             for poly, v in zip(run.power_polys, run.power_v):
-                pv = np.abs(_eval_collapsed(_collapse_along(poly, fixed_all, j), z))
+                pv = np.abs(_eval_collapsed(
+                    _collapse_along(poly, fixed_all, j, count), z, rows))
                 with np.errstate(divide="ignore"):
                     lm = lm + v.real * np.log(np.maximum(pv, 1e-300))
         log_mag = np.maximum(log_mag, lm)
 
-    finite = log_mag[np.isfinite(log_mag)]
-    peak = np.max(finite) if finite.size else 0.0
-    small = log_mag < peak + math.log(MAGNITUDE_CUT)
-    good = _suffix_all(ok_decay & small)
-    idx = np.nonzero(good)[0]
-    if idx.size == 0 or idx[0] == 0:
-        if idx.size and idx[0] == 0:
-            idx = idx[1:]
-        if idx.size == 0:
-            raise DivergenceError(
-                f"no decay of Re P below {DECAY_RE_P} along {what}; "
-                "the integral diverges on this contour"
-            )
-    cut = radii[min(idx[0] + 2, len(radii) - 1)]
-    return cut
+    finite = np.isfinite(log_mag)
+    peak = np.where(finite, log_mag, -np.inf).max(axis=1)
+    peak[~finite.any(axis=1)] = 0.0
+    small = log_mag < peak[:, None] + math.log(MAGNITUDE_CUT)
+    # good[:, i]: decayed at every radius from i outwards
+    good = np.logical_and.accumulate((ok_decay & small)[:, ::-1], axis=1)[:, ::-1]
+    if not good.any(axis=1).all():
+        raise DivergenceError(
+            f"no decay of Re P below {DECAY_RE_P} along {what}; "
+            "the integral diverges on this contour"
+        )
+    # a range decayed from the origin on still starts one radius out
+    first = np.maximum(good.argmax(axis=1), 1)
+    return radii[np.minimum(first + 2, len(radii) - 1)]
 
 
-def _build_paths(run, j, fixed):
+def _build_paths(run, j, fixed, count):
     paths = []
     for index, leg in enumerate(run.contour.chains[j]):
         what = f"variable {j + 1}, leg {index + 1} ({type(leg).__name__})"
         if isinstance(leg, Ray):
-            cut = (_truncate_unbounded(run, leg, j, fixed, complex(leg.start),
+            cut = (_truncate_unbounded(run, j, fixed, count, complex(leg.start),
                                        np.exp(1j * leg.angle), what),)
         elif isinstance(leg, Line):
             d = np.exp(1j * leg.angle)
             cut = (
-                _truncate_unbounded(run, leg, j, fixed, 0j, -d, what + " (negative end)"),
-                _truncate_unbounded(run, leg, j, fixed, 0j, d, what + " (positive end)"),
+                _truncate_unbounded(run, j, fixed, count, 0j, -d,
+                                    what + " (negative end)"),
+                _truncate_unbounded(run, j, fixed, count, 0j, d,
+                                    what + " (positive end)"),
             )
         else:
             cut = ()
-        paths.append(_make_path(leg, index, cut))
+        paths.append(_make_path(leg, index, cut, count))
     return paths
 
 
-def _build_trackers(run, j, paths):
-    """Trackers for the multivalued factors that vary with variable j."""
+def _build_trackers(run, j, paths, count):
+    """Per-leg trackers for the multivalued factors that vary with
+    variable j, each continuing the argument on every node's path."""
     needed = []
     rho = run.monomial_exponent(j)
     if rho is not None and not _is_int(rho):
@@ -622,9 +700,9 @@ def _build_trackers(run, j, paths):
     if run.n == 1:
         for i, (poly, v) in enumerate(zip(run.power_polys, run.power_v)):
             if not _is_int(v):
-                coeffs = _collapse_along(poly, {0: None}, 0)
+                coeffs = _collapse_along(poly, {}, 0, 1)
                 needed.append((("P", i + 1),
-                               lambda z, c=coeffs: _eval_collapsed(c, z)))
+                               lambda z, c=coeffs: _eval_collapsed(c, z, 0)))
     trackers = {}
     for key, base_fn in needed:
         start = run.contour.start_arg(key)
@@ -634,63 +712,75 @@ def _build_trackers(run, j, paths):
                 "exponent) but was not supplied"
             )
         per_leg = []
-        arg = start
+        args = np.full(count, start)
         for path in paths:
-            tr = _BranchTracker(base_fn, path, arg,
-                                f"factor {key[0]}{key[1]}")
+            tr = _BranchTracker(base_fn, path, args, f"factor {key[0]}{key[1]}")
             per_leg.append(tr)
-            arg = tr.end_arg
-        trackers[key] = (base_fn, per_leg)
+            args = tr.end_args
+        trackers[key] = per_leg
     return trackers
 
 
 def _level_value(run, j, fixed, rel_tol):
-    paths = _build_paths(run, j, fixed)
-    trackers = _build_trackers(run, j, paths)
+    """The integral over variables j..n-1 at each outer node.
+
+    ``fixed`` maps every i < j to a length-B array of t_i values, one per
+    outer node (empty at the outermost level, where B = 1).  Each leg of
+    chain j is integrated for all B nodes in one lockstep
+    adaptive_quadrature call; an outer level hands the points of a whole
+    round to the next level as its nodes, at most _NODE_CAP at a time.
+    Returns the B values.
+    """
+    count = len(fixed[0]) if fixed else 1
+    paths = _build_paths(run, j, fixed, count)
+    trackers = _build_trackers(run, j, paths, count)
     rho = run.monomial_exponent(j)
     innermost = j == run.n - 1
     if innermost:
-        kernel_coeffs = _collapse_along(run.spec.P, {**fixed, j: None}, j)
-        power_coeffs = [
-            _collapse_along(poly, {**fixed, j: None}, j)
-            for poly in run.power_polys
-        ]
+        kernel_coeffs = _collapse_along(run.spec.P, fixed, j, count)
+        power_coeffs = [_collapse_along(poly, fixed, j, count)
+                        for poly in run.power_polys]
 
-    total = 0j
-    err_total = 0.0
-    floor_total = 0.0
+    total = np.zeros(count, dtype=complex)
+    err_total = np.zeros(count)
+    floor_total = np.zeros(count)
     for leg_idx, path in enumerate(paths):
-        def f(taus, path=path, leg_idx=leg_idx):
-            z = path.map(taus)
+        def f(x, path=path, leg_idx=leg_idx):
+            node, taus = x["node"], x["tau"]
+            z = path.map(node, taus)
             val = np.ones_like(z, dtype=complex)
             if rho is not None:
                 key = ("t", j + 1)
                 if key in trackers:
-                    val = val * _tracked_power(z, trackers[key][1][leg_idx],
-                                               taus, rho)
+                    val = val * _tracked_power(z, trackers[key][leg_idx],
+                                               node, taus, rho)
                 else:
                     val = val * z ** int(rho.real)
             if innermost:
-                val = val * np.exp(_eval_collapsed(kernel_coeffs, z))
+                val = val * np.exp(_eval_collapsed(kernel_coeffs, z, node))
                 for i, (pc, v) in enumerate(zip(power_coeffs, run.power_v)):
                     key = ("P", i + 1)
-                    pvals = _eval_collapsed(pc, z)
+                    pvals = _eval_collapsed(pc, z, node)
                     if key in trackers:
                         val = val * _tracked_power(
-                            pvals, trackers[key][1][leg_idx], taus, v)
+                            pvals, trackers[key][leg_idx], node, taus, v)
                     else:
                         val = val * pvals ** int(v.real)
             else:
+                outer = {i: t[node] for i, t in fixed.items()}
+                outer[j] = z
                 inner = np.empty_like(z, dtype=complex)
-                for idx, zz in enumerate(z):
-                    inner[idx] = _level_value(run, j + 1, {**fixed, j: complex(zz)},
-                                              rel_tol * 0.5)
+                for lo in range(0, z.size, _NODE_CAP):
+                    chunk = slice(lo, lo + _NODE_CAP)
+                    inner[chunk] = _level_value(
+                        run, j + 1, {i: t[chunk] for i, t in outer.items()},
+                        rel_tol * 0.5)
                 val = val * inner
-            return val * path.dmap(taus)
+            return val * path.dmap(node, taus)
 
         value, err, floor = adaptive_quadrature(
-            f, 0.0, 1.0, rel_tol, ABS_FLOOR / len(paths),
-            what=f"variable {j + 1}, {path.describe()}",
+            f, np.zeros(count), np.ones(count), rel_tol,
+            ABS_FLOOR / len(paths), what=f"variable {j + 1}, {path.describe()}",
         )
         total += value
         err_total += err
@@ -701,11 +791,14 @@ def _level_value(run, j, fixed, rel_tol):
         # floor the pointwise perturbation of the outer integrand is at
         # noise level; only the excess beyond the floors matters.
         excess = err_total - 2.0 * ABS_FLOOR - floor_total
-        if excess > 0 and abs(total) > 0:
-            run.inner_rel = max(run.inner_rel, excess / abs(total))
+        magnitude = np.abs(total)
+        hit = (excess > 0) & (magnitude > 0)
+        if hit.any():
+            run.inner_rel = max(run.inner_rel,
+                                float(np.max(excess[hit] / magnitude[hit])))
     else:
-        run.outer_err = err_total
-        run.outer_floor = floor_total
+        run.outer_err = float(err_total[0])
+        run.outer_floor = float(floor_total[0])
     return total
 
 
@@ -732,9 +825,7 @@ def integrate(spec: IntegrandSpec, contour: ProductContour, tol: float = 1e-9):
                 "variable only"
             )
     run = _Run(spec, contour, tol)
-    run.outer_err = 0.0
-    run.outer_floor = 0.0
-    value = _level_value(run, 0, {}, tol * 0.5)
+    value = _level_value(run, 0, {}, tol * 0.5)[0]
     err = run.outer_err + run.inner_rel * abs(value)
     # saturation at the double-precision roundoff floor of a cancelling
     # integrand counts as converged: the honest error estimate is returned

@@ -25,8 +25,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
@@ -44,23 +42,6 @@ from .series import GammaSeries, evaluate_series
 
 DEFAULT_STEP_SCALE = 1e-4
 DEFAULT_RESIDUAL_TOL = 1e-3
-
-
-def worker_count() -> int:
-    """Parallelism cap from the HYPINT_THREADS environment variable."""
-    try:
-        return max(1, int(os.environ.get("HYPINT_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def parallel_map(fn, items):
-    items = list(items)
-    workers = worker_count()
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 class CoeffFunction:
@@ -337,12 +318,9 @@ def check_gg_system(exponents: ExponentSet, u, center: Mapping,
         op = euler_t_operator(exponents, j + 1, uu_ops[j])
         jobs.append((f"euler_t[{j + 1}]", op, 0, ""))
 
-    def run(job):
-        label, op, corr, note = job
-        return residual_report(op, f, center, h=h, tol=tol, label=label,
-                               correction=corr, note=note)
-
-    return parallel_map(run, jobs)
+    return [residual_report(op, f, center, h=h, tol=tol, label=label,
+                            correction=corr, note=note)
+            for label, op, corr, note in jobs]
 
 
 def _key_to_var(key, n: int):
@@ -478,12 +456,9 @@ def check_cayley_consistency(center_polys: Sequence, v, u,
                          "bounded chains in more than one variable",
                 ))
 
-    def run(job):
-        label, op, corr, note = job
-        return residual_report(op, f, center, h=h, tol=tol, label=label,
-                               correction=corr, note=note)
-
-    return parallel_map(run, jobs) + reports
+    return [residual_report(op, f, center, h=h, tol=tol, label=label,
+                            correction=corr, note=note)
+            for label, op, corr, note in jobs] + reports
 
 
 class RootContinuation:

@@ -2,9 +2,11 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from hypint.cli import main
 from hypint.problem_io import (ProblemFormatError, emit_problem, load_problem,
                                parse_problem)
 
@@ -254,21 +256,6 @@ def test_help_names_all_commands(tmp_path):
         assert name in r.stdout
 
 
-def test_thread_cap_env_does_not_change_results(tmp_path):
-    path = write_problem(tmp_path, gaussian_problem())
-    import os
-    env = dict(os.environ, HYPINT_THREADS="4")
-    serial = run_cli(["verify", path])
-    threaded = subprocess.run(
-        [sys.executable, "-m", "hypint.cli", "verify", path],
-        text=True, capture_output=True, env=env)
-    assert threaded.returncode == serial.returncode == 0
-    a = json.loads(serial.stdout)["results"]
-    b = json.loads(threaded.stdout)["results"]
-    assert {r["label"]: r["passed"] for r in a["reports"]} == \
-        {r["label"]: r["passed"] for r in b["reports"]}
-
-
 class TestInputErrors:
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -321,3 +308,23 @@ def test_load_problem_names_json_position(tmp_path):
     path.write_text('{"schema": }')
     with pytest.raises(ProblemFormatError, match="line 1"):
         load_problem(str(path))
+
+
+def test_malformed_numeric_fields_name_the_field(tmp_path, capsys):
+    source = Path(__file__).resolve().parent.parent / "problems" / "gaussian.json"
+    base = json.loads(source.read_text())
+    bad_values = [None, "x", [1e-9]]
+    cases = [(field, value) for field in ("order", "tolerances.quad",
+                                          "tolerances.residual")
+             for value in bad_values]
+    # a null fd_step means the default step, so only the others apply
+    cases += [("fd_step", value) for value in bad_values[1:]]
+    for field, value in cases:
+        data = json.loads(json.dumps(base))
+        if field.startswith("tolerances."):
+            data["tolerances"][field.split(".")[1]] = value
+        else:
+            data[field] = value
+        path = write_problem(tmp_path, data)
+        assert main(["series", path]) == 2, (field, value)
+        assert field in capsys.readouterr().err, (field, value)

@@ -28,6 +28,31 @@ class TestAdaptiveRule:
                                             1e-13, 1e-15)
         assert value == pytest.approx(2 ** 6 / 6 - 2, abs=1e-13)
 
+    def test_batch_matches_separate_runs(self):
+        # integrals run in lockstep take the bisections each takes alone
+        import numpy as np
+        scales = np.array([0.5, 3.0, 40.0])
+        seen = np.zeros(3, dtype=int)
+
+        def f(x):
+            np.add.at(seen, x["node"], 1)
+            return np.exp(-scales[x["node"]] * x["tau"]) * np.sqrt(x["tau"])
+
+        values, errs, _ = adaptive_quadrature(f, np.zeros(3), np.ones(3),
+                                              1e-12, 1e-15)
+        for k, s in enumerate(scales):
+            points = []
+
+            def g(t):
+                points.append(t.size)
+                return np.exp(-s * t) * np.sqrt(t)
+
+            value, err, _ = adaptive_quadrature(g, 0.0, 1.0, 1e-12, 1e-15)
+            assert seen[k] == sum(points)
+            assert values[k] == pytest.approx(value, rel=1e-14)
+            assert errs[k] == pytest.approx(err, rel=1e-6)
+        assert len(set(seen)) == 3
+
     def test_budget_exhaustion_reports_best(self):
         # a kink the estimator keeps refining at an absurd tolerance
         import numpy as np
@@ -57,6 +82,22 @@ class TestProperIntegral:
         P = SparsePolynomial(2, {(2, 0): -1, (0, 2): -1})
         c = ProductContour([[Line(0.0)], [Line(0.0)]])
         assert rel(proper_integral(P, c, 1e-8), math.pi) < 1e-8
+
+    def test_two_dimensional_arc_chain(self):
+        # the entire integrand lets the outer chain -1 -> 0 -> (arc) -> 1
+        # fold onto [-1, 1]: sqrt(pi) * sqrt(pi / a) * erf(sqrt(a))
+        P = SparsePolynomial(2, {(2, 0): -1, (0, 2): -1, (1, 1): 0.3})
+        c = ProductContour([[Segment(-1, 0), Arc(0.5, 0.5, math.pi, 0)],
+                            [Line(0.3)]])
+        a = 1 - 0.15 ** 2
+        expected = SQRT_PI * math.sqrt(math.pi / a) * math.erf(math.sqrt(a))
+        assert rel(proper_integral(P, c, 1e-8), expected) < 1e-8
+
+    def test_inner_variable_without_decay_diverges(self):
+        P = SparsePolynomial(2, {(2, 0): -1, (1, 1): 0.5})
+        c = ProductContour([[Line(0.0)], [Line(0.0)]])
+        with pytest.raises(DivergenceError):
+            proper_integral(P, c)
 
     def test_three_dimensional_gaussian(self):
         P = SparsePolynomial(3, {(2, 0, 0): -1, (0, 2, 0): -1, (0, 0, 2): -1})
@@ -96,6 +137,14 @@ class TestMonomialWeights:
             P = SparsePolynomial(1, {(1,): -s})
             expected = math.gamma(u) * s ** (-u)
             assert rel(gg_eval(P, u, POSITIVE_RAY, 1e-9), expected) < 1e-8
+
+    def test_two_dimensional_branch_tracked_gamma(self):
+        # each outer node continues t2^(u2-1) along its own truncated ray
+        P = SparsePolynomial(2, {(1, 0): -1, (0, 1): -1})
+        c = ProductContour([[Ray(0, 0)], [Ray(0, 0)]],
+                           {("t", 1): 0, ("t", 2): 0})
+        assert rel(gg_eval(P, [1.5, 2.5], c, 1e-8),
+                   math.gamma(1.5) * math.gamma(2.5)) < 1e-8
 
     def test_missing_branch_data_rejected(self):
         P = SparsePolynomial(1, {(1,): -1})

@@ -13,8 +13,7 @@ from hypint.series import gg_series
 from hypint.verify import (CoeffFunction, RootContinuation,
                            check_cayley_consistency, check_gg_system,
                            check_jacobian_case, check_root_theorems, fd_apply,
-                           parallel_map, residual_report, series_vs_oracle,
-                           worker_count)
+                           residual_report, series_vs_oracle)
 
 A12 = ExponentSet(1, [1, 2])
 REAL_LINE = ProductContour([[Line(0.0)]])
@@ -359,14 +358,3 @@ def test_residual_report_serialization():
     assert data["passed"] is True
     assert set(data) >= {"label", "operator", "center", "step", "residual",
                         "relative", "tol", "passed"}
-
-
-def test_worker_count_env(monkeypatch):
-    monkeypatch.delenv("HYPINT_THREADS", raising=False)
-    assert worker_count() == 1
-    monkeypatch.setenv("HYPINT_THREADS", "4")
-    assert worker_count() == 4
-    monkeypatch.setenv("HYPINT_THREADS", "junk")
-    assert worker_count() == 1
-    monkeypatch.setenv("HYPINT_THREADS", "4")
-    assert parallel_map(lambda x: x * x, range(10)) == [x * x for x in range(10)]
