@@ -12,6 +12,7 @@ structurally equal problem, which the round-trip tests pin down.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
@@ -46,10 +47,10 @@ class Problem:
 
 
 def _complex_in(value, where: str) -> complex:
-    if (not isinstance(value, (list, tuple)) or len(value) != 2
-            or not all(isinstance(x, (int, float)) for x in value)):
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise ProblemFormatError(f"{where}: expected a [re, im] pair, got {value!r}")
-    return complex(value[0], value[1])
+    return complex(_number_in(value[0], where + "[0]"),
+                   _number_in(value[1], where + "[1]"))
 
 
 def _complex_out(value: complex) -> list:
@@ -58,9 +59,16 @@ def _complex_out(value: complex) -> list:
 
 
 def _number_in(value, where: str, kind=float):
-    """A JSON number as ``kind``; int fields take only integral values."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) \
-            or (kind is int and not float(value).is_integer()):
+    """A finite JSON number as ``kind``; int fields take only integral
+    values.  Python's json also reads NaN, Infinity and integers beyond
+    the float range; all three are refused."""
+    try:
+        ok = (not isinstance(value, bool) and isinstance(value, (int, float))
+              and math.isfinite(value)
+              and (kind is float or float(value).is_integer()))
+    except OverflowError:
+        ok = False
+    if not ok:
         raise ProblemFormatError(
             f"{where}: expected {'an integer' if kind is int else 'a number'}, "
             f"got {value!r}")
@@ -78,15 +86,21 @@ def _leg_in(data, where: str):
                            _complex_in(data["end"], where + ".end"), orientation)
         if kind == "ray":
             return Ray(_complex_in(data["start"], where + ".start"),
-                       float(data["angle"]), orientation)
+                       _number_in(data["angle"], where + ".angle"),
+                       orientation)
         if kind == "arc":
             return Arc(_complex_in(data["center"], where + ".center"),
-                       float(data["radius"]), float(data["angle_start"]),
-                       float(data["angle_end"]), orientation)
+                       _number_in(data["radius"], where + ".radius"),
+                       _number_in(data["angle_start"], where + ".angle_start"),
+                       _number_in(data["angle_end"], where + ".angle_end"),
+                       orientation)
         if kind == "line":
-            return Line(float(data["angle"]), orientation)
+            return Line(_number_in(data["angle"], where + ".angle"),
+                        orientation)
     except KeyError as exc:
         raise ProblemFormatError(f"{where}: missing field {exc}") from None
+    except ProblemFormatError:
+        raise
     except ValueError as exc:
         raise ProblemFormatError(f"{where}: {exc}") from None
     raise ProblemFormatError(f"{where}: unknown leg kind {kind!r}")
@@ -119,11 +133,8 @@ def parse_problem(data: Mapping) -> Problem:
     if data.get("schema") != SCHEMA_PROBLEM:
         raise ProblemFormatError(
             f"schema: expected {SCHEMA_PROBLEM!r}, got {data.get('schema')!r}")
-    try:
-        n = int(data["dimension"])
-        blocks = int(data.get("blocks", 0))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ProblemFormatError(f"dimension/blocks: {exc}") from None
+    n = _number_in(data.get("dimension"), "dimension", int)
+    blocks = _number_in(data.get("blocks", 0), "blocks", int)
     if n < 1:
         raise ProblemFormatError("dimension: must be >= 1")
     if blocks < 0:
@@ -188,7 +199,8 @@ def parse_problem(data: Mapping) -> Problem:
         raw_base = data["base"]
         if not isinstance(raw_base, list):
             raise ProblemFormatError("base: expected an array of member indices")
-        base = tuple(int(i) for i in raw_base)
+        base = tuple(_number_in(i, f"base[{k}]", int)
+                     for k, i in enumerate(raw_base))
 
     contour = None
     if data.get("contour") is not None:
@@ -201,9 +213,12 @@ def parse_problem(data: Mapping) -> Problem:
                 raise ProblemFormatError(f"contour[{i}]: expected a nonempty array")
             chains.append([_leg_in(leg, f"contour[{i}][{k}]")
                            for k, leg in enumerate(chain)])
-        branch = {}
-        for name, val in (data.get("branch_data") or {}).items():
-            branch[_branch_key_in(name, "branch_data")] = float(val)
+        raw_branch = data.get("branch_data") or {}
+        if not isinstance(raw_branch, Mapping):
+            raise ProblemFormatError("branch_data: expected an object")
+        branch = {_branch_key_in(name, "branch_data"):
+                  _number_in(val, f"branch_data.{name}")
+                  for name, val in raw_branch.items()}
         try:
             contour = ProductContour(chains, branch)
         except ValueError as exc:
@@ -215,6 +230,9 @@ def parse_problem(data: Mapping) -> Problem:
     quad_tol = _number_in(tolerances.get("quad", 1e-9), "tolerances.quad")
     residual_tol = _number_in(tolerances.get("residual", 1e-3),
                               "tolerances.residual")
+    for name, tol in (("quad", quad_tol), ("residual", residual_tol)):
+        if tol <= 0:
+            raise ProblemFormatError(f"tolerances.{name}: must be > 0")
     order = _number_in(data.get("order", 12), "order", int)
     if order < 0:
         raise ProblemFormatError("order: must be >= 0")

@@ -51,6 +51,18 @@ VANISH_TOL = 1e-12          # multivalued factor may not vanish on a leg
 ABS_FLOOR = 1e-14           # below this magnitude relative error is moot
 _NODE_CAP = 64              # outer nodes per inner-level call; bounds memory
 
+# glibc returns the top of its heap to the system whenever more than its
+# trim threshold (128 KiB by default) lies free there.  A batched level
+# allocates and frees complex temporaries of up to 125 KiB (_NODE_CAP
+# nodes times 120 points or 122 scan radii), so, depending on where
+# long-lived objects happen to sit on the heap, every inner level could
+# hand pages back and fault them in again: up to 200 page faults and a
+# tenth of the time of a 2-D integral, varying from process to process.
+# Freeing one block above the mmap threshold makes glibc raise that
+# threshold to the block's size and the trim threshold to twice it,
+# unless they were set explicitly; other allocators ignore it.
+np.empty(4 << 20, dtype=np.uint8)
+
 
 class QuadratureError(Exception):
     """Base class for numeric contour-integration failures."""

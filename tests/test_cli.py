@@ -311,20 +311,47 @@ def test_load_problem_names_json_position(tmp_path):
 
 
 def test_malformed_numeric_fields_name_the_field(tmp_path, capsys):
-    source = Path(__file__).resolve().parent.parent / "problems" / "gaussian.json"
-    base = json.loads(source.read_text())
+    problems = Path(__file__).resolve().parent.parent / "problems"
     bad_values = [None, "x", [1e-9]]
-    cases = [(field, value) for field in ("order", "tolerances.quad",
-                                          "tolerances.residual")
+    # (bundled problem, path to the field, the name the message must give)
+    fields = [
+        ("gaussian", ("order",), "order"),
+        ("gaussian", ("tolerances", "quad"), "tolerances.quad"),
+        ("gaussian", ("tolerances", "residual"), "tolerances.residual"),
+        ("gaussian", ("contour", 0, 0, "angle"), "contour[0][0].angle"),
+        ("gamma_half", ("contour", 0, 0, "angle"), "contour[0][0].angle"),
+        ("gamma_half", ("contour", 0, 0, "start"), "contour[0][0].start"),
+        ("gamma_half", ("branch_data", "t1"), "branch_data.t1"),
+        ("gaussian", ("dimension",), "dimension"),
+        ("gaussian", ("blocks",), "blocks"),
+    ]
+    cases = [(problem, path, name, value) for problem, path, name in fields
              for value in bad_values]
     # a null fd_step means the default step, so only the others apply
-    cases += [("fd_step", value) for value in bad_values[1:]]
-    for field, value in cases:
-        data = json.loads(json.dumps(base))
-        if field.startswith("tolerances."):
-            data["tolerances"][field.split(".")[1]] = value
-        else:
-            data[field] = value
-        path = write_problem(tmp_path, data)
-        assert main(["series", path]) == 2, (field, value)
-        assert field in capsys.readouterr().err, (field, value)
+    cases += [("gaussian", ("fd_step",), "fd_step", value)
+              for value in bad_values[1:]]
+    # a tolerance must be positive: with -1 every residual would fail
+    cases += [("gaussian", ("tolerances", name), f"tolerances.{name}", -1)
+              for name in ("quad", "residual")]
+    # integer fields must not truncate a fractional value
+    cases += [("gaussian", (name,), name, 2.7)
+              for name in ("order", "dimension", "blocks")]
+    # json reads NaN, Infinity and integers past the float range; no
+    # numeric field takes them
+    cases += [("gaussian", ("tolerances", "residual"), "tolerances.residual",
+               math.nan),
+              ("gaussian", ("tolerances", "quad"), "tolerances.quad",
+               10 ** 400),
+              ("gaussian", ("contour", 0, 0, "angle"), "contour[0][0].angle",
+               math.inf),
+              ("gaussian", ("coefficients", 0, 0), "coefficients[0][0]",
+               [math.nan, 0.0])]
+    for problem, path, name, value in cases:
+        data = json.loads((problems / f"{problem}.json").read_text())
+        target = data
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        assert main(["series", write_problem(tmp_path, data)]) == 2, \
+            (problem, name, value)
+        assert name in capsys.readouterr().err, (problem, name, value)

@@ -1,5 +1,8 @@
 import cmath
 import math
+import platform
+import subprocess
+import sys
 import time
 
 import pytest
@@ -291,3 +294,23 @@ def test_gaussian_family_runtime():
         expected = SQRT_PI * math.exp(a * a / 4)
         assert rel(proper_integral(P, REAL_LINE, 1e-10), expected) < 1e-8
     assert time.monotonic() - start < 1.0
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="glibc heap trimming")
+def test_freed_temporaries_stay_on_the_heap():
+    # 2 MB of level-sized temporaries, allocated and freed again and again,
+    # must not make glibc trim its heap and fault the pages back in
+    code = """if True:
+        import resource, numpy as np, hypint.quadrature
+        def churn():
+            arrays = [np.ones(7600, dtype=complex) for _ in range(16)]
+        churn()
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for _ in range(20):
+            churn()
+        print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    """
+    out = subprocess.run([sys.executable, "-c", code], text=True,
+                         capture_output=True, check=True).stdout
+    assert int(out) < 100

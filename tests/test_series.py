@@ -1,15 +1,19 @@
 import math
+import subprocess
+import sys
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from hypint.exact import ExactComplex
 from hypint.lattice import Base, ExponentSet
 from hypint.polynomials import CoeffVar, SparsePolynomial
 from hypint.series import (CallableOracle, GammaSeries, GammaTerm,
-                           SeriesLayout, SeriesPoleError, evaluate_series,
-                           expand_general, gg_gamma_coefficient, gg_series,
-                           standard_expansion)
+                           SeriesLayout, SeriesPoleError, complex_gamma,
+                           evaluate_series, expand_general,
+                           gg_gamma_coefficient, gg_series,
+                           reciprocal_gamma, standard_expansion)
 
 A12 = ExponentSet(1, [1, 2])
 B1 = Base(A12, (0,))
@@ -18,6 +22,51 @@ B2 = Base(A12, (1,))
 
 def ec(x):
     return ExactComplex.from_value(x)
+
+
+class TestReciprocalGamma:
+    # both half-planes out to |Im z| = 60, the real axis, points 1e-9
+    # from the poles, where the reflection must reduce sin(pi z), and far
+    # points whose values lie near the ends of the double range
+    GRID = ([complex(-45.25 + 1.5 * k, im) for k in range(61)
+             for im in (0, 0.5, -0.5, 2.5, -2.5, 9, -9, 25, -25, 60, -60)]
+            + [complex(k / 8) for k in range(-400, 401) if k % 8]
+            + [complex(-n + d) for n in range(11) for d in (1e-9, -1e-9)]
+            + [171.5, 150.2 + 0.1j, -170.5 + 0.3j, -171.99999, 0.5 + 300j,
+               -0.5 + 300j, 3 - 250j])
+
+    def test_matches_mpmath(self):
+        worst = 0.0
+        with mpmath.workdps(30):
+            for z in self.GRID:
+                ref = mpmath.rgamma(mpmath.mpc(z))
+                err = abs(mpmath.mpc(reciprocal_gamma(z)) - ref) / abs(ref)
+                worst = max(worst, float(err))
+        assert worst < 1e-12
+
+    def test_exact_zero_at_poles(self):
+        for n in range(11):
+            value = reciprocal_gamma(-n)
+            assert isinstance(value, complex) and value == 0
+
+    def test_beyond_double_range(self):
+        # underflow gives 0j and overflow an infinity, neither an exception
+        assert reciprocal_gamma(200) == 0
+        assert all(math.isinf(abs(reciprocal_gamma(z)))
+                   for z in (-200.5, -180.5 + 0.3j, 0.5 + 500j))
+
+    def test_direct_gamma_raises_at_pole(self):
+        with pytest.raises(SeriesPoleError):
+            complex_gamma(-3)
+        assert abs(complex_gamma(0.5) - math.sqrt(math.pi)) < 1e-14
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    code = ("import sys, hypint.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], text=True,
+                         capture_output=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 class TestGammaCoefficient:
