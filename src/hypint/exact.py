@@ -8,6 +8,7 @@ so callers may pass ordinary complex numbers for parameters.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -55,7 +56,13 @@ class ExactComplex:
         return ExactComplex.from_value(other) + (-self)
 
     def __mul__(self, other):
+        # a real factor (int, Fraction or zero imaginary part) scales both
+        # parts; the general formula would only add exact zeros
+        if isinstance(other, (int, Fraction)):
+            return ExactComplex(self.re * other, self.im * other)
         other = ExactComplex.from_value(other)
+        if not other.im:
+            return ExactComplex(self.re * other.re, self.im * other.re)
         return ExactComplex(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
@@ -75,6 +82,12 @@ class ExactComplex:
 
     def __rtruediv__(self, other):
         return ExactComplex.from_value(other) / self
+
+    def numerators(self, den: int) -> tuple:
+        """Integers (p, q) with self = (p + q i) / den; ``den`` must be a
+        multiple of both parts' denominators."""
+        return (self.re.numerator * (den // self.re.denominator),
+                self.im.numerator * (den // self.im.denominator))
 
     def __complex__(self) -> complex:
         return complex(float(self.re), float(self.im))
@@ -101,6 +114,11 @@ class ExactComplex:
 
 ZERO = ExactComplex(Fraction(0), Fraction(0))
 ONE = ExactComplex(Fraction(1), Fraction(0))
+
+
+def common_denominator(values) -> int:
+    """The least common denominator of the parts of ExactComplex values."""
+    return math.lcm(*{x.denominator for v in values for x in (v.re, v.im)})
 
 
 def solve_exact(rows, rhs):

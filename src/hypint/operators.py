@@ -15,9 +15,12 @@ exact rational cancellation up to the truncation boundary.
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+from operator import add
 from typing import Iterable, Sequence
 
-from .exact import ExactComplex
+from .exact import ExactComplex, common_denominator
 from .lattice import ExponentSet, LatticeRelation
 from .polynomials import CoeffVar
 from .series import GammaSeries, GammaTerm, SeriesLayout
@@ -253,15 +256,59 @@ def _shift_down(mono, deriv, layout: SeriesLayout) -> int:
     return max(down, 0)
 
 
+def _application_plan(mono, deriv, op_scalar, series_index, base_index,
+                      reciprocal, W):
+    """How one operator term acts on a term whose args are (A + B i) / W.
+
+    Returns (falling, dm, dk, factors, (nr, ni), den): the series
+    derivatives (i, p), which multiply by m_i (m_i - 1) ... (m_i - p + 1);
+    the shifts of m and of the Gamma arguments; the offsets o with one
+    factor (A_j + o + B_j i) per (j, o) from the base monomial; and the
+    signed operator scalar as (nr + ni i) / den, where den also carries
+    the W of each factor.
+    """
+    dm, dk = [0] * len(series_index), [0] * len(base_index)
+    falling, factors = [], []
+    sign = 1
+    for var, p in deriv:
+        if var in series_index:
+            i = series_index[var]
+            falling.append((i, p))
+            dm[i] -= p
+        else:
+            j = base_index[var]
+            if reciprocal and p % 2:
+                sign = -sign
+            dk[j] += p
+    for var, p in mono:
+        if var in series_index:
+            dm[series_index[var]] += p
+        else:
+            # d^p/da^p left s + d; a^p then takes the factors
+            # -(s + d - r) (direct) or (s + d - r) (reciprocal), r = 1..p
+            j = base_index[var]
+            if not reciprocal and p % 2:
+                sign = -sign
+            factors += [(j, (dk[j] - r) * W) for r in range(1, p + 1)]
+            dk[j] -= p
+    c = common_denominator([op_scalar])
+    nr, ni = op_scalar.numerators(c)
+    return (tuple(falling), tuple(dm), tuple(dk), tuple(factors),
+            (sign * nr, sign * ni), c * W ** len(factors))
+
+
 def apply_to_series(op: DiffOperator, series: GammaSeries) -> GammaSeries:
     """Apply an operator to a closed-form series, exactly.
 
     Derivatives act first, then the coefficient monomial.  Derivatives
     in a base variable shift the Gamma argument (scalar untouched in the
     direct form); derivatives in a series variable use the integer power
-    rule on exact rational scalars.  The result is truncated to the
-    input order; ``complete_below`` marks where truncation may have
-    removed cancelling partners.
+    rule.  The result is truncated to the input order; ``complete_below``
+    marks where truncation may have removed cancelling partners.
+
+    The work is done on integers: every Gamma argument is (A + B i) / W
+    and every scalar a Gaussian integer over one denominator, so terms
+    are keyed on (m, A, B) and summed without Fraction arithmetic.
     """
     layout = series.layout
     if not series.is_closed_form():
@@ -271,43 +318,63 @@ def apply_to_series(op: DiffOperator, series: GammaSeries) -> GammaSeries:
     reciprocal = series.form == "reciprocal"
     series_index = {var: i for i, var in enumerate(layout.series_vars)}
     base_index = {var: j for j, var in enumerate(layout.base_vars)}
+    order = series.truncation_order
+    W, S, rows = series.integer_form()
 
-    out_terms = []
+    plans = []
     max_down = 0
     for (mono, deriv), op_scalar in op.terms.items():
         max_down = max(max_down, _shift_down(mono, deriv, layout))
-        for term in series.terms:
-            m = list(term.m)
-            args = list(term.args)
-            scalar = term.scalar * op_scalar
-            dead = False
-            for var, p in deriv:
-                if var in series_index:
-                    i = series_index[var]
-                    if m[i] < p:
-                        dead = True
-                        break
-                    for step in range(p):
-                        scalar = scalar * (m[i] - step)
-                    m[i] -= p
+        plans.append(_application_plan(mono, deriv, op_scalar, series_index,
+                                       base_index, reciprocal, W))
+    # every contribution is a Gaussian integer over S * G
+    G = math.lcm(*(plan[-1] for plan in plans))
+
+    sums = {}  # key -> [re, im, args of a contributing term, their shift]
+    for falling, dm, dk, factors, (nr, ni), den in plans:
+        nr, ni = nr * (G // den), ni * (G // den)
+        dA = tuple(d * W for d in dk) if any(dk) else None
+        moves, grows = any(dm), sum(dm) > 0
+        for term, (sr, si), A, B in rows:
+            m = term.m
+            ff = 1
+            for i, p in falling:
+                if m[i] < p:
+                    break
+                ff *= math.perm(m[i], p)
+            else:
+                if moves:
+                    m = tuple(map(add, m, dm))
+                    if grows and sum(m) > order:
+                        continue
+                re, im = sr * ff, si * ff
+                if ni:
+                    re, im = re * nr - im * ni, re * ni + im * nr
+                elif nr != 1:
+                    re, im = re * nr, im * nr
+                for j, offset in factors:
+                    fr, fi = A[j] + offset, B[j]
+                    if fi:
+                        re, im = re * fr - im * fi, re * fi + im * fr
+                    else:
+                        re, im = re * fr, im * fr
+                if not (re or im):
+                    continue
+                key = (m, tuple(map(add, A, dA)) if dA else A, B)
+                acc = sums.get(key)
+                if acc is None:
+                    sums[key] = [re, im, term.args, dk]
                 else:
-                    j = base_index[var]
-                    if reciprocal and p % 2:
-                        scalar = -scalar
-                    args[j] = args[j].shifted(p)
-            if dead or scalar.is_zero():
-                continue
-            for var, p in mono:
-                if var in series_index:
-                    m[series_index[var]] += p
-                else:
-                    j = base_index[var]
-                    for _ in range(p):
-                        shifted = args[j].shifted(-1)
-                        scalar = scalar * (shifted if reciprocal else -shifted)
-                        args[j] = shifted
-            if sum(m) <= series.truncation_order:
-                out_terms.append(GammaTerm(tuple(m), scalar, tuple(args)))
-    complete = min(series.complete_below, series.truncation_order + 1) - max_down
-    return GammaSeries(layout, series.truncation_order, out_terms,
+                    acc[0] += re
+                    acc[1] += im
+
+    den = S * G
+    out_terms = []
+    for key, (re, im, args, dk) in sums.items():
+        if re or im:
+            out_terms.append(GammaTerm(
+                key[0], ExactComplex(Fraction(re, den), Fraction(im, den)),
+                tuple(a.shifted(d) if d else a for a, d in zip(args, dk))))
+    complete = min(series.complete_below, order + 1) - max_down
+    return GammaSeries(layout, order, out_terms,
                        form=series.form, complete_below=max(complete, 0))

@@ -80,6 +80,10 @@ def _leg_in(data, where: str):
         raise ProblemFormatError(f"{where}: a leg must be an object with a 'kind'")
     kind = data["kind"]
     orientation = data.get("orientation", 1)
+    # a sign: only the JSON integers 1 and -1 (true == 1 in Python)
+    if type(orientation) is not int or orientation not in (1, -1):
+        raise ProblemFormatError(
+            f"{where}.orientation: expected 1 or -1, got {orientation!r}")
     try:
         if kind == "segment":
             return Segment(_complex_in(data["start"], where + ".start"),

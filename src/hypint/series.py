@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
-from .exact import ONE, ExactComplex, solve_exact
+from .exact import ONE, ExactComplex, common_denominator, solve_exact
 from .lattice import Base, ExponentSet, base_coords
 from .polynomials import CoeffVar, SparsePolynomial
 
@@ -229,18 +229,33 @@ def _args_key(args):
                   a.im.denominator) for a in args)
 
 
-def merge_gamma_terms(terms):
-    """Combine terms sharing (m, args), dropping exact zeros."""
+def _merge_args(terms):
+    """Terms of one multi-index with equal args combined, ordered by args."""
     bucket = {}
     for t in terms:
-        key = (t.m, _args_key(t.args))
-        if key in bucket:
-            prev = bucket[key]
-            bucket[key] = GammaTerm(t.m, prev.scalar + t.scalar, t.args)
-        else:
-            bucket[key] = t
-    merged = [t for t in bucket.values() if not t.scalar.is_zero()]
-    merged.sort(key=lambda t: (sum(t.m), t.m, _args_key(t.args)))
+        key = _args_key(t.args)
+        prev = bucket.get(key)
+        bucket[key] = t if prev is None else \
+            GammaTerm(t.m, prev.scalar + t.scalar, t.args)
+    return [bucket[key] for key in sorted(bucket)]
+
+
+def merge_gamma_terms(terms):
+    """Combine terms sharing (m, args), dropping exact zeros.
+
+    Terms are ordered by (|m|, m) and, within one m, by the numerators
+    and denominators of their args; that key is built only for the
+    multi-indices that carry more than one term.
+    """
+    by_m = {}
+    for t in terms:
+        by_m.setdefault(t.m, []).append(t)
+    merged = []
+    for m in sorted(by_m, key=lambda m: (sum(m), m)):
+        group = by_m[m]
+        if len(group) > 1:
+            group = _merge_args(group)
+        merged.extend(t for t in group if not t.scalar.is_zero())
     return tuple(merged)
 
 
@@ -256,7 +271,7 @@ class GammaSeries:
     """
 
     __slots__ = ("layout", "truncation_order", "terms", "form",
-                 "complete_below")
+                 "complete_below", "_integers")
 
     def __init__(self, layout: SeriesLayout, truncation_order: int,
                  terms: Sequence, form: str = "direct",
@@ -281,12 +296,34 @@ class GammaSeries:
             self, "complete_below",
             truncation_order + 1 if complete_below is None else complete_below,
         )
+        object.__setattr__(self, "_integers", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("GammaSeries is immutable")
 
     def is_closed_form(self) -> bool:
         return all(isinstance(t, GammaTerm) for t in self.terms)
+
+    def integer_form(self) -> tuple:
+        """The closed-form terms over two common denominators, computed once.
+
+        Returns (W, S, rows): each row is (term, (p, q), A, B) with
+        scalar = (p + q i) / S and args[j] = (A[j] + B[j] i) / W in
+        integers, so operators can shift, multiply and merge terms
+        without Fraction arithmetic.
+        """
+        if self._integers is None:
+            terms = self.terms
+            W = common_denominator(a for t in terms for a in t.args)
+            S = common_denominator(t.scalar for t in terms)
+            rows = []
+            for t in terms:
+                nums = [a.numerators(W) for a in t.args]
+                rows.append((t, t.scalar.numerators(S),
+                             tuple(a for a, _ in nums),
+                             tuple(b for _, b in nums)))
+            object.__setattr__(self, "_integers", (W, S, tuple(rows)))
+        return self._integers
 
     def terms_of_order(self, order: int):
         return tuple(t for t in self.terms if sum(t.m) == order)
@@ -326,6 +363,50 @@ class CoefficientOracle:
         raise NotImplementedError
 
 
+class _GammaArguments:
+    """The Gamma arguments s(m) = s0 + L m of one layout and parameter u.
+
+    s0 (sum_j s0_j * w_j = u) and the base coordinates L of the series
+    exponents are solved once.  With D the common denominator of L,
+    L = N / D for an integer matrix N, so each s(m) takes the integers
+    N m and one Fraction per component.
+    """
+
+    def __init__(self, layout: SeriesLayout, u):
+        if layout.base is None:
+            raise ValueError("a base is required for the closed-form "
+                             "coefficient")
+        n = layout.exponents.dimension
+        u = tuple(u) if isinstance(u, (list, tuple)) else (u,)
+        if len(u) != n:
+            raise ValueError(
+                f"parameter vector has length {len(u)}, expected {n}")
+        vectors = layout.base.vectors
+        rows = [[ExactComplex.from_value(vectors[j][i]) for j in range(n)]
+                for i in range(n)]
+        self.s0 = tuple(solve_exact(rows,
+                                    [ExactComplex.from_value(x) for x in u]))
+        coords = [layout.coords(var) for var in layout.series_vars]
+        den = math.lcm(*(l.denominator for c in coords for l in c))
+        self.steps = tuple(tuple(l.numerator * (den // l.denominator)
+                                 for l in c) for c in coords)
+        # with Re s0_j = p_j / q_j:
+        # Re s_j(m) = (p_j * den + (N m)_j * q_j) / (q_j * den)
+        self.origin = tuple((s.re.numerator * den, s.re.denominator,
+                             s.re.denominator * den) for s in self.s0)
+
+    def __call__(self, m) -> tuple:
+        m = tuple(int(x) for x in m)
+        if len(m) != len(self.steps):
+            raise ValueError("multi-index does not match the layout")
+        args = []
+        for j, (s, (p_den, q, q_den)) in enumerate(zip(self.s0, self.origin)):
+            shift = sum(mw * step[j] for mw, step in zip(m, self.steps) if mw)
+            args.append(ExactComplex(Fraction(p_den + shift * q, q_den), s.im)
+                        if shift else s)
+        return tuple(args)
+
+
 def gg_gamma_coefficient(m, u, layout: SeriesLayout) -> GammaTermValue:
     """Closed-form coefficient for the monomial-weight kernel.
 
@@ -335,25 +416,7 @@ def gg_gamma_coefficient(m, u, layout: SeriesLayout) -> GammaTermValue:
     constant fixed to 1 (fitted against quadrature separately).  Terms
     whose argument lands on a Gamma pole are flagged, not dropped.
     """
-    if layout.base is None:
-        raise ValueError("a base is required for the closed-form coefficient")
-    n = layout.exponents.dimension
-    u = tuple(u) if isinstance(u, (list, tuple)) else (u,)
-    if len(u) != n:
-        raise ValueError(f"parameter vector has length {len(u)}, expected {n}")
-    vectors = layout.base.vectors
-    rows = [[ExactComplex.from_value(vectors[j][i]) for j in range(n)]
-            for i in range(n)]
-    rhs = [ExactComplex.from_value(ui) for ui in u]
-    s = list(solve_exact(rows, rhs))
-    m = tuple(int(x) for x in m)
-    if len(m) != len(layout.series_vars):
-        raise ValueError("multi-index does not match the layout")
-    for mw, var in zip(m, layout.series_vars):
-        if mw:
-            for j, lj in enumerate(layout.coords(var)):
-                s[j] = s[j] + ExactComplex.from_value(lj) * mw
-    return GammaTermValue(ONE, tuple(s))
+    return GammaTermValue(ONE, _GammaArguments(layout, u)(m))
 
 
 class GammaFunctionOracle(CoefficientOracle):
@@ -362,9 +425,10 @@ class GammaFunctionOracle(CoefficientOracle):
     def __init__(self, layout: SeriesLayout, u):
         self.layout = layout
         self.u = u
+        self._args = _GammaArguments(layout, u)
 
     def coefficient(self, m) -> GammaTermValue:
-        return gg_gamma_coefficient(m, self.u, self.layout)
+        return GammaTermValue(ONE, self._args(m))
 
 
 class CallableOracle(CoefficientOracle):
@@ -379,10 +443,7 @@ class CallableOracle(CoefficientOracle):
 
 
 def _weight(m) -> Fraction:
-    w = Fraction(1)
-    for mw in m:
-        w /= math.factorial(mw)
-    return w
+    return Fraction(1, math.prod(map(math.factorial, m)))
 
 
 def expand_general(exponents: ExponentSet, base: Base,

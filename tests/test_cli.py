@@ -324,6 +324,10 @@ def test_malformed_numeric_fields_name_the_field(tmp_path, capsys):
         ("gamma_half", ("branch_data", "t1"), "branch_data.t1"),
         ("gaussian", ("dimension",), "dimension"),
         ("gaussian", ("blocks",), "blocks"),
+        ("gaussian", ("base", 0), "base[0]"),
+        ("arc", ("contour", 0, 0, "radius"), "contour[0][0].radius"),
+        ("arc", ("contour", 0, 0, "angle_start"), "contour[0][0].angle_start"),
+        ("arc", ("contour", 0, 0, "angle_end"), "contour[0][0].angle_end"),
     ]
     cases = [(problem, path, name, value) for problem, path, name in fields
              for value in bad_values]
@@ -336,6 +340,12 @@ def test_malformed_numeric_fields_name_the_field(tmp_path, capsys):
     # integer fields must not truncate a fractional value
     cases += [("gaussian", (name,), name, 2.7)
               for name in ("order", "dimension", "blocks")]
+    cases += [("gaussian", ("base", 0), "base[0]", 2.7)]
+    # an orientation is the JSON integer 1 or -1, on every kind of leg
+    cases += [(problem, ("contour", 0, 0, "orientation"),
+               "contour[0][0].orientation", value)
+              for problem in ("gaussian", "gamma_half", "arc")
+              for value in (True, 1.0, 0, None)]
     # json reads NaN, Infinity and integers past the float range; no
     # numeric field takes them
     cases += [("gaussian", ("tolerances", "residual"), "tolerances.residual",
@@ -346,8 +356,15 @@ def test_malformed_numeric_fields_name_the_field(tmp_path, capsys):
                math.inf),
               ("gaussian", ("coefficients", 0, 0), "coefficients[0][0]",
                [math.nan, 0.0])]
+    # no bundled problem has an arc: gaussian.json with its line replaced
+    arc = {"kind": "arc", "center": [0.0, 0.0], "radius": 1.0,
+           "angle_start": 0.0, "angle_end": 1.0, "orientation": 1}
     for problem, path, name, value in cases:
-        data = json.loads((problems / f"{problem}.json").read_text())
+        if problem == "arc":
+            data = json.loads((problems / "gaussian.json").read_text())
+            data["contour"] = [[dict(arc)]]
+        else:
+            data = json.loads((problems / f"{problem}.json").read_text())
         target = data
         for key in path[:-1]:
             target = target[key]

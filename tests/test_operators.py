@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from hypint.exact import ExactComplex
-from hypint.lattice import Base, ExponentSet, LatticeRelation
+from hypint.lattice import Base, ExponentSet, LatticeRelation, kernel_basis
 from hypint.operators import (DiffOperator, apply_to_series, box_operator,
                               euler_t_operator, euler_y_operator,
                               gg_relation_operator, operator_text)
@@ -200,3 +200,99 @@ class TestOperatorAlgebra:
 
     def test_zero_renders_as_zero(self):
         assert operator_text(DiffOperator()) == "0"
+
+
+@pytest.mark.parametrize("members, base, u, order", [
+    # 2-D, base (1,1) (0,2) of determinant 2: 5456 terms at order 30
+    ([(1, 0), (1, 1), (0, 2), (2, 1), (2, 2)], (1, 2),
+     (0.37 + 0.21j, 1.2 - 0.4j), 30),
+    # 3-D, base (0,1,0) (0,0,1) (2,0,0) of determinant 2
+    ([(1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 0, 0), (1, 1, 1), (0, 2, 1)],
+     (1, 2, 3), (0.37 + 0.21j, Fraction(6, 5), 0.8 + 0.1j), 10),
+])
+def test_exact_annihilation_at_high_order(members, base, u, order):
+    """Every Euler residual is empty; every box residual keeps no term
+    below complete_below, which sits where the relation's series
+    derivatives reach past the truncation order."""
+    A = ExponentSet(len(members[0]), members)
+    series = gg_series(A, Base(A, base), u, order)
+    series_idx = [i for i in range(len(members)) if i not in base]
+    relations = kernel_basis(A)
+    assert len(relations) == len(members) - A.dimension
+    for rel in relations:
+        out = apply_to_series(box_operator(rel), series)
+        down = max(sum(max(sign * rel.coefficients[i], 0) for i in series_idx)
+                   for sign in (1, -1))
+        assert out.complete_below == order + 1 - down
+        assert all(sum(t.m) >= out.complete_below for t in out.terms)
+    for j in range(A.dimension):
+        out = apply_to_series(euler_t_operator(A, j + 1, u[j]), series)
+        assert out.terms == ()
+
+
+def _reference_apply(op, series):
+    """apply_to_series in ExactComplex arithmetic, one operator term on one
+    series term at a time; GammaSeries merges and orders the result."""
+    layout = series.layout
+    reciprocal = series.form == "reciprocal"
+    out = []
+    for (mono, deriv), op_scalar in op.terms.items():
+        for term in series.terms:
+            m, args = list(term.m), list(term.args)
+            scalar = term.scalar * op_scalar
+            for var, p in deriv:
+                if var in layout.series_vars:
+                    i = layout.series_vars.index(var)
+                    if m[i] < p:
+                        break
+                    for step in range(p):
+                        scalar = scalar * (m[i] - step)
+                    m[i] -= p
+                else:
+                    j = layout.base_vars.index(var)
+                    if reciprocal and p % 2:
+                        scalar = -scalar
+                    args[j] = args[j].shifted(p)
+            else:
+                for var, p in mono:
+                    if var in layout.series_vars:
+                        m[layout.series_vars.index(var)] += p
+                        continue
+                    j = layout.base_vars.index(var)
+                    for _ in range(p):
+                        args[j] = args[j].shifted(-1)
+                        scalar = scalar * (args[j] if reciprocal else -args[j])
+                if sum(m) <= series.truncation_order:
+                    out.append(GammaTerm(tuple(m), scalar, tuple(args)))
+    return GammaSeries(layout, series.truncation_order, out,
+                       form=series.form).terms
+
+
+@pytest.mark.parametrize("form", ["direct", "reciprocal"])
+def test_integer_application_matches_exact_reference(form):
+    # base (2,1) (1,2) of determinant 3; two parameter vectors summed, so
+    # the Gamma arguments of one multi-index do not all differ by integers
+    A = ExponentSet(2, [(1, 0), (0, 1), (2, 1), (1, 2), (2, 2)])
+    base = Base(A, (2, 3))
+    u1, u2 = (0.37 + 0.21j, Fraction(5, 3)), (Fraction(1, 2), 1.1 - 0.3j)
+    series = gg_series(A, base, u1, 5, form=form) \
+        + gg_series(A, base, u2, 5, form=form)
+    c10, c01, c21, c12, c22 = (CoeffVar(0, w) for w in A.members)
+    ops = [box_operator(r) for r in kernel_basis(A)]
+    ops += [euler_t_operator(A, 1, u1[0]), euler_t_operator(A, 2, 0.5)]
+    ops.append(gg_relation_operator((2, 2), A))
+    ops.append(DiffOperator([
+        (((c21, 2), (c10, 1)), ((c21, 1), (c10, 3)), 0.25 - 1.5j),
+        (((c12, 1),), ((c12, 2), (c22, 1)), Fraction(-7, 3)),
+        ((), ((c01, 2),), 1), (((c22, 1),), (), -1)]))
+    for op in ops:
+        out = apply_to_series(op, series)
+        assert out.terms == _reference_apply(op, series)
+        # ordered by |m|, m, then the numerators and denominators of args
+        keys = [(sum(t.m), t.m, [(a.re.numerator, a.re.denominator,
+                                  a.im.numerator, a.im.denominator)
+                                 for a in t.args]) for t in out.terms]
+        assert keys == sorted(keys)
+        # nonzero complex scalars and shifted arguments as input
+        assert apply_to_series(ops[-1], out).terms == \
+            _reference_apply(ops[-1], out)

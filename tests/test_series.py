@@ -6,13 +6,13 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from hypint.exact import ExactComplex
-from hypint.lattice import Base, ExponentSet
+from hypint.exact import ONE, ZERO, ExactComplex, solve_exact
+from hypint.lattice import Base, ExponentSet, base_coords
 from hypint.polynomials import CoeffVar, SparsePolynomial
 from hypint.series import (CallableOracle, GammaSeries, GammaTerm,
                            SeriesLayout, SeriesPoleError, complex_gamma,
                            evaluate_series, expand_general,
-                           gg_gamma_coefficient, gg_series,
+                           gg_gamma_coefficient, gg_series, multi_indices,
                            reciprocal_gamma, standard_expansion)
 
 A12 = ExponentSet(1, [1, 2])
@@ -103,6 +103,83 @@ class TestGammaCoefficient:
                 s_b = gg_gamma_coefficient(bumped, u, layout).args
                 for j in range(2):
                     assert (s_b[j] - s_m[j]) == ec(l[j])
+
+
+def _per_term_args(m, u, layout):
+    """s0 + sum_w m_w l_w in Fraction arithmetic: one solve for s0 and one
+    per series exponent for its base coordinates l_w, for every term."""
+    n = layout.exponents.dimension
+    vectors = layout.base.vectors
+    rows = [[ec(vectors[j][i]) for j in range(n)] for i in range(n)]
+    s = solve_exact(rows, [ec(x) for x in u])
+    for mw, var in zip(m, layout.series_vars):
+        for j, l in enumerate(base_coords(layout.base, var.exponent)):
+            s[j] = s[j] + ec(l) * mw
+    return tuple(s)
+
+
+# 2-D sets with a base of each determinant 1 to 4
+SETS_2D = [
+    ([(1, 0), (0, 1), (2, 0), (1, 1), (0, 2)], (0, 1)),  # (1,0) (0,1)
+    ([(1, 0), (1, 1), (0, 2), (2, 1), (2, 2)], (1, 2)),  # (1,1) (0,2)
+    ([(0, 1), (1, 1), (2, 1), (1, 2), (2, 2)], (2, 3)),  # (2,1) (1,2)
+    ([(1, 0), (0, 1), (2, 0), (0, 2), (1, 2)], (2, 3)),  # (2,0) (0,2)
+]
+
+
+@pytest.mark.parametrize("form", ["direct", "reciprocal"])
+@pytest.mark.parametrize("members, base", SETS_2D)
+def test_gg_series_equals_per_term_coefficients(members, base, form):
+    A = ExponentSet(2, members)
+    u = (complex(0.37, 0.21), Fraction(5, 3))
+    series = gg_series(A, Base(A, base), u, 6, form=form)
+    layout = series.layout
+    assert [t.m for t in series.terms] == list(multi_indices(3, 6))
+    for t in series.terms:
+        coeff = gg_gamma_coefficient(t.m, u, layout)
+        assert t.args == coeff.args == _per_term_args(t.m, u, layout)
+        weight = Fraction(1, math.prod(math.factorial(k) for k in t.m))
+        assert t.scalar == coeff.scalar * weight == ec(weight)
+        assert all(type(x) is Fraction for a in (t.scalar, *t.args)
+                   for x in (a.re, a.im))
+
+
+def _general_product(x, y):
+    y = ExactComplex.from_value(y)
+    return ExactComplex(x.re * y.re - x.im * y.im, x.re * y.im + x.im * y.re)
+
+
+@pytest.mark.parametrize("factor", [3, -1, 0, True, Fraction(-2, 7), 0.5,
+                                    ec(Fraction(5, 3)), complex(2, 0),
+                                    ec(complex(0.25, -1.5)), complex(2, 1)])
+def test_exact_product_fast_paths_match_general_formula(factor):
+    x = ExactComplex(Fraction(3, 4), Fraction(-5, 6))
+    product = x * factor
+    assert product == _general_product(x, factor) == factor * x
+    assert type(product.re) is Fraction and type(product.im) is Fraction
+
+
+def test_exact_hash_agrees_with_equality():
+    pairs = [(ExactComplex(1, 0), ONE), (ExactComplex(0, 0), ZERO),
+             (ExactComplex(Fraction(1, 2), 0), ec(0.5)),
+             (ExactComplex(-3, 2), ec(complex(-3, 2))),
+             (ExactComplex(Fraction(4, 6), Fraction(-2)),
+              ExactComplex(Fraction(2, 3), -2))]
+    for a, b in pairs:
+        assert a == b and hash(a) == hash(b)
+    assert len({a for pair in pairs for a in pair}) == len(pairs)
+
+
+def test_integer_form_reproduces_terms():
+    A = ExponentSet(2, SETS_2D[2][0])
+    series = gg_series(A, Base(A, SETS_2D[2][1]), (0.5 + 0.25j, 1.5), 4)
+    W, S, rows = series.integer_form()
+    assert series.integer_form() is series.integer_form()
+    assert [row[0] for row in rows] == list(series.terms)
+    for term, (p, q), A_, B_ in rows:
+        assert term.scalar == ExactComplex(Fraction(p, S), Fraction(q, S))
+        assert term.args == tuple(ExactComplex(Fraction(a, W), Fraction(b, W))
+                                  for a, b in zip(A_, B_))
 
 
 class TestExpandGeneral:
