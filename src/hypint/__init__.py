@@ -6,7 +6,7 @@ from .exact import ExactComplex
 from .lattice import (Base, ExponentSet, LatticeRelation, base_coords,
                       cayley_set, enumerate_bases, kernel_basis)
 from .operators import (DiffOperator, apply_to_series, box_operator,
-                        euler_t_operator, euler_y_operator,
+                        build_system, euler_t_operator, euler_y_operator,
                         gg_relation_operator, operator_text)
 from .polynomials import (CoeffVar, Perturbation, SparsePolynomial,
                           apply_perturbation, cayley_polynomial)
@@ -35,7 +35,8 @@ __all__ = [
     "SparsePolynomial", "Perturbation", "CoeffVar", "apply_perturbation",
     "cayley_polynomial",
     "DiffOperator", "box_operator", "euler_t_operator", "euler_y_operator",
-    "gg_relation_operator", "apply_to_series", "operator_text",
+    "gg_relation_operator", "build_system", "apply_to_series",
+    "operator_text",
     "GammaSeries", "GammaTerm", "OracleTerm", "NumericTerm", "SeriesLayout",
     "CoefficientOracle", "GammaFunctionOracle", "CallableOracle",
     "SeriesPoleError", "gg_gamma_coefficient", "gg_series", "expand_general",

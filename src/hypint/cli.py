@@ -11,16 +11,15 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .lattice import Base, cayley_set, enumerate_bases, kernel_basis
-from .operators import (box_operator, euler_t_operator, euler_y_operator,
-                        gg_relation_operator, operator_text)
-from .polynomials import CoeffVar, SparsePolynomial
+from .lattice import Base, enumerate_bases, unit_exponents
+from .operators import build_system, operator_text
+from .polynomials import SparsePolynomial
 from .problem_io import (Problem, ProblemFormatError, dump_report,
                          fraction_str, load_problem, make_report)
 from .quadrature import (AlphaMonomial, AlphaOne, AlphaPowerProduct,
                          IntegrandSpec, QuadratureError, integrate)
 from .series import GammaTerm, gg_series
-from .verify import _unit_exponents, check_cayley_consistency, check_gg_system
+from .verify import check_cayley_consistency, check_gg_system
 
 
 def _op_struct(op, parameter=None, value=None) -> dict:
@@ -41,87 +40,34 @@ def _op_struct(op, parameter=None, value=None) -> dict:
 
 def cmd_system(problem: Problem) -> dict:
     """Operator listing: heat-type relations, box operators, Euler operators."""
-    n = problem.dimension
     warnings = []
-    heat, box, euler_t, euler_y = [], [], [], []
-
-    def heat_entry(w, exponents, block=None):
-        try:
-            op = gg_relation_operator(w, exponents, block=block)
-        except ValueError as exc:
-            warnings.append(f"relation for exponent {list(w)} skipped: {exc}")
-            return
-        if op.is_zero():
-            return
-        heat.append({"omega": list(w), "text": operator_text(op),
-                     **_op_struct(op)})
-
-    if problem.blocks == 0:
-        exponents = problem.exponent_sets[0]
-        units_ok = all(e in exponents for e in _unit_exponents(n))
-        if not units_ok:
-            warnings.append(
-                "linear unit exponents missing from the set: coefficient "
-                "derivative relations skipped")
+    if problem.blocks == 0 and not all(
+            e in problem.exponent_sets[0]
+            for e in unit_exponents(problem.dimension)):
+        warnings.append(
+            "linear unit exponents missing from the set: coefficient "
+            "derivative relations skipped")
+    lists = {"heat": [], "box": [], "euler_t": [], "euler_y": []}
+    for kind, key, _, op in build_system(problem.exponent_sets,
+                                         problem.blocks, problem.u, problem.v):
+        if kind in ("heat", "box"):
+            entry = {"omega" if kind == "heat" else "relation": list(key),
+                     "text": operator_text(op), **_op_struct(op)}
         else:
-            for w in exponents.members:
-                heat_entry(w, exponents)
-        if len(exponents) > 1:
-            for rel in kernel_basis(exponents):
-                op = box_operator(rel)
-                box.append({"relation": list(rel.coefficients),
-                            "text": operator_text(op), **_op_struct(op)})
-        for j in range(n):
-            uj = problem.u[j] if problem.u is not None else 0j
-            op = euler_t_operator(exponents, j + 1, uj)
-            euler_t.append({
-                "axis": j + 1,
-                "text": operator_text(op, identity_label=f"u{j + 1}"),
-                **_op_struct(op, parameter=f"u{j + 1}",
-                             value=None if problem.u is None
-                             else [uj.real, uj.imag]),
-            })
-    else:
-        joined = cayley_set(*problem.exponent_sets)
-        joined_vars = tuple(
-            CoeffVar(i + 1, w)
-            for i, s in enumerate(problem.exponent_sets) for w in s.members)
-        zero = tuple(0 for _ in range(n))
-        for i, s in enumerate(problem.exponent_sets):
-            block = i + 1 if problem.blocks > 1 else 1
-            if zero in s and all(e in s for e in _unit_exponents(n)):
-                for w in s.members:
-                    if sum(w) >= 2:
-                        heat_entry(w, s, block=block)
-        if len(joined) > 1:
-            for rel in kernel_basis(joined):
-                op = box_operator(rel.coefficients, joined_vars)
-                box.append({"relation": list(rel.coefficients),
-                            "text": operator_text(op), **_op_struct(op)})
-        for i in range(problem.blocks):
-            vi = problem.v[i] if i < len(problem.v) else 0j
-            op = euler_y_operator(joined_vars, i + 1, vi)
-            euler_y.append({
-                "block": i + 1,
-                "text": operator_text(op, identity_label=f"-v{i + 1}"),
-                **_op_struct(op, parameter=f"v{i + 1}",
-                             value=[vi.real, vi.imag] if i < len(problem.v)
-                             else None),
-            })
-        for j in range(n):
-            uj = problem.u[j] if problem.u is not None else 0j
-            op = euler_t_operator(joined_vars, j + 1, uj)
-            euler_t.append({
-                "axis": j + 1,
-                "text": operator_text(op, identity_label=f"u{j + 1}"),
-                **_op_struct(op, parameter=f"u{j + 1}",
-                             value=None if problem.u is None
-                             else [uj.real, uj.imag]),
-            })
-
-    return {"heat_relations": heat, "box_operators": box,
-            "euler_t_operators": euler_t, "euler_y_operators": euler_y,
-            "warnings": warnings}
+            if kind == "euler_t":
+                field, name, sign, given = "axis", f"u{key}", "", problem.u
+            else:
+                field, name, sign, given = "block", f"v{key}", "-", problem.v
+            x = given[key - 1] if key <= len(given or ()) else None
+            entry = {field: key,
+                     "text": operator_text(op, identity_label=sign + name),
+                     **_op_struct(op, parameter=name,
+                                  value=None if x is None
+                                  else [x.real, x.imag])}
+        lists[kind].append(entry)
+    return {"heat_relations": lists["heat"], "box_operators": lists["box"],
+            "euler_t_operators": lists["euler_t"],
+            "euler_y_operators": lists["euler_y"], "warnings": warnings}
 
 
 def cmd_series(problem: Problem, order: int | None = None,

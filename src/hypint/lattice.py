@@ -125,11 +125,10 @@ class LatticeRelation:
         object.__setattr__(self, "coefficients", coefficients)
         object.__setattr__(self, "homogeneous", homogeneous)
 
-    def positive_part(self) -> tuple:
-        return tuple(max(c, 0) for c in self.coefficients)
 
-    def negative_part(self) -> tuple:
-        return tuple(max(-c, 0) for c in self.coefficients)
+def unit_exponents(n: int) -> list:
+    """The standard unit vectors of Z^n, the exponents of t_1, ..., t_n."""
+    return [tuple(1 if i == j else 0 for i in range(n)) for j in range(n)]
 
 
 def int_det(matrix) -> int:

@@ -21,8 +21,9 @@ from operator import add
 from typing import Iterable, Sequence
 
 from .exact import ExactComplex, common_denominator
-from .lattice import ExponentSet, LatticeRelation
-from .polynomials import CoeffVar
+from .lattice import (ExponentSet, LatticeRelation, cayley_set, kernel_basis,
+                      unit_exponents)
+from .polynomials import CoeffVar, joined_vars
 from .series import GammaSeries, GammaTerm, SeriesLayout
 
 
@@ -224,7 +225,7 @@ def gg_relation_operator(omega, exponents: ExponentSet,
         raise ValueError("omega does not match the exponent dimension")
     if omega not in exponents:
         raise ValueError(f"{omega} is not a member of the exponent set")
-    units = [tuple(1 if i == j else 0 for i in range(n)) for j in range(n)]
+    units = unit_exponents(n)
     missing = [e for e in units if e not in exponents]
     if missing:
         raise ValueError(f"missing linear exponents {missing}")
@@ -243,6 +244,69 @@ def gg_relation_operator(omega, exponents: ExponentSet,
             raise ValueError("block form needs |omega| >= 1")
         lhs = [(CoeffVar(blk, zero), total - 1), (CoeffVar(blk, omega), 1)]
     return DiffOperator([((), lhs, 1), ((), rhs, -1)])
+
+
+def _exponent_text(w) -> str:
+    return ",".join(str(e) for e in w)
+
+
+def build_system(exponent_sets: Sequence, blocks: int, u,
+                 v: Sequence = ()) -> list:
+    """The differential system of a problem as (kind, key, label, op) rows.
+
+    With ``blocks`` = 0 the one exponent set gives, in this order, the
+    heat-type relations (kind ``heat``, key the exponent w, label
+    ``heat[w]``; only when all unit exponents are present), the box
+    operators of a kernel lattice basis (``box``, key and label the
+    relation coefficients) and the Euler operators in t (``euler_t``,
+    key the 1-based axis j, label ``euler_t[j]``).
+
+    With k = ``blocks`` >= 1 the k sets are joined, and the rows are the
+    box operators of the joined set, the block homogeneity operators
+    (``euler_y``, key the 1-based block i, label ``euler_y[i]``), the
+    constant-term relations of each block holding the constant and unit
+    exponents (``heat``, key w with |w| >= 2, label ``mixed[i:w]``) and
+    the Euler operators in t.
+
+    The Euler operators carry the entries of ``u`` and ``v``; a missing
+    entry (or ``u`` None) stands for 0.
+    """
+    exponent_sets = tuple(exponent_sets)
+    if len(exponent_sets) != max(blocks, 1):
+        raise ValueError(f"expected {max(blocks, 1)} exponent set(s) for "
+                         f"blocks={blocks}")
+    n = exponent_sets[0].dimension
+    units = unit_exponents(n)
+    u = tuple(u or ())
+    if blocks == 0:
+        support = exponent_sets[0]
+        variables = _block_vars(support)
+        heat = []
+        if all(e in support for e in units):
+            for w in support.members:
+                op = gg_relation_operator(w, support)
+                if not op.is_zero():  # zero for the unit exponents
+                    heat.append(("heat", w, f"heat[{_exponent_text(w)}]", op))
+    else:
+        support = cayley_set(*exponent_sets)
+        variables = joined_vars(exponent_sets)
+        heat = [("heat", w, f"mixed[{i + 1}:{_exponent_text(w)}]",
+                 gg_relation_operator(w, s, block=i + 1))
+                for i, s in enumerate(exponent_sets)
+                if (0,) * n in s and all(e in s for e in units)
+                for w in s.members if sum(w) >= 2]
+    box = [("box", rel.coefficients, f"box{list(rel.coefficients)}",
+            box_operator(rel.coefficients, variables))
+           for rel in (kernel_basis(support) if len(support) > 1 else ())]
+    euler_t = [("euler_t", j + 1, f"euler_t[{j + 1}]",
+                euler_t_operator(variables, j + 1, u[j] if j < len(u) else 0j))
+               for j in range(n)]
+    if blocks == 0:
+        return heat + box + euler_t
+    euler_y = [("euler_y", i + 1, f"euler_y[{i + 1}]",
+                euler_y_operator(variables, i + 1, v[i] if i < len(v) else 0j))
+               for i in range(blocks)]
+    return box + euler_y + heat + euler_t
 
 
 def _shift_down(mono, deriv, layout: SeriesLayout) -> int:

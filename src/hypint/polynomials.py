@@ -32,6 +32,23 @@ class CoeffVar(NamedTuple):
         return f"c{self.block}_{body}"
 
 
+def as_coeff_var(key) -> CoeffVar:
+    """The variable an assignment key names: a CoeffVar as given, an
+    exponent tuple (or an int, in one variable) as a block-0 variable."""
+    if isinstance(key, CoeffVar):
+        return key
+    if isinstance(key, int):
+        key = (key,)
+    return CoeffVar(0, tuple(int(e) for e in key))
+
+
+def joined_vars(exponent_sets) -> tuple:
+    """The coefficient variables of several blocks, CoeffVar(i + 1, w) for
+    each member w of the i-th set, block after block."""
+    return tuple(CoeffVar(i + 1, w)
+                 for i, s in enumerate(exponent_sets) for w in s.members)
+
+
 def _check_coeff(value) -> complex:
     value = complex(value)
     if not (math.isfinite(value.real) and math.isfinite(value.imag)):
@@ -69,10 +86,6 @@ class SparsePolynomial:
     @staticmethod
     def zero(dimension: int) -> "SparsePolynomial":
         return SparsePolynomial(dimension, {})
-
-    @staticmethod
-    def monomial(dimension: int, exponent, coeff=1) -> "SparsePolynomial":
-        return SparsePolynomial(dimension, {exponent: coeff})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -127,11 +140,6 @@ class SparsePolynomial:
 
     def __sub__(self, other: "SparsePolynomial") -> "SparsePolynomial":
         return self + (-other)
-
-    def scaled(self, factor) -> "SparsePolynomial":
-        return SparsePolynomial(
-            self.dimension, {e: factor * c for e, c in self.terms.items()}
-        )
 
     def __eq__(self, other) -> bool:
         return (

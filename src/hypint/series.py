@@ -33,7 +33,7 @@ from typing import Callable, Mapping, Sequence
 
 from .exact import ONE, ExactComplex, common_denominator, solve_exact
 from .lattice import Base, ExponentSet, base_coords
-from .polynomials import CoeffVar, SparsePolynomial
+from .polynomials import CoeffVar, SparsePolynomial, as_coeff_var
 
 
 class SeriesPoleError(ValueError):
@@ -325,9 +325,6 @@ class GammaSeries:
             object.__setattr__(self, "_integers", (W, S, tuple(rows)))
         return self._integers
 
-    def terms_of_order(self, order: int):
-        return tuple(t for t in self.terms if sum(t.m) == order)
-
     def __add__(self, other: "GammaSeries") -> "GammaSeries":
         if (self.layout != other.layout or self.form != other.form
                 or self.truncation_order != other.truncation_order):
@@ -497,15 +494,8 @@ def standard_expansion(center: SparsePolynomial, exponents: ExponentSet,
 
 
 def _normalize_assignment(layout: SeriesLayout, assignment: Mapping):
-    values = {}
-    for key, val in assignment.items():
-        if isinstance(key, CoeffVar):
-            var = key
-        else:
-            if isinstance(key, int):
-                key = (key,)
-            var = CoeffVar(0, tuple(int(e) for e in key))
-        values[var] = complex(val)
+    values = {as_coeff_var(key): complex(val)
+              for key, val in assignment.items()}
     missing = [v for v in layout.all_vars if v not in values]
     if missing:
         raise ValueError(f"assignment misses variables {missing}")

@@ -1,6 +1,6 @@
 """Finite-difference verification of the generated differential systems.
 
-Coefficient functions (quadrature-backed, closed-form, series-backed or
+Coefficient functions (quadrature-backed, closed-form or
 root-continuation composites) are differentiated with second-order
 central stencils and plugged into the operators; the residual of an
 identity that holds analytically should then shrink like h**2 until the
@@ -30,11 +30,10 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .lattice import ExponentSet, cayley_set, kernel_basis
-from .operators import (DiffOperator, box_operator, euler_t_operator,
-                        euler_y_operator, gg_relation_operator,
-                        operator_text)
-from .polynomials import CoeffVar, SparsePolynomial
+from .lattice import ExponentSet, unit_exponents
+from .operators import (DiffOperator, build_system, euler_y_operator,
+                        gg_relation_operator, operator_text)
+from .polynomials import CoeffVar, SparsePolynomial, as_coeff_var, joined_vars
 from .quadrature import (AlphaMonomial, AlphaOne, IntegrandSpec,
                          ProductContour, _INF, _leg_endpoints,
                          euler_integral_eval, integrate)
@@ -84,8 +83,7 @@ class CoeffFunction:
         """Quadrature of prod P_i^v_i * t^(u-1) as a function of the c_w^(i)."""
         exponent_sets = tuple(exponent_sets)
         n = exponent_sets[0].dimension
-        variables = tuple(CoeffVar(i + 1, w)
-                          for i, s in enumerate(exponent_sets) for w in s.members)
+        variables = joined_vars(exponent_sets)
 
         def fn(assignment):
             polys = []
@@ -121,13 +119,6 @@ class CoeffFunction:
                 c2 = mp.mpc(assignment[variables[1]])
                 return mp.sqrt(mp.pi / (-c2)) * mp.exp(-c1 * c1 / (4 * c2))
         return CoeffFunction(variables, fn, name="gaussian-closed-form")
-
-    @staticmethod
-    def from_series(series: GammaSeries, name: str = "series") -> "CoeffFunction":
-        def fn(assignment):
-            value, _ = evaluate_series(series, assignment)
-            return value
-        return CoeffFunction(series.layout.all_vars, fn, name=name)
 
 
 @dataclass
@@ -268,10 +259,6 @@ def residual_report(op: DiffOperator, f: CoeffFunction, center: Mapping,
     )
 
 
-def _unit_exponents(n: int):
-    return [tuple(1 if i == j else 0 for i in range(n)) for j in range(n)]
-
-
 def _as_u_vector(u, n: int):
     if isinstance(u, (tuple, list)):
         if len(u) != n:
@@ -302,37 +289,9 @@ def check_gg_system(exponents: ExponentSet, u, center: Mapping,
         if contour is None:
             raise ValueError("either a coefficient function or a contour is needed")
         f = CoeffFunction.from_gg_quadrature(exponents, uu, contour, quad_tol)
-    center = {_key_to_var(k, n): v for k, v in center.items()}
-
-    jobs = []
-    units = _unit_exponents(n)
-    if all(e in exponents for e in units):
-        for w in exponents.members:
-            op = gg_relation_operator(w, exponents)
-            if not op.is_zero():
-                jobs.append((f"heat[{_fmt_exp(w)}]", op, 0, ""))
-    if len(exponents) > 1:
-        for rel in kernel_basis(exponents):
-            jobs.append((f"box{list(rel.coefficients)}", box_operator(rel), 0, ""))
-    for j in range(n):
-        op = euler_t_operator(exponents, j + 1, uu_ops[j])
-        jobs.append((f"euler_t[{j + 1}]", op, 0, ""))
-
-    return [residual_report(op, f, center, h=h, tol=tol, label=label,
-                            correction=corr, note=note)
-            for label, op, corr, note in jobs]
-
-
-def _key_to_var(key, n: int):
-    if isinstance(key, CoeffVar):
-        return key
-    if isinstance(key, int):
-        key = (key,)
-    return CoeffVar(0, tuple(int(e) for e in key))
-
-
-def _fmt_exp(w):
-    return ",".join(str(e) for e in w)
+    center = {as_coeff_var(k): v for k, v in center.items()}
+    return [residual_report(op, f, center, h=h, tol=tol, label=label)
+            for _, _, label, op in build_system((exponents,), 0, uu_ops)]
 
 
 def _chain_endpoint_values(chain):
@@ -404,61 +363,41 @@ def check_cayley_consistency(center_polys: Sequence, v, u,
         raise ValueError("need one homogeneity parameter per block")
     uu_ops = uu if operator_u is None else _as_u_vector(operator_u, n)
     v_ops = v if operator_v is None else tuple(operator_v)
+    if len(v_ops) != k:
+        raise ValueError("need one operator homogeneity parameter per block")
+    rows = build_system(exponent_sets, k, uu_ops, v_ops)
 
     f = CoeffFunction.from_euler_quadrature(exponent_sets, v, uu, contour,
                                             quad_tol)
-    center = {}
-    for i, (poly, s) in enumerate(zip(center_polys, exponent_sets)):
-        for w in s.members:
-            center[CoeffVar(i + 1, w)] = poly.coefficient(w)
+    center = {var: center_polys[var.block - 1].coefficient(var.exponent)
+              for var in joined_vars(exponent_sets)}
 
-    joined = cayley_set(*exponent_sets)
-    joined_vars = tuple(CoeffVar(i + 1, w)
-                        for i, s in enumerate(exponent_sets) for w in s.members)
-
-    jobs = []
-    for rel in (kernel_basis(joined) if len(joined) > 1 else []):
-        op = box_operator(rel.coefficients, joined_vars)
-        jobs.append((f"box{list(rel.coefficients)}", op, 0, ""))
-    for i in range(k):
-        op = euler_y_operator(joined_vars, i + 1, v_ops[i])
-        jobs.append((f"euler_y[{i + 1}]", op, 0, ""))
-    units = _unit_exponents(n)
-    for i, s in enumerate(exponent_sets):
-        zero = tuple(0 for _ in range(n))
-        if zero in s and all(e in s for e in units):
-            for w in s.members:
-                if sum(w) >= 2:
-                    op = gg_relation_operator(w, s, block=i + 1)
-                    jobs.append((f"mixed[{i + 1}:{_fmt_exp(w)}]", op, 0, ""))
-
-    reports = []
-    for j in range(n):
-        op = euler_t_operator(joined_vars, j + 1, uu_ops[j])
-        if n == 1:
+    jobs, skipped = [], []
+    for kind, key, label, op in rows:
+        correction, note = 0, ""
+        if kind == "euler_t" and n == 1:
             correction = _euler_t_boundary(exponent_sets, center_polys, v, uu,
                                            contour)
-            note = "" if correction == 0 else \
-                "boundary-corrected on a chain with free endpoints"
-            jobs.append((f"euler_t[{j + 1}]", op, correction, note))
-        else:
-            start, end = _chain_endpoint_values(contour.chains[j])
+            if correction != 0:
+                note = "boundary-corrected on a chain with free endpoints"
+        elif kind == "euler_t":
+            start, end = _chain_endpoint_values(contour.chains[key - 1])
             closed = (start is None and end is None) or (
                 start is not None and end is not None and abs(start - end) < 1e-12)
-            if closed:
-                jobs.append((f"euler_t[{j + 1}]", op, 0, ""))
-            else:
-                reports.append(ResidualReport(
-                    label=f"euler_t[{j + 1}]", operator=operator_text(op),
+            if not closed:
+                skipped.append(ResidualReport(
+                    label=label, operator=operator_text(op),
                     center={}, step=0.0, residual=float("nan"),
                     relative=float("nan"), tol=tol, passed=True,
                     note="skipped: boundary correction not modeled for "
                          "bounded chains in more than one variable",
                 ))
+                continue
+        jobs.append((label, op, correction, note))
 
     return [residual_report(op, f, center, h=h, tol=tol, label=label,
                             correction=corr, note=note)
-            for label, op, corr, note in jobs] + reports
+            for label, op, corr, note in jobs] + skipped
 
 
 class RootContinuation:
@@ -622,7 +561,7 @@ def check_jacobian_case(polys: Sequence, gamma: Callable | None = None,
     n = polys[0].dimension
     if len(polys) != n:
         raise ValueError("need exactly n affine polynomials in n variables")
-    units = _unit_exponents(n)
+    units = unit_exponents(n)
     zero = tuple(0 for _ in range(n))
     for p in polys:
         for w in p.terms:
@@ -630,8 +569,7 @@ def check_jacobian_case(polys: Sequence, gamma: Callable | None = None,
                 raise ValueError(f"{p!r} is not affine-linear")
 
     exponent_sets = tuple(ExponentSet(n, [zero] + units) for _ in range(n))
-    variables = tuple(CoeffVar(i + 1, w)
-                      for i, s in enumerate(exponent_sets) for w in s.members)
+    variables = joined_vars(exponent_sets)
 
     def solve(assignment):
         L = np.array([[assignment[CoeffVar(i + 1, units[j])]
@@ -646,8 +584,8 @@ def check_jacobian_case(polys: Sequence, gamma: Callable | None = None,
         return g / det
 
     f = CoeffFunction(variables, solve, name="jacobian-quantity")
-    center = {CoeffVar(i + 1, w): polys[i].coefficient(w)
-              for i, s in enumerate(exponent_sets) for w in s.members}
+    center = {var: polys[var.block - 1].coefficient(var.exponent)
+              for var in variables}
     quantity = f(center)
 
     reports = []
@@ -719,7 +657,7 @@ def series_vs_oracle(series: GammaSeries, contour: ProductContour,
             continue
         terms = {}
         for key, val in point.items():
-            var = key if isinstance(key, CoeffVar) else _key_to_var(key, n)
+            var = as_coeff_var(key)
             terms[var.exponent] = terms.get(var.exponent, 0) + complex(val)
         P = SparsePolynomial(n, terms)
         if center is not None:

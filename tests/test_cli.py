@@ -217,6 +217,34 @@ class TestVerifyCommand:
         assert euler["relative"] > 1e-2 and not euler["passed"]
 
 
+@pytest.mark.parametrize("name", ["gaussian", "gamma_half", "log_kernel"])
+def test_system_lists_what_verify_checks(name, capsys):
+    path = str(Path(__file__).resolve().parent.parent / "problems"
+               / f"{name}.json")
+    assert main(["system", path]) == 0
+    system = json.loads(capsys.readouterr().out)["results"]
+    assert main(["verify", path]) == 0
+    reports = json.loads(capsys.readouterr().out)["results"]["reports"]
+
+    # the bundled block problem has one block, so its mixed relations
+    # are those of block 1
+    single = load_problem(path).blocks == 0
+    heat_label = "heat[{}]" if single else "mixed[1:{}]"
+    heat = {heat_label.format(",".join(map(str, h["omega"]))): h["text"]
+            for h in system["heat_relations"]}
+    box = {f"box{b['relation']}": b["text"] for b in system["box_operators"]}
+    euler_y = [f"euler_y[{e['block']}]" for e in system["euler_y_operators"]]
+    euler_t = [f"euler_t[{e['axis']}]" for e in system["euler_t_operators"]]
+    if single:
+        listed = [*heat, *box, *euler_t]
+    else:
+        listed = [*box, *euler_y, *heat, *euler_t]
+    assert [r["label"] for r in reports] == listed
+    checked = {r["label"]: r["operator"] for r in reports}
+    for label, text in {**heat, **box}.items():
+        assert checked[label] == text
+
+
 class TestRoundTripAndDeterminism:
     def test_parse_emit_round_trip(self, tmp_path):
         for data in [

@@ -5,7 +5,7 @@ import pytest
 from hypint.exact import ExactComplex
 from hypint.lattice import Base, ExponentSet, LatticeRelation, kernel_basis
 from hypint.operators import (DiffOperator, apply_to_series, box_operator,
-                              euler_t_operator, euler_y_operator,
+                              build_system, euler_t_operator, euler_y_operator,
                               gg_relation_operator, operator_text)
 from hypint.polynomials import CoeffVar
 from hypint.series import GammaSeries, GammaTerm, SeriesLayout, gg_series
@@ -109,6 +109,81 @@ class TestHeatRelations:
 
     def test_unit_exponent_gives_zero_operator(self):
         assert gg_relation_operator(1, A12).is_zero()
+
+
+class TestBuildSystem:
+    def test_single_set(self):
+        rows = build_system([A12], 0, (1,))
+        assert [r[:3] for r in rows] == [
+            ("heat", (2,), "heat[2]"),
+            ("box", (2, -1), "box[2, -1]"),
+            ("euler_t", 1, "euler_t[1]"),
+        ]
+        assert [r[3] for r in rows] == [
+            gg_relation_operator(2, A12),
+            box_operator(LatticeRelation(A12, (2, -1))),
+            euler_t_operator(A12, 1, 1),
+        ]
+
+    def test_single_set_without_units_has_no_heat_rows(self):
+        rows = build_system([ExponentSet(1, [2, 3])], 0, (1,))
+        assert [r[0] for r in rows] == ["box", "euler_t"]
+
+    def test_one_block(self):
+        A1 = ExponentSet(1, [0, 1, 2])
+        variables = cayley_vars(A1)
+        rows = build_system([A1], 1, (1,), (0.5,))
+        assert [r[:3] for r in rows] == [
+            ("box", (1, -2, 1), "box[1, -2, 1]"),
+            ("euler_y", 1, "euler_y[1]"),
+            ("heat", (2,), "mixed[1:2]"),
+            ("euler_t", 1, "euler_t[1]"),
+        ]
+        assert [r[3] for r in rows] == [
+            box_operator((1, -2, 1), variables),
+            euler_y_operator(variables, 1, 0.5),
+            gg_relation_operator(2, A1, block=1),
+            euler_t_operator(variables, 1, 1),
+        ]
+
+    def test_two_blocks(self):
+        A1, A2 = ExponentSet(1, [0, 1]), ExponentSet(1, [0, 1, 2])
+        variables = cayley_vars(A1, A2)
+        rows = build_system([A1, A2], 2, (1,), (-1,))
+        assert [r[:3] for r in rows] == [
+            ("box", (1, -1, -1, 1, 0), "box[1, -1, -1, 1, 0]"),
+            ("box", (2, -2, -1, 0, 1), "box[2, -2, -1, 0, 1]"),
+            ("euler_y", 1, "euler_y[1]"),
+            ("euler_y", 2, "euler_y[2]"),
+            ("heat", (2,), "mixed[2:2]"),
+            ("euler_t", 1, "euler_t[1]"),
+        ]
+        # block 1 lacks the exponent 2, so only block 2 has a mixed row;
+        # the missing v entry of block 2 stands for 0
+        assert rows[3][3] == euler_y_operator(variables, 2, 0)
+        assert rows[4][3] == gg_relation_operator(2, A2, block=2)
+
+    def test_two_dimensional_set(self):
+        A = ExponentSet(2, [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2)])
+        rows = build_system([A], 0, None)
+        assert [r[:3] for r in rows] == [
+            ("heat", (2, 0), "heat[2,0]"),
+            ("heat", (1, 1), "heat[1,1]"),
+            ("heat", (0, 2), "heat[0,2]"),
+            ("box", (2, 0, -1, 0, 0), "box[2, 0, -1, 0, 0]"),
+            ("box", (1, 1, 0, -1, 0), "box[1, 1, 0, -1, 0]"),
+            ("box", (0, 2, 0, 0, -1), "box[0, 2, 0, 0, -1]"),
+            ("euler_t", 1, "euler_t[1]"),
+            ("euler_t", 2, "euler_t[2]"),
+        ]
+        # u None: the Euler operators have no constant term
+        assert rows[-1][3] == euler_t_operator(A, 2, 0)
+
+    def test_set_count_must_match_blocks(self):
+        with pytest.raises(ValueError):
+            build_system([A12, A12], 0, (1,))
+        with pytest.raises(ValueError):
+            build_system([A12], 2, (1,))
 
 
 class TestApplyToSeries:

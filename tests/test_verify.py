@@ -183,6 +183,25 @@ class TestCayleyChecks:
         by_label = {r.label: r for r in reports}
         assert not by_label["euler_y[1]"].passed
 
+    @pytest.mark.parametrize("operator_v", [[], [-1.0, -1.0]])
+    def test_operator_v_needs_one_entry_per_block(self, operator_v):
+        P1 = SparsePolynomial(1, {(0,): 1.0, (1,): -0.5})
+        with pytest.raises(ValueError, match="per block"):
+            check_cayley_consistency([P1], [-1.0], [1.0], UNIT_SEGMENT,
+                                     operator_v=operator_v)
+
+    def test_bounded_chains_in_two_variables_skip_euler_t(self):
+        P = SparsePolynomial(2, {(0, 0): 1.0, (1, 0): 0.1, (0, 1): 0.2})
+        square = ProductContour([[Segment(0, 1)], [Segment(0, 1)]])
+        reports = check_cayley_consistency([P], [-1.0], [1.0, 1.0], square,
+                                           tol=1e-5, quad_tol=1e-10)
+        assert [r.label for r in reports] == \
+            ["euler_y[1]", "euler_t[1]", "euler_t[2]"]
+        assert reports[0].passed and math.isfinite(reports[0].residual)
+        for r in reports[1:]:
+            assert r.passed and math.isnan(r.residual)
+            assert r.note.startswith("skipped:")
+
 
 class TestRootTheorems:
     def test_root_matches_quadratic_formula(self):
