@@ -15,11 +15,9 @@ from .quadrature import (AccuracyError, AlphaMonomial, AlphaOne,
                          IntegrandSpec, Line, ProductContour, QuadratureError,
                          Ray, Segment, euler_integral_eval, gg_eval,
                          integrate, proper_integral)
-from .series import (CallableOracle, CoefficientOracle, GammaFunctionOracle,
-                     GammaSeries, GammaTerm, NumericTerm, OracleTerm,
+from .series import (GammaSeries, GammaTerm, NumericTerm, OracleTerm,
                      SeriesLayout, SeriesPoleError, evaluate_series,
-                     expand_general, gg_gamma_coefficient, gg_series,
-                     standard_expansion)
+                     expand_general, gg_series, standard_expansion)
 from .verify import (CoeffFunction, ResidualReport, RootContinuation,
                      SeriesOracleReport, check_cayley_consistency,
                      check_gg_system, check_jacobian_case,
@@ -38,8 +36,7 @@ __all__ = [
     "gg_relation_operator", "build_system", "apply_to_series",
     "operator_text",
     "GammaSeries", "GammaTerm", "OracleTerm", "NumericTerm", "SeriesLayout",
-    "CoefficientOracle", "GammaFunctionOracle", "CallableOracle",
-    "SeriesPoleError", "gg_gamma_coefficient", "gg_series", "expand_general",
+    "SeriesPoleError", "gg_series", "expand_general",
     "standard_expansion", "evaluate_series",
     "Segment", "Ray", "Arc", "Line", "ProductContour", "IntegrandSpec",
     "AlphaOne", "AlphaMonomial", "AlphaPowerProduct", "integrate",

@@ -53,6 +53,9 @@ def cmd_system(problem: Problem) -> dict:
         if kind in ("heat", "box"):
             entry = {"omega" if kind == "heat" else "relation": list(key),
                      "text": operator_text(op), **_op_struct(op)}
+            if kind == "heat" and problem.blocks:
+                # a mixed relation's variables all lie in its block
+                entry = {"block": op.variables()[0].block, **entry}
         else:
             if kind == "euler_t":
                 field, name, sign, given = "axis", f"u{key}", "", problem.u

@@ -24,7 +24,7 @@ from .exact import ExactComplex, common_denominator
 from .lattice import (ExponentSet, LatticeRelation, cayley_set, kernel_basis,
                       unit_exponents)
 from .polynomials import CoeffVar, joined_vars
-from .series import GammaSeries, GammaTerm, SeriesLayout
+from .series import GammaSeries, GammaTerm
 
 
 def _as_power_key(powers: Iterable) -> tuple:
@@ -116,14 +116,14 @@ def _scalar_text(scalar: ExactComplex) -> tuple:
 
 def operator_text(op: DiffOperator, identity_label: str | None = None) -> str:
     """Fixed text grammar: D[cNAME]^k factors joined by '*', terms by
-    ' + '/' - '; coefficient variables named c{block}_{exponents}."""
-    if op.is_zero():
-        return "0"
+    ' + '/' - '; coefficient variables named c{block}_{exponents}.
+
+    ``identity_label`` (say ``u1`` or ``-v1``) stands for the constant
+    term: the label is written last, also when that term is 0 or unknown.
+    """
     pieces = []
     for (mono, deriv), scalar in op.terms.items():
         if not mono and not deriv and identity_label is not None:
-            sign = "-" if identity_label.startswith("-") else "+"
-            pieces.append((sign, identity_label.lstrip("-")))
             continue
         sign, scalar_body = _scalar_text(scalar)
         factors = [] if scalar_body is None else [scalar_body]
@@ -136,6 +136,11 @@ def operator_text(op: DiffOperator, identity_label: str | None = None) -> str:
         if not factors:
             factors = [str(abs(scalar.re)) if scalar.im == 0 else f"({scalar})"]
         pieces.append((sign, "*".join(factors)))
+    if identity_label is not None:
+        pieces.append(("-" if identity_label.startswith("-") else "+",
+                       identity_label.lstrip("-")))
+    if not pieces:
+        return "0"
     sign0, body0 = pieces[0]
     text = ("-" if sign0 == "-" else "") + body0
     for sign, body in pieces[1:]:
@@ -309,17 +314,6 @@ def build_system(exponent_sets: Sequence, blocks: int, u,
     return box + euler_y + heat + euler_t
 
 
-def _shift_down(mono, deriv, layout: SeriesLayout) -> int:
-    down = 0
-    for var, p in deriv:
-        if layout.role(var) == "series":
-            down += p
-    for var, p in mono:
-        if layout.role(var) == "series":
-            down -= p
-    return max(down, 0)
-
-
 def _application_plan(mono, deriv, op_scalar, series_index, base_index,
                       reciprocal, W):
     """How one operator term acts on a term whose args are (A + B i) / W.
@@ -385,12 +379,11 @@ def apply_to_series(op: DiffOperator, series: GammaSeries) -> GammaSeries:
     order = series.truncation_order
     W, S, rows = series.integer_form()
 
-    plans = []
-    max_down = 0
-    for (mono, deriv), op_scalar in op.terms.items():
-        max_down = max(max_down, _shift_down(mono, deriv, layout))
-        plans.append(_application_plan(mono, deriv, op_scalar, series_index,
-                                       base_index, reciprocal, W))
+    plans = [_application_plan(mono, deriv, op_scalar, series_index,
+                               base_index, reciprocal, W)
+             for (mono, deriv), op_scalar in op.terms.items()]
+    # the most orders one operator term moves a multi-index down
+    max_down = max([0] + [-sum(dm) for _, dm, *_ in plans])
     # every contribution is a Gaussian integer over S * G
     G = math.lcm(*(plan[-1] for plan in plans))
 

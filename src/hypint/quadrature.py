@@ -820,7 +820,9 @@ def integrate(spec: IntegrandSpec, contour: ProductContour, tol: float = 1e-9):
     Returns (value, err_estimate).  Raises DivergenceError when an
     unbounded leg fails the decay check, AccuracyError when the
     tolerance cannot be met, and ValueError for structural problems
-    (dimension mismatches, missing branch data).
+    (dimension mismatches, missing branch data, and a power-product
+    factor that vanishes at an end of a one-variable chain under an
+    exponent of real part <= -1, which is not integrable there).
     """
     n = spec.P.dimension
     if n > 3:
@@ -829,13 +831,23 @@ def integrate(spec: IntegrandSpec, contour: ProductContour, tol: float = 1e-9):
         raise ValueError(
             f"contour has {len(contour.chains)} chains for {n} variables"
         )
-    for i, (poly, v) in enumerate(
-            zip(getattr(spec.alpha, "polys", ()), getattr(spec.alpha, "v", ()))):
-        if not _is_int(v) and n > 1:
-            raise ValueError(
-                "non-integer power-product exponents are supported in one "
-                "variable only"
-            )
+    factors = tuple(zip(getattr(spec.alpha, "polys", ()),
+                        getattr(spec.alpha, "v", ())))
+    if n > 1 and not all(_is_int(v) for _, v in factors):
+        raise ValueError(
+            "non-integer power-product exponents are supported in one "
+            "variable only"
+        )
+    if n == 1:
+        chain = contour.chains[0]
+        for end in (_leg_endpoints(chain[0])[0], _leg_endpoints(chain[-1])[1]):
+            for poly, v in factors:
+                if (end is not _INF and v.real <= -1
+                        and abs(poly.evaluate(end)) < 1e-12):
+                    raise ValueError(
+                        f"factor vanishes at endpoint {end} with "
+                        f"non-integrable exponent {v}"
+                    )
     run = _Run(spec, contour, tol)
     value = _level_value(run, 0, {}, tol * 0.5)[0]
     err = run.outer_err + run.inner_rel * abs(value)
@@ -862,41 +874,17 @@ def gg_eval(P: SparsePolynomial, u, contour: ProductContour,
             tol: float = 1e-9) -> complex:
     """Integral of exp(P) * t^(u-1); branch data is required whenever a
     component of u is not an integer."""
-    alpha = AlphaMonomial(u)
-    for j, uj in enumerate(alpha.u):
-        if not _is_int(uj) and contour.start_arg(("t", j + 1)) is None:
-            raise ValueError(
-                f"u_{j + 1} = {uj} is not an integer: branch data for "
-                f"('t', {j + 1}) is required"
-            )
-    value, _ = integrate(IntegrandSpec(P, alpha), contour, tol)
+    value, _ = integrate(IntegrandSpec(P, AlphaMonomial(u)), contour, tol)
     return value
 
 
 def euler_integral_eval(polys, v, u, contour: ProductContour,
                         tol: float = 1e-9) -> complex:
-    """Integral of prod P_i^v_i * t^(u-1) (the kernel polynomial is zero).
-
-    Endpoint zeros of a factor are allowed only when the corresponding
-    exponent has real part > -1 (an integrable singularity).
-    """
+    """Integral of prod P_i^v_i * t^(u-1) (the kernel polynomial is zero)."""
     polys = tuple(polys)
     if not polys:
         raise ValueError("need at least one polynomial factor")
-    n = polys[0].dimension
-    alpha = AlphaPowerProduct(polys, v, u)
-    if n == 1:
-        for chain in contour.chains:
-            for which in (0, -1):
-                end = _leg_endpoints(chain[which])[which]
-                if end is _INF:
-                    continue
-                for poly, vi in zip(polys, alpha.v):
-                    if abs(poly.evaluate(end)) < 1e-12 and vi.real <= -1:
-                        raise ValueError(
-                            f"factor vanishes at endpoint {end} with "
-                            f"non-integrable exponent {vi}"
-                        )
     value, _ = integrate(
-        IntegrandSpec(SparsePolynomial.zero(n), alpha), contour, tol)
+        IntegrandSpec(SparsePolynomial.zero(polys[0].dimension),
+                      AlphaPowerProduct(polys, v, u)), contour, tol)
     return value

@@ -2,13 +2,16 @@
 
 A series lives on a layout split A = B + (A \\ B): the exponents outside
 the base B index the series variables a_w, while the base exponents
-carry the coefficient functions of a_1..a_n.  In the closed-form case a
-term is
+carry the coefficient functions of a_1..a_n.  gg_series builds the
+closed-form terms straight from the layout and the parameters u:
 
     scalar * prod_j Gamma(s_j) * (-a_j)**(-s_j) * prod_w a_w**m_w
 
-with s(m) = s0 + sum_w m_w * l_w, where l_w are the exact rational
-coordinates of w in the base and s0 solves sum_j s0_j * w_j = u.
+with scalar = 1 / prod_w m_w!, s(m) = s0 + sum_w m_w * l_w, where l_w
+are the exact rational coordinates of w in the base and s0 solves
+sum_j s0_j * w_j = u.  expand_general (a coefficient function of the
+base values per m) and standard_expansion (a fixed number per m) give
+terms that can be evaluated but not differentiated exactly.
 
 The scalars and the arguments s_j are kept in exact complex-rational
 arithmetic.  Differentiating with respect to a base variable then maps
@@ -31,7 +34,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
-from .exact import ONE, ExactComplex, common_denominator, solve_exact
+from .exact import ExactComplex, common_denominator, solve_exact
 from .lattice import Base, ExponentSet, base_coords
 from .polynomials import CoeffVar, SparsePolynomial, as_coeff_var
 
@@ -177,17 +180,6 @@ class SeriesLayout:
     @property
     def all_vars(self) -> tuple:
         return self.base_vars + self.series_vars
-
-
-@dataclass(frozen=True)
-class GammaTermValue:
-    """A raw closed-form coefficient: scalar * prod Gamma(args)(-a)**(-args)."""
-
-    scalar: ExactComplex
-    args: tuple  # one ExactComplex per base variable
-
-    def is_pole(self) -> bool:
-        return any(a.is_nonpositive_integer() for a in self.args)
 
 
 @dataclass(frozen=True)
@@ -347,19 +339,6 @@ class GammaSeries:
                 f"form={self.form}, terms={len(self.terms)})")
 
 
-class CoefficientOracle:
-    """Supplies the coefficient C_m for each multi-index m.
-
-    Implementations must be deterministic: the same m (and the same base
-    values, for callable payloads) always yields the same result.
-    """
-
-    deterministic = True
-
-    def coefficient(self, m):  # -> GammaTermValue | Callable | complex
-        raise NotImplementedError
-
-
 class _GammaArguments:
     """The Gamma arguments s(m) = s0 + L m of one layout and parameter u.
 
@@ -372,7 +351,7 @@ class _GammaArguments:
     def __init__(self, layout: SeriesLayout, u):
         if layout.base is None:
             raise ValueError("a base is required for the closed-form "
-                             "coefficient")
+                             "series")
         n = layout.exponents.dimension
         u = tuple(u) if isinstance(u, (list, tuple)) else (u,)
         if len(u) != n:
@@ -393,9 +372,6 @@ class _GammaArguments:
                              s.re.denominator * den) for s in self.s0)
 
     def __call__(self, m) -> tuple:
-        m = tuple(int(x) for x in m)
-        if len(m) != len(self.steps):
-            raise ValueError("multi-index does not match the layout")
         args = []
         for j, (s, (p_den, q, q_den)) in enumerate(zip(self.s0, self.origin)):
             shift = sum(mw * step[j] for mw, step in zip(m, self.steps) if mw)
@@ -404,73 +380,39 @@ class _GammaArguments:
         return tuple(args)
 
 
-def gg_gamma_coefficient(m, u, layout: SeriesLayout) -> GammaTermValue:
-    """Closed-form coefficient for the monomial-weight kernel.
-
-    Solves sum_j s0_j * w_j = u over exact complex rationals, shifts by
-    the base coordinates of the series exponents, and returns
-    prod_j Gamma(s_j(m)) * (-a_j)**(-s_j(m)) with the overall contour
-    constant fixed to 1 (fitted against quadrature separately).  Terms
-    whose argument lands on a Gamma pole are flagged, not dropped.
-    """
-    return GammaTermValue(ONE, _GammaArguments(layout, u)(m))
-
-
-class GammaFunctionOracle(CoefficientOracle):
-    """The closed-form Gamma-product coefficients for given parameters u."""
-
-    def __init__(self, layout: SeriesLayout, u):
-        self.layout = layout
-        self.u = u
-        self._args = _GammaArguments(layout, u)
-
-    def coefficient(self, m) -> GammaTermValue:
-        return GammaTermValue(ONE, self._args(m))
-
-
-class CallableOracle(CoefficientOracle):
-    """Wraps m -> (function of the base values)."""
-
-    def __init__(self, fn: Callable, deterministic: bool = True):
-        self.fn = fn
-        self.deterministic = deterministic
-
-    def coefficient(self, m) -> Callable:
-        return self.fn(m)
-
-
 def _weight(m) -> Fraction:
     return Fraction(1, math.prod(map(math.factorial, m)))
 
 
-def expand_general(exponents: ExponentSet, base: Base,
-                   oracle: CoefficientOracle, order: int,
-                   form: str = "direct") -> GammaSeries:
-    """Series over A \\ B to the given order, coefficients from the oracle.
+def expand_general(exponents: ExponentSet, base: Base, coefficient: Callable,
+                   order: int) -> GammaSeries:
+    """Series over A \\ B to the given order with opaque coefficients.
 
-    Each multi-index m with |m| <= order contributes its oracle
-    coefficient times 1 / prod m_w!.
+    ``coefficient(m)`` returns a function of the base values (a mapping
+    from each base variable to its value); each multi-index m with
+    |m| <= order contributes that function times 1 / prod m_w!.  Such a
+    series can be evaluated but not differentiated exactly.
     """
     layout = SeriesLayout(exponents, base)
-    terms = []
-    for m in multi_indices(len(layout.series_vars), order):
-        weight = _weight(m)
-        payload = oracle.coefficient(m)
-        if isinstance(payload, GammaTermValue):
-            terms.append(GammaTerm(m, payload.scalar * weight, payload.args))
-        elif callable(payload):
-            terms.append(OracleTerm(m, weight, payload))
-        else:
-            terms.append(NumericTerm(m, weight, complex(payload)))
-    return GammaSeries(layout, order, terms, form=form)
+    return GammaSeries(layout, order, [
+        OracleTerm(m, _weight(m), coefficient(m))
+        for m in multi_indices(len(layout.series_vars), order)])
 
 
 def gg_series(exponents: ExponentSet, base: Base, u, order: int,
               form: str = "direct") -> GammaSeries:
-    """Closed-form series for the monomial-weight kernel with parameters u."""
+    """Closed-form series for the monomial-weight kernel with parameters u.
+
+    The term of m is prod_j Gamma(s_j(m)) * (-a_j)**(-s_j(m)) times the
+    scalar 1 / prod m_w!, with s(m) from _GammaArguments and the overall
+    contour constant fixed to 1 (fitted against quadrature separately).
+    Terms whose argument lands on a Gamma pole are flagged, not dropped.
+    """
     layout = SeriesLayout(exponents, base)
-    return expand_general(exponents, base, GammaFunctionOracle(layout, u),
-                          order, form=form)
+    args = _GammaArguments(layout, u)
+    return GammaSeries(layout, order, [
+        GammaTerm(m, ExactComplex(_weight(m), Fraction(0)), args(m))
+        for m in multi_indices(len(layout.series_vars), order)], form=form)
 
 
 def standard_expansion(center: SparsePolynomial, exponents: ExponentSet,

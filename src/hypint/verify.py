@@ -302,7 +302,7 @@ def _chain_endpoint_values(chain):
     return start, end
 
 
-def _euler_t_boundary(exponent_sets, center_polys, v, u, contour):
+def _euler_t_boundary(center_polys, v, u, contour):
     """Boundary term of the t-homogeneity identity on a one-variable chain:
     the primitive t^u * prod P_i^v_i evaluated at end minus start
     (principal branches; zero for closed or decaying chains)."""
@@ -376,8 +376,7 @@ def check_cayley_consistency(center_polys: Sequence, v, u,
     for kind, key, label, op in rows:
         correction, note = 0, ""
         if kind == "euler_t" and n == 1:
-            correction = _euler_t_boundary(exponent_sets, center_polys, v, uu,
-                                           contour)
+            correction = _euler_t_boundary(center_polys, v, uu, contour)
             if correction != 0:
                 note = "boundary-corrected on a chain with free endpoints"
         elif kind == "euler_t":
@@ -608,27 +607,6 @@ class SeriesOracleReport:
     @property
     def max_deviation(self) -> float:
         return max((d for *_, d in self.comparisons), default=0.0)
-
-    def to_dict(self) -> dict:
-        return {
-            "kappa": [self.kappa.real, self.kappa.imag],
-            "kappa_refit_delta": self.kappa_refit_delta,
-            "max_deviation": self.max_deviation,
-            "comparisons": [
-                {"point": {str(k): [complex(v).real, complex(v).imag]
-                           for k, v in pt.items()},
-                 "series": [sv.real, sv.imag],
-                 "oracle": [ov.real, ov.imag],
-                 "deviation": d}
-                for pt, sv, ov, d in self.comparisons
-            ],
-            "skipped": [
-                {"point": {str(k): [complex(v).real, complex(v).imag]
-                           for k, v in pt.items()},
-                 "tail": t, "reason": r}
-                for pt, t, r in self.skipped
-            ],
-        }
 
 
 def series_vs_oracle(series: GammaSeries, contour: ProductContour,

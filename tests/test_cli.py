@@ -36,6 +36,22 @@ def gaussian_problem(**overrides):
     return data
 
 
+UNIT_SEGMENT = [[{"kind": "segment", "start": [0.0, 0.0], "end": [1.0, 0.0],
+                  "orientation": 1}]]
+
+# two blocks that both hold the exponents {0, 1, 2}
+TWO_BLOCKS = dict(
+    blocks=2,
+    exponent_sets=[[[0], [1], [2]], [[0], [1], [2]]],
+    coefficients=[[[1.0, 0.0], [0.5, 0.0], [0.25, 0.0]],
+                  [[2.0, 0.0], [-0.5, 0.0], [0.3, 0.0]]],
+    v=[[0.5, 0.0], [-1.0, 0.0]],
+    contour=UNIT_SEGMENT,
+    branch_data={"P1": 0.0},
+    base=None,
+)
+
+
 def write_problem(tmp_path, data, name="problem.json"):
     path = tmp_path / name
     path.write_text(json.dumps(data))
@@ -95,6 +111,30 @@ class TestSystemCommand:
         results = json.loads(r.stdout)["results"]
         assert results["heat_relations"] == []
         assert results["warnings"]
+
+
+    def test_absent_parameter_is_still_named(self, tmp_path, capsys):
+        for u in (None, [[0.0, 0.0]]):
+            path = write_problem(tmp_path, gaussian_problem(u=u))
+            assert main(["system", path]) == 0
+            results = json.loads(capsys.readouterr().out)["results"]
+            assert [e["text"] for e in results["euler_t_operators"]] == \
+                ["c1*D[c1] + 2*c2*D[c2] + u1"]
+        path = write_problem(tmp_path, gaussian_problem(**dict(TWO_BLOCKS,
+                                                                v=[])))
+        assert main(["system", path]) == 0
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert [e["text"] for e in results["euler_y_operators"]] == [
+            "c0*D[c0] + c1*D[c1] + c2*D[c2] - v1",
+            "c2_0*D[c2_0] + c2_1*D[c2_1] + c2_2*D[c2_2] - v2"]
+
+    def test_mixed_relations_name_their_block(self, tmp_path, capsys):
+        path = write_problem(tmp_path, gaussian_problem(**TWO_BLOCKS))
+        assert main(["system", path]) == 0
+        heat = json.loads(capsys.readouterr().out)["results"]["heat_relations"]
+        assert [(h["block"], h["omega"], h["text"]) for h in heat] == [
+            (1, [2], "D[c0]*D[c2] - D[c1]^2"),
+            (2, [2], "D[c2_0]*D[c2_2] - D[c2_1]^2")]
 
 
 class TestSeriesCommand:
@@ -165,6 +205,24 @@ class TestEvalCommand:
         value = complex(*json.loads(r.stdout)["results"]["value"])
         assert abs(value - 1 / 6) < 1e-10
 
+    def test_nonintegrable_endpoint_is_input_error(self, tmp_path):
+        # the factor t vanishes at the start of [0, 1] under v = -1.5
+        data = gaussian_problem(
+            blocks=1,
+            exponent_sets=[[[1]]],
+            coefficients=[[[1.0, 0.0]]],
+            v=[[-1.5, 0.0]],
+            contour=UNIT_SEGMENT,
+            branch_data={"P1": 0.0},
+            base=None,
+        )
+        path = write_problem(tmp_path, data)
+        for command in ("eval", "verify"):
+            r = run_cli([command, path])
+            assert r.returncode == 2, r.stderr
+            assert "vanishes at endpoint" in r.stderr
+            assert "Warning" not in r.stderr
+
     def test_missing_contour_is_input_error(self, tmp_path):
         path = write_problem(tmp_path, gaussian_problem(contour=None))
         r = run_cli(["eval", path])
@@ -217,21 +275,25 @@ class TestVerifyCommand:
         assert euler["relative"] > 1e-2 and not euler["passed"]
 
 
-@pytest.mark.parametrize("name", ["gaussian", "gamma_half", "log_kernel"])
-def test_system_lists_what_verify_checks(name, capsys):
-    path = str(Path(__file__).resolve().parent.parent / "problems"
-               / f"{name}.json")
+@pytest.mark.parametrize("name", ["gaussian", "gamma_half", "log_kernel",
+                                  "two_blocks"])
+def test_system_lists_what_verify_checks(name, capsys, tmp_path):
+    if name == "two_blocks":
+        path = write_problem(tmp_path, gaussian_problem(**TWO_BLOCKS))
+    else:
+        path = str(Path(__file__).resolve().parent.parent / "problems"
+                   / f"{name}.json")
     assert main(["system", path]) == 0
     system = json.loads(capsys.readouterr().out)["results"]
     assert main(["verify", path]) == 0
     reports = json.loads(capsys.readouterr().out)["results"]["reports"]
 
-    # the bundled block problem has one block, so its mixed relations
-    # are those of block 1
     single = load_problem(path).blocks == 0
-    heat_label = "heat[{}]" if single else "mixed[1:{}]"
-    heat = {heat_label.format(",".join(map(str, h["omega"]))): h["text"]
-            for h in system["heat_relations"]}
+    heat = {}
+    for h in system["heat_relations"]:
+        w = ",".join(map(str, h["omega"]))
+        heat[f"heat[{w}]" if single else f"mixed[{h['block']}:{w}]"] = h["text"]
+    assert len(heat) == len(system["heat_relations"])
     box = {f"box{b['relation']}": b["text"] for b in system["box_operators"]}
     euler_y = [f"euler_y[{e['block']}]" for e in system["euler_y_operators"]]
     euler_t = [f"euler_t[{e['axis']}]" for e in system["euler_t_operators"]]

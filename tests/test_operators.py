@@ -248,9 +248,8 @@ class TestApplyToSeries:
             apply_to_series(op, self.series)
 
     def test_non_closed_form_rejected(self):
-        from hypint.series import CallableOracle, expand_general
-        series = expand_general(A12, self.base,
-                                CallableOracle(lambda m: (lambda a: 1.0)), 2)
+        from hypint.series import expand_general
+        series = expand_general(A12, self.base, lambda m: (lambda a: 1.0), 2)
         op = euler_t_operator(A12, 1, 1)
         with pytest.raises(ValueError):
             apply_to_series(op, series)

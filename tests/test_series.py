@@ -9,10 +9,9 @@ import pytest
 from hypint.exact import ONE, ZERO, ExactComplex, solve_exact
 from hypint.lattice import Base, ExponentSet, base_coords
 from hypint.polynomials import CoeffVar, SparsePolynomial
-from hypint.series import (CallableOracle, GammaSeries, GammaTerm,
-                           SeriesLayout, SeriesPoleError, complex_gamma,
-                           evaluate_series, expand_general,
-                           gg_gamma_coefficient, gg_series, multi_indices,
+from hypint.series import (GammaSeries, GammaTerm, OracleTerm, SeriesLayout,
+                           SeriesPoleError, complex_gamma, evaluate_series,
+                           expand_general, gg_series, multi_indices,
                            reciprocal_gamma, standard_expansion)
 
 A12 = ExponentSet(1, [1, 2])
@@ -69,23 +68,26 @@ def test_cli_import_leaves_scipy_unloaded():
     assert out.strip() == "[]"
 
 
+def _args_by_m(exponents, base, u, order):
+    return {t.m: t.args for t in gg_series(exponents, base, u, order).terms}
+
+
+def test_package_exports_resolve():
+    import hypint
+    assert [name for name in hypint.__all__ if not hasattr(hypint, name)] == []
+
+
 class TestGammaCoefficient:
     def test_linear_base_arguments(self):
-        layout = SeriesLayout(A12, B1)
-        for m in range(4):
-            term = gg_gamma_coefficient((m,), 1, layout)
-            assert term.args == (ec(1 + 2 * m),)
+        args = _args_by_m(A12, B1, 1, 3)
+        assert args == {(m,): (ec(1 + 2 * m),) for m in range(4)}
 
     def test_quadratic_base_arguments(self):
-        layout = SeriesLayout(A12, B2)
-        term0 = gg_gamma_coefficient((0,), 1, layout)
-        assert term0.args == (ec(Fraction(1, 2)),)
-        term1 = gg_gamma_coefficient((1,), 1, layout)
-        assert term1.args == (ec(1),)
+        args = _args_by_m(A12, B2, 1, 1)
+        assert args == {(0,): (ec(Fraction(1, 2)),), (1,): (ec(1),)}
 
     def test_pole_is_flagged(self):
-        layout = SeriesLayout(A12, B1)
-        term = gg_gamma_coefficient((0,), 0, layout)
+        (term,) = gg_series(A12, B1, 0, 0).terms
         assert term.is_pole()
 
     def test_affine_shift_law(self):
@@ -95,12 +97,12 @@ class TestGammaCoefficient:
             layout = SeriesLayout(A, base)
             width = len(layout.series_vars)
             u = (Fraction(1, 3), Fraction(5, 7))
+            args = _args_by_m(A, base, u, 2)
             for k, var in enumerate(layout.series_vars):
                 l = layout.coords(var)
                 m = tuple(1 if i == 0 else 0 for i in range(width))
                 bumped = tuple(m[i] + (1 if i == k else 0) for i in range(width))
-                s_m = gg_gamma_coefficient(m, u, layout).args
-                s_b = gg_gamma_coefficient(bumped, u, layout).args
+                s_m, s_b = args[m], args[bumped]
                 for j in range(2):
                     assert (s_b[j] - s_m[j]) == ec(l[j])
 
@@ -136,10 +138,9 @@ def test_gg_series_equals_per_term_coefficients(members, base, form):
     layout = series.layout
     assert [t.m for t in series.terms] == list(multi_indices(3, 6))
     for t in series.terms:
-        coeff = gg_gamma_coefficient(t.m, u, layout)
-        assert t.args == coeff.args == _per_term_args(t.m, u, layout)
+        assert t.args == _per_term_args(t.m, u, layout)
         weight = Fraction(1, math.prod(math.factorial(k) for k in t.m))
-        assert t.scalar == coeff.scalar * weight == ec(weight)
+        assert t.scalar == ec(weight)
         assert all(type(x) is Fraction for a in (t.scalar, *t.args)
                    for x in (a.re, a.im))
 
@@ -196,8 +197,11 @@ class TestExpandGeneral:
         assert scalars[(2,)] == ec(Fraction(1, 2))
 
     def test_callable_oracle_terms(self):
-        oracle = CallableOracle(lambda m: (lambda a: 10.0 + m[0]))
-        series = expand_general(A12, B1, oracle, 2)
+        series = expand_general(A12, B1, lambda m: (lambda a: 10.0 + m[0]), 2)
+        assert [(t.m, t.weight) for t in series.terms] == \
+            [((0,), 1), ((1,), 1), ((2,), Fraction(1, 2))]
+        assert all(isinstance(t, OracleTerm) for t in series.terms)
+        assert not series.is_closed_form()
         value, tail = evaluate_series(series, {1: -1.0, 2: 0.5})
         # sum_m (10 + m) 0.5^m / m!
         expected = sum((10 + m) * 0.5 ** m / math.factorial(m) for m in range(3))
