@@ -241,7 +241,10 @@ def parse_problem(data: Mapping) -> Problem:
     if order < 0:
         raise ProblemFormatError("order: must be >= 0")
     fd_step = data.get("fd_step")
-    fd_step = None if fd_step is None else _number_in(fd_step, "fd_step")
+    if fd_step is not None:
+        fd_step = _number_in(fd_step, "fd_step")
+        if fd_step <= 0:
+            raise ProblemFormatError("fd_step: must be > 0")
 
     return Problem(
         dimension=n, blocks=blocks, exponent_sets=tuple(sets),

@@ -20,10 +20,14 @@ unchanged (the Gamma shift identity absorbed into the argument), so
 annihilation by the generated operators is an exact cancellation of
 equal Fractions, not a floating-point near-miss.
 
-Numeric evaluation happens only at the very end, through a
-reciprocal-Gamma-safe routine; the principal branch of log is used for
-the powers (-a_j)**(-s_j), with the plane cut along the negative real
-axis of (-a_j).
+Numeric evaluation happens only at the very end.  A closed-form series
+compiles once into a cached numeric_form(): the complex scalars, per
+base variable the table of distinct arguments s with Gamma(s) (or
+1/Gamma(1 - s), from a reciprocal-Gamma-safe routine) and each term's
+index into it, and the exponent matrix of m.  Each point then computes
+only (-a_j)**(-s) per table entry and the products and sums in arrays.
+The principal branch of log is used for the powers (-a_j)**(-s_j), with
+the plane cut along the negative real axis of (-a_j).
 """
 
 from __future__ import annotations
@@ -33,6 +37,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
+
+import numpy as np
 
 from .exact import ExactComplex, common_denominator, solve_exact
 from .lattice import Base, ExponentSet, base_coords
@@ -263,7 +269,7 @@ class GammaSeries:
     """
 
     __slots__ = ("layout", "truncation_order", "terms", "form",
-                 "complete_below", "_integers")
+                 "complete_below", "_closed", "_integers", "_numeric")
 
     def __init__(self, layout: SeriesLayout, truncation_order: int,
                  terms: Sequence, form: str = "direct",
@@ -278,7 +284,8 @@ class GammaSeries:
                 raise ValueError("term beyond the truncation order")
             if len(t.m) != len(layout.series_vars):
                 raise ValueError("term multi-index does not match the layout")
-        if all(isinstance(t, GammaTerm) for t in terms):
+        closed = all(isinstance(t, GammaTerm) for t in terms)
+        if closed:
             terms = merge_gamma_terms(terms)
         object.__setattr__(self, "layout", layout)
         object.__setattr__(self, "truncation_order", truncation_order)
@@ -288,13 +295,15 @@ class GammaSeries:
             self, "complete_below",
             truncation_order + 1 if complete_below is None else complete_below,
         )
+        object.__setattr__(self, "_closed", closed)
         object.__setattr__(self, "_integers", None)
+        object.__setattr__(self, "_numeric", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("GammaSeries is immutable")
 
     def is_closed_form(self) -> bool:
-        return all(isinstance(t, GammaTerm) for t in self.terms)
+        return self._closed
 
     def integer_form(self) -> tuple:
         """The closed-form terms over two common denominators, computed once.
@@ -316,6 +325,19 @@ class GammaSeries:
                              tuple(b for _, b in nums)))
             object.__setattr__(self, "_integers", (W, S, tuple(rows)))
         return self._integers
+
+    def numeric_form(self) -> "NumericForm":
+        """The closed-form terms as arrays and Gamma tables, computed once.
+
+        Built from integer_form(): the scalars as complex numbers, per
+        base variable the distinct arguments s with Gamma(s) (direct) or
+        1/Gamma(1 - s) (reciprocal) and each term's index into them, the
+        exponent matrix of m, the first direct-form pole term and the
+        last-order mask.
+        """
+        if self._numeric is None:
+            object.__setattr__(self, "_numeric", _numeric_form(self))
+        return self._numeric
 
     def __add__(self, other: "GammaSeries") -> "GammaSeries":
         if (self.layout != other.layout or self.form != other.form
@@ -444,34 +466,131 @@ def _normalize_assignment(layout: SeriesLayout, assignment: Mapping):
     return values
 
 
-def _gamma_power(s: complex, a: complex, form: str) -> complex:
-    """Gamma(s)(-a)**(-s), or (-a)**(-s) / Gamma(1 - s) in reciprocal form."""
-    if form == "direct":
-        return complex_gamma(s) * negated_power(a, -s)
-    rg = reciprocal_gamma(1 - s)
-    if rg == 0:
-        return 0j
-    return rg * negated_power(a, -s)
+def _gamma_part(s: complex, form: str):
+    """Gamma(s) (None where it fails) or, in reciprocal form, 1/Gamma(1 - s)."""
+    if form == "reciprocal":
+        return reciprocal_gamma(1 - s)
+    try:
+        return complex_gamma(s)
+    except SeriesPoleError:
+        return None
 
 
-def _term_value(term, layout: SeriesLayout, values, form: str,
-                factors: dict) -> complex:
-    """One term's value; ``factors`` caches _gamma_power by (s, variable)."""
+@dataclass(frozen=True)
+class ArgumentTable:
+    """The distinct Gamma arguments of one base variable over a series."""
+
+    args: tuple        # each distinct s as a complex number
+    gammas: tuple      # _gamma_part of each s
+    index: np.ndarray  # each term's entry
+
+
+@dataclass(frozen=True)
+class NumericForm:
+    """What evaluating a closed-form series needs that no point changes."""
+
+    scalars: np.ndarray     # each term's scalar, complex
+    tables: tuple           # one ArgumentTable per base variable
+    exponents: np.ndarray   # (terms, series variables) integer matrix of m
+    first_pole: int | None  # the first direct-form term on a Gamma pole
+    last_order: np.ndarray  # the terms with |m| == truncation order
+
+
+def _numeric_form(series: GammaSeries) -> NumericForm:
+    W, S, rows = series.integer_form()
+    direct = series.form == "direct"
+    tables = []
+    poles = np.zeros(len(rows), dtype=bool)
+    for j in range(len(series.layout.base_vars)):
+        entries = {}
+        index = np.array([entries.setdefault((A[j], B[j]), len(entries))
+                          for _, _, A, B in rows], dtype=np.intp)
+        args = tuple(complex(a / W, b / W) for a, b in entries)
+        tables.append(ArgumentTable(
+            args, tuple(_gamma_part(s, series.form) for s in args), index))
+        if direct:
+            # (a + b i) / W is a pole of Gamma when it is in {0, -1, -2, ...}
+            on_pole = np.array([b == 0 and a <= 0 and a % W == 0
+                                for a, b in entries], dtype=bool)
+            poles |= on_pole[index]
+    exponents = np.array([t.m for t, *_ in rows], dtype=np.intp).reshape(
+        len(rows), len(series.layout.series_vars))
+    return NumericForm(
+        scalars=np.array([complex(p / S, q / S) for _, (p, q), _, _ in rows],
+                         dtype=complex),
+        tables=tuple(tables),
+        exponents=exponents,
+        first_pole=int(np.argmax(poles)) if poles.any() else None,
+        last_order=exponents.sum(axis=1) == series.truncation_order,
+    )
+
+
+def _closed_form_values(series: GammaSeries, values) -> np.ndarray:
+    """Each term's value at the point, raising as a term-by-term loop would.
+
+    Per point only (-a_j)**(-s) is computed, once per table entry.  A
+    factor that is exactly 0 makes its term 0 and hides its later
+    factors.  The first term in series order that reaches a failing
+    factor (a Gamma overflow or a zero base value under an exponent with
+    nonpositive real part) raises, and a direct-form pole term raises
+    SeriesPoleError unless an earlier term has raised.
+    """
+    form = series.numeric_form()
+    layout = series.layout
+    out = form.scalars.copy()
+    live = np.ones(len(out), dtype=bool)
+    culprit = np.full(len(out), -1)  # the base variable whose factor failed
+    for j, (var, table) in enumerate(zip(layout.base_vars, form.tables)):
+        a = values[var]
+        factors = np.zeros(len(table.args), dtype=complex)
+        failing = np.zeros(len(table.args), dtype=bool)
+        for k, (s, g) in enumerate(zip(table.args, table.gammas)):
+            if g is None:
+                failing[k] = True
+            elif g != 0:
+                try:
+                    factors[k] = g * negated_power(a, -s)
+                except ValueError:
+                    failing[k] = True
+        term_factors = factors[table.index]
+        culprit[live & failing[table.index]] = j
+        live &= term_factors != 0
+        out *= term_factors
+    stop = len(out) if form.first_pole is None else form.first_pole
+    failed = np.flatnonzero(culprit[:stop] >= 0)
+    if failed.size:
+        # evaluate the failing factor again to raise its exception
+        j = culprit[failed[0]]
+        entry = form.tables[j].index[failed[0]]
+        s = form.tables[j].args[entry]
+        if form.tables[j].gammas[entry] is None:
+            complex_gamma(s)
+        negated_power(values[layout.base_vars[j]], -s)
+    if form.first_pole is not None:
+        term = series.terms[form.first_pole]
+        raise SeriesPoleError(
+            f"term m={term.m} has a Gamma pole (args {[str(a) for a in term.args]})"
+        )
+    for i, var in enumerate(layout.series_vars):
+        x = values[var]
+        powers = np.array([x ** k for k in range(series.truncation_order + 1)],
+                          dtype=complex)
+        out *= powers[form.exponents[:, i]]
+    out[~live] = 0
+    return out
+
+
+def _term_value(term, series: GammaSeries, values) -> complex:
+    """One term's value in a series that is not all closed-form."""
+    layout = series.layout
+    if isinstance(term, GammaTerm):
+        alone = GammaSeries(layout, series.truncation_order, [term],
+                            form=series.form)
+        return complex(_closed_form_values(alone, values)[0])
     series_part = 1.0 + 0j
     for mw, var in zip(term.m, layout.series_vars):
         if mw:
             series_part *= values[var] ** mw
-    if isinstance(term, GammaTerm):
-        coeff = complex(term.scalar)
-        for arg, var in zip(term.args, layout.base_vars):
-            s = complex(arg)
-            factor = factors.get((s, var))
-            if factor is None:
-                factor = factors[s, var] = _gamma_power(s, values[var], form)
-            if factor == 0:
-                return 0j
-            coeff *= factor
-        return coeff * series_part
     if isinstance(term, OracleTerm):
         base_values = {var: values[var] for var in layout.base_vars}
         return float(term.weight) * complex(term.coefficient(base_values)) \
@@ -486,20 +605,20 @@ def evaluate_series(series: GammaSeries, assignment: Mapping):
     order's contribution, the only truncation indicator available (the
     expansion carries no remainder bound).  Direct-form pole terms raise
     SeriesPoleError; a zero base value under a negative-real-part
-    exponent raises ValueError.
+    exponent raises ValueError.  A closed-form series is evaluated in
+    arrays from its cached numeric_form().
     """
     values = _normalize_assignment(series.layout, assignment)
-    factors = {}
+    if series.is_closed_form():
+        # inf and nan arise silently, as in Python's complex arithmetic
+        with np.errstate(over="ignore", invalid="ignore"):
+            terms = _closed_form_values(series, values)
+            last = terms[series.numeric_form().last_order]
+            return complex(terms.sum()), abs(complex(last.sum()))
     total = 0j
     last_order = 0j
     for term in series.terms:
-        if isinstance(term, GammaTerm) and series.form == "direct" \
-                and term.is_pole():
-            raise SeriesPoleError(
-                f"term m={term.m} has a Gamma pole (args {[str(a) for a in term.args]})"
-            )
-        value = _term_value(term, series.layout, values, series.form,
-                            factors)
+        value = _term_value(term, series, values)
         total += value
         if sum(term.m) == series.truncation_order:
             last_order += value

@@ -167,11 +167,24 @@ def _stencil(order: int) -> dict:
     return {o: w for o, w in out.items() if w != 0.0}
 
 
-def _steps(f: CoeffFunction, center: Mapping, h) -> dict:
+def _order(deriv) -> int:
+    """Total derivative order p of an operator term."""
+    return sum(order for _, order in deriv)
+
+
+def _steps(f: CoeffFunction, center: Mapping, h, order: int) -> dict:
+    """Steps for a derivative of total order ``order``.
+
+    The default is scale * max(1, |center|) per variable.  A stencil of
+    order p amplifies the evaluation noise of f by about h**-p, so for
+    p >= 3 the scale grows to DEFAULT_STEP_SCALE**(2/p), which keeps that
+    amplification at the second-order level (1e8 with the 1e-4 scale).
+    """
     if isinstance(h, Mapping):
         return dict(h)
     if h is None:
-        return {var: DEFAULT_STEP_SCALE * max(1.0, abs(center[var]))
+        scale = DEFAULT_STEP_SCALE ** (2 / max(order, 2))
+        return {var: scale * max(1.0, abs(center[var]))
                 for var in f.variables}
     return {var: h for var in f.variables}
 
@@ -199,7 +212,10 @@ def _derivative_estimate(f, center, deriv, steps):
     return total
 
 
-def _term_values(op: DiffOperator, f: CoeffFunction, center, steps):
+def _term_values(op: DiffOperator, f: CoeffFunction, center, h,
+                 halvings: int = 0):
+    """Each operator term's value, its derivative by central differences
+    with the term's steps (see _steps) halved ``halvings`` times."""
     values = []
     for (mono, deriv), scalar in op.terms.items():
         factor = complex(scalar)
@@ -207,6 +223,9 @@ def _term_values(op: DiffOperator, f: CoeffFunction, center, steps):
         for var, power in mono:
             value = value * center[var] ** power
         if deriv:
+            steps = _steps(f, center, h, _order(deriv))
+            if halvings:
+                steps = {var: s / 2 ** halvings for var, s in steps.items()}
             value = value * _derivative_estimate(f, center, deriv, steps)
         else:
             value = value * f(center)
@@ -219,18 +238,16 @@ def fd_apply(op: DiffOperator, f: CoeffFunction, center: Mapping, h=None,
     """Apply an operator to a coefficient function by central differences.
 
     ``h`` is a uniform step, a per-variable mapping, or None for the
-    default 1e-4 * max(1, |center|) per variable.  ``richardson`` adds
+    default 1e-4 * max(1, |center|) per variable, larger for terms of
+    derivative order 3 and more (see _steps).  ``richardson`` adds
     extrapolation levels (each level cancels the leading h^2 error, at
     the price of hiding the plain second-order convergence law).
     """
     center = dict(center)
-    steps = _steps(f, center, h)
-    value = sum(_term_values(op, f, center, steps))
-    for _ in range(richardson):
-        half = {var: s / 2 for var, s in steps.items()}
-        finer = sum(_term_values(op, f, center, half))
+    value = sum(_term_values(op, f, center, h))
+    for level in range(1, richardson + 1):
+        finer = sum(_term_values(op, f, center, h, level))
         value = (4 * finer - value) / 3
-        steps = half
     return value
 
 
@@ -240,11 +257,13 @@ def residual_report(op: DiffOperator, f: CoeffFunction, center: Mapping,
     """Residual of op f = correction at the center, relative to the larger
     of |f(center)| and the largest single term magnitude."""
     center = dict(center)
-    steps = _steps(f, center, h)
-    parts = _term_values(op, f, center, steps)
+    parts = _term_values(op, f, center, h)
     residual = abs(sum(parts) - correction)
     scale = max(abs(f(center)), max((abs(p) for p in parts), default=0.0))
     relative = float(residual / scale) if scale else float(residual)
+    # the largest step, which the highest-order term uses
+    top = max((_order(deriv) for _, deriv in op.terms), default=0)
+    steps = _steps(f, center, h, top)
     step_repr = float(max(abs(s) for s in steps.values())) if steps else 0.0
     return ResidualReport(
         label=label or operator_text(op),

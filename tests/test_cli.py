@@ -52,6 +52,17 @@ TWO_BLOCKS = dict(
 )
 
 
+# the same blocks with a third-order box operator,
+# box[2, -2, 0, -1, 0, 1] = D[c0]^2*D[c2_2] - D[c1]^2*D[c2_0]
+THIRD_ORDER = dict(
+    TWO_BLOCKS,
+    coefficients=[[[1.0, 0.0], [0.3, 0.0], [0.2, 0.0]],
+                  [[1.0, 0.0], [-0.2, 0.0], [0.1, 0.0]]],
+    branch_data={"P1": 0.0, "P2": 0.0},
+    tolerances={"quad": 1e-12, "residual": 1e-5},
+)
+
+
 def write_problem(tmp_path, data, name="problem.json"):
     path = tmp_path / name
     path.write_text(json.dumps(data))
@@ -273,6 +284,35 @@ class TestVerifyCommand:
         euler = [rep for rep in results["reports"]
                  if rep["label"] == "euler_t[1]"][0]
         assert euler["relative"] > 1e-2 and not euler["passed"]
+
+    @pytest.mark.parametrize("step", [0, -1e-3])
+    def test_nonpositive_fd_step_is_input_error(self, tmp_path, step):
+        path = write_problem(tmp_path, gaussian_problem(fd_step=step))
+        r = run_cli(["verify", path])
+        assert r.returncode == 2
+        assert "input error: fd_step: must be > 0" in r.stderr
+        assert r.stdout == ""
+
+    def test_third_order_box_passes_at_the_default_step(self, tmp_path):
+        path = write_problem(tmp_path, gaussian_problem(**THIRD_ORDER))
+        r = run_cli(["verify", path])
+        assert r.returncode == 0, r.stdout
+        reports = json.loads(r.stdout)["results"]["reports"]
+        box = [rep for rep in reports
+               if rep["label"] == "box[2, -2, 0, -1, 0, 1]"][0]
+        assert box["relative"] < 1e-6
+        # only the third-order term takes the larger step
+        assert box["step"] > 1e-3
+        assert {rep["step"] for rep in reports if rep is not box} == {1e-4}
+
+    def test_third_order_negative_control_fails_on_euler_t_only(self,
+                                                                 tmp_path):
+        data = gaussian_problem(**THIRD_ORDER, euler_u=[[1.2, 0.0]])
+        r = run_cli(["verify", write_problem(tmp_path, data)])
+        assert r.returncode == 1
+        reports = json.loads(r.stdout)["results"]["reports"]
+        assert [rep["label"] for rep in reports if not rep["passed"]] == \
+            ["euler_t[1]"]
 
 
 @pytest.mark.parametrize("name", ["gaussian", "gamma_half", "log_kernel",

@@ -1,18 +1,22 @@
 import math
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 
 import mpmath
 import pytest
 
 from hypint.exact import ONE, ZERO, ExactComplex, solve_exact
-from hypint.lattice import Base, ExponentSet, base_coords
+from hypint.lattice import Base, ExponentSet, base_coords, kernel_basis
 from hypint.polynomials import CoeffVar, SparsePolynomial
-from hypint.series import (GammaSeries, GammaTerm, OracleTerm, SeriesLayout,
-                           SeriesPoleError, complex_gamma, evaluate_series,
-                           expand_general, gg_series, multi_indices,
-                           reciprocal_gamma, standard_expansion)
+from hypint.operators import (DiffOperator, apply_to_series, box_operator,
+                              euler_t_operator)
+from hypint.series import (GammaSeries, GammaTerm, NumericTerm, OracleTerm,
+                           SeriesLayout, SeriesPoleError, complex_gamma,
+                           evaluate_series, expand_general, gg_series,
+                           multi_indices, negated_power, reciprocal_gamma,
+                           standard_expansion)
 
 A12 = ExponentSet(1, [1, 2])
 B1 = Base(A12, (0,))
@@ -181,6 +185,196 @@ def test_integer_form_reproduces_terms():
         assert term.scalar == ExactComplex(Fraction(p, S), Fraction(q, S))
         assert term.args == tuple(ExactComplex(Fraction(a, W), Fraction(b, W))
                                   for a, b in zip(A_, B_))
+
+
+def _term_by_term(series, point):
+    """(value, tail, sum of |term|) from one term at a time in complex
+    arithmetic: complex(scalar) * prod Gamma(s) (-a)**(-s) (1/Gamma(1 - s)
+    in reciprocal form) * prod a_w**m_w."""
+    layout = series.layout
+    total = last = 0j
+    scale = 0.0
+    for t in series.terms:
+        value = complex(t.scalar)
+        for arg, var in zip(t.args, layout.base_vars):
+            s = complex(arg)
+            gamma = (complex_gamma(s) if series.form == "direct"
+                     else reciprocal_gamma(1 - s))
+            value *= gamma * negated_power(point[var], -s)
+        for mw, var in zip(t.m, layout.series_vars):
+            value *= point[var] ** mw
+        total += value
+        scale += abs(value)
+        if sum(t.m) == series.truncation_order:
+            last += value
+    return total, abs(last), scale
+
+
+def _points(layout, count=3):
+    """Points with base values near -1 and small series values."""
+    points = []
+    for k in range(count):
+        point = {var: complex(-0.8 - 0.15 * (j + k), 0.1 * (k - j))
+                 for j, var in enumerate(layout.base_vars)}
+        point.update({var: complex(0.04 * (k + 1) - 0.03 * i, 0.05 - 0.02 * k)
+                      for i, var in enumerate(layout.series_vars)})
+        points.append(point)
+    return points
+
+
+def _assert_matches_term_by_term(series):
+    assert series.terms
+    for point in _points(series.layout):
+        value, tail = evaluate_series(series, point)
+        ref, ref_tail, scale = _term_by_term(series, point)
+        assert abs(value - ref) <= 1e-14 * scale
+        assert abs(tail - ref_tail) <= 1e-14 * scale
+
+
+SET_3D = ([(1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 0, 0), (1, 1, 1), (0, 2, 1)],
+          (1, 2, 3))
+
+
+class TestCompiledEvaluation:
+    @pytest.mark.parametrize("form", ["direct", "reciprocal"])
+    @pytest.mark.parametrize("members, base", SETS_2D[:3] + [SET_3D])
+    def test_gg_series_matches_term_by_term(self, members, base, form):
+        A = ExponentSet(len(members[0]), members)
+        u = (0.37 + 0.21j, Fraction(6, 5), 0.8 + 0.1j)[:A.dimension]
+        _assert_matches_term_by_term(gg_series(A, Base(A, base), u, 8,
+                                               form=form))
+
+    @pytest.mark.parametrize("form", ["direct", "reciprocal"])
+    def test_applied_series_match_term_by_term(self, form):
+        # an Euler operator whose complex u differs from the series' u
+        # leaves complex scalars; a base derivative and a box operator
+        # shift the arguments
+        members, base = SETS_2D[1]
+        A = ExponentSet(2, members)
+        u = (0.37 + 0.21j, 1.2 - 0.4j)
+        series = gg_series(A, Base(A, base), u, 8, form=form)
+        ops = [euler_t_operator(A, 1, 0.5 + 0.3j),
+               euler_t_operator(A, 2, -0.25j),
+               DiffOperator([((), ((series.layout.base_vars[0], 1),), 1)]),
+               box_operator(kernel_basis(A)[0])]
+        outputs = [apply_to_series(op, series) for op in ops]
+        assert any(t.scalar.im for t in outputs[0].terms)
+        shifted = outputs[2].terms[0].args[0] - series.terms[0].args[0]
+        assert shifted == ONE
+        for out in outputs:
+            _assert_matches_term_by_term(out)
+
+    def test_numeric_form_is_computed_once(self):
+        A = ExponentSet(2, SETS_2D[2][0])
+        series = gg_series(A, Base(A, SETS_2D[2][1]), (0.5 + 0.25j, 1.5), 4)
+        form = series.numeric_form()
+        assert series.numeric_form() is form
+        evaluate_series(series, _points(series.layout)[0])
+        assert series.numeric_form() is form
+        for j, table in enumerate(form.tables):
+            assert len(set(table.args)) == len(table.args)
+            assert [table.args[k] for k in table.index] == \
+                [complex(t.args[j]) for t in series.terms]
+        assert form.scalars.tolist() == [complex(t.scalar) for t in series.terms]
+        assert form.exponents.tolist() == [list(t.m) for t in series.terms]
+        assert form.first_pole is None
+
+    def test_first_pole_from_integers(self):
+        # s(m) = 2m - 4 in direct form: m = 0 is the first pole term
+        assert gg_series(A12, B1, -4, 3).numeric_form().first_pole == 0
+        # s(m) = (m - 3) / 2: the first pole is s(1) = -1
+        assert gg_series(A12, B2, -3, 3).numeric_form().first_pole == 1
+        # s(m) = 2m - 7/2 never lands on a pole
+        assert gg_series(A12, B1, Fraction(-7, 2), 3) \
+            .numeric_form().first_pole is None
+        layout = SeriesLayout(A12, B1)
+        series = GammaSeries(layout, 2, [
+            GammaTerm((0,), ONE, (ec(-0.5),)),
+            GammaTerm((1,), ONE, (ExactComplex(Fraction(-2), Fraction(1, 10**30)),)),
+            GammaTerm((2,), ONE, (ec(-2),))])
+        assert series.numeric_form().first_pole == 2
+        assert gg_series(A12, B1, -4, 3, form="reciprocal") \
+            .numeric_form().first_pole is None
+
+    def test_value_error_term_before_pole_term(self):
+        # m = 0 meets a1 = 0 under the exponent -1 before m = 1's pole
+        layout = SeriesLayout(A12, B1)
+        series = GammaSeries(layout, 1, [GammaTerm((0,), ONE, (ONE,)),
+                                         GammaTerm((1,), ONE, (ec(-1),))])
+        with pytest.raises(ValueError) as info:
+            evaluate_series(series, {1: 0.0, 2: 0.5})
+        assert not isinstance(info.value, SeriesPoleError)
+        assert "nonpositive real part" in str(info.value)
+
+    def test_pole_term_before_value_error_term(self):
+        layout = SeriesLayout(A12, B1)
+        series = GammaSeries(layout, 1, [GammaTerm((0,), ONE, (ec(-1),)),
+                                         GammaTerm((1,), ONE, (ONE,))])
+        with pytest.raises(SeriesPoleError, match=r"term m=\(0,\) has a Gamma pole"):
+            evaluate_series(series, {1: 0.0, 2: 0.5})
+
+    def test_reciprocal_zero_factor_hides_later_factors(self):
+        # 1/Gamma(1 - 1) = 0 makes the term 0 though a2 = 0 under the
+        # exponent -1/2 would raise; in the other order the raising
+        # factor comes first
+        A = ExponentSet(2, SETS_2D[0][0])
+        layout = SeriesLayout(A, Base(A, SETS_2D[0][1]))
+        width = len(layout.series_vars)
+        point = {var: 0.0 for var in layout.all_vars}
+
+        def single(args):
+            return GammaSeries(layout, 0, [GammaTerm((0,) * width, ONE, args)],
+                               form="reciprocal")
+
+        assert evaluate_series(single((ONE, ec(0.5))), point) == (0j, 0.0)
+        # nor does a later infinite factor: 1/Gamma(1 - 403/2) overflows,
+        # with no floating-point warning
+        far = {var: -1.0 for var in layout.all_vars}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert evaluate_series(single((ONE, ec(Fraction(403, 2)))),
+                                   far) == (0j, 0.0)
+        with pytest.raises(ValueError):
+            evaluate_series(single((ec(0.5), ONE)), point)
+        # a zero base value: every s(m) = 1 + 2m has 1/Gamma(1 - s) = 0
+        series = gg_series(A12, B1, 1, 3, form="reciprocal")
+        assert evaluate_series(series, {1: 0.0, 2: 0.5}) == (0j, 0.0)
+
+    def test_overflow_is_silent(self):
+        # Gamma(343/2) is near the top of the double range: two such terms
+        # sum to inf, as complex arithmetic gives it, with no warning
+        layout = SeriesLayout(A12, B1)
+        big = (ec(Fraction(343, 2)),)
+        series = GammaSeries(layout, 1, [GammaTerm((0,), ONE, big),
+                                         GammaTerm((1,), ONE, big)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value, tail = evaluate_series(series, {1: -1.0, 2: 1.0})
+        assert value == complex(math.inf, 0)
+        assert tail == abs(complex_gamma(171.5))
+
+    def test_oracle_and_numeric_terms_keep_the_loop(self):
+        layout = SeriesLayout(A12, B1)
+        oracle = GammaSeries(layout, 2, [
+            OracleTerm((m,), Fraction(1, math.factorial(m)),
+                       lambda a, m=m: a[layout.base_vars[0]] * (m + 1))
+            for m in range(3)])
+        numeric = GammaSeries(layout, 2, [
+            NumericTerm((m,), Fraction(1, math.factorial(m)), 1.5j - m)
+            for m in range(3)])
+        a1, a2 = -1.5 + 0.5j, 0.25 - 0.1j
+        assert evaluate_series(oracle, {1: a1, 2: a2}) == (
+            sum(a1 * (m + 1) * a2 ** m / math.factorial(m) for m in range(3)),
+            abs(a1 * 3 * a2 ** 2 / 2))
+        assert evaluate_series(numeric, {1: a1, 2: a2}) == pytest.approx(
+            (sum((1.5j - m) * a2 ** m / math.factorial(m) for m in range(3)),
+             abs((1.5j - 2) * a2 ** 2 / 2)), rel=1e-15)
+        # a closed-form term in such a series is evaluated on its own
+        closed = gg_series(A12, B1, 1, 2)
+        point = {1: a1, 2: a2}
+        assert evaluate_series(oracle + closed, point)[0] == pytest.approx(
+            evaluate_series(oracle, point)[0]
+            + evaluate_series(closed, point)[0], rel=1e-14)
 
 
 class TestExpandGeneral:
