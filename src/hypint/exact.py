@@ -102,9 +102,6 @@ class ExactComplex:
         """True when the value is in {0, -1, -2, ...} (a Gamma pole)."""
         return self.im == 0 and self.re.denominator == 1 and self.re <= 0
 
-    def shifted(self, k: int) -> "ExactComplex":
-        return ExactComplex(self.re + k, self.im)
-
     def __str__(self) -> str:
         if self.im == 0:
             return str(self.re)

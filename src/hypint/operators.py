@@ -24,7 +24,7 @@ from .exact import ExactComplex, common_denominator
 from .lattice import (ExponentSet, LatticeRelation, cayley_set, kernel_basis,
                       unit_exponents)
 from .polynomials import CoeffVar, joined_vars
-from .series import GammaSeries, GammaTerm
+from .series import GammaSeries, GammaTerm, _args_key
 
 
 def _as_power_key(powers: Iterable) -> tuple:
@@ -366,7 +366,9 @@ def apply_to_series(op: DiffOperator, series: GammaSeries) -> GammaSeries:
 
     The work is done on integers: every Gamma argument is (A + B i) / W
     and every scalar a Gaussian integer over one denominator, so terms
-    are keyed on (m, A, B) and summed without Fraction arithmetic.
+    are keyed on (m, A, B) and summed without Fraction arithmetic.  The
+    sums over the denominator S * G become the result's integer_form(),
+    so a chained application starts from integers again.
     """
     layout = series.layout
     if not series.is_closed_form():
@@ -387,51 +389,84 @@ def apply_to_series(op: DiffOperator, series: GammaSeries) -> GammaSeries:
     # every contribution is a Gaussian integer over S * G
     G = math.lcm(*(plan[-1] for plan in plans))
 
-    sums = {}  # key -> [re, im, args of a contributing term, their shift]
+    # operator terms that shift m and the arguments alike send a row to
+    # one output key: their contributions are summed before the lookup
+    shifts = {}
     for falling, dm, dk, factors, (nr, ni), den in plans:
-        nr, ni = nr * (G // den), ni * (G // den)
+        shifts.setdefault((dm, dk), []).append(
+            (falling, factors, nr * (G // den), ni * (G // den)))
+
+    sums = {}  # (m, A, B) -> [re, im]
+    for (dm, dk), group in shifts.items():
+        dm = dm if any(dm) else None
         dA = tuple(d * W for d in dk) if any(dk) else None
-        moves, grows = any(dm), sum(dm) > 0
+        # a term whose |m| passes top leaves the truncation order
+        top = order - sum(dm) if dm and sum(dm) > 0 else None
         for term, (sr, si), A, B in rows:
             m = term.m
-            ff = 1
-            for i, p in falling:
-                if m[i] < p:
-                    break
-                ff *= math.perm(m[i], p)
-            else:
-                if moves:
-                    m = tuple(map(add, m, dm))
-                    if grows and sum(m) > order:
-                        continue
-                re, im = sr * ff, si * ff
+            if top is not None and sum(m) > top:
+                continue
+            re = im = 0
+            for falling, factors, nr, ni in group:
+                ff = 1
+                for i, p in falling:
+                    ff *= math.perm(m[i], p)  # 0 when m_i < p
+                if not ff:
+                    continue
+                cr, ci = sr * ff, si * ff
                 if ni:
-                    re, im = re * nr - im * ni, re * ni + im * nr
+                    cr, ci = cr * nr - ci * ni, cr * ni + ci * nr
                 elif nr != 1:
-                    re, im = re * nr, im * nr
+                    cr, ci = cr * nr, ci * nr
                 for j, offset in factors:
                     fr, fi = A[j] + offset, B[j]
                     if fi:
-                        re, im = re * fr - im * fi, re * fi + im * fr
+                        cr, ci = cr * fr - ci * fi, cr * fi + ci * fr
                     else:
-                        re, im = re * fr, im * fr
-                if not (re or im):
-                    continue
-                key = (m, tuple(map(add, A, dA)) if dA else A, B)
-                acc = sums.get(key)
-                if acc is None:
-                    sums[key] = [re, im, term.args, dk]
-                else:
-                    acc[0] += re
-                    acc[1] += im
+                        cr, ci = cr * fr, ci * fr
+                re += cr
+                im += ci
+            if not (re or im):
+                continue
+            key = (tuple(map(add, m, dm)) if dm else m,
+                   tuple(map(add, A, dA)) if dA else A, B)
+            acc = sums.get(key)
+            if acc is None:
+                sums[key] = [re, im]
+            else:
+                acc[0] += re
+                acc[1] += im
 
+    # one ExactComplex per distinct (base variable, argument)
     den = S * G
-    out_terms = []
-    for key, (re, im, args, dk) in sums.items():
-        if re or im:
-            out_terms.append(GammaTerm(
-                key[0], ExactComplex(Fraction(re, den), Fraction(im, den)),
-                tuple(a.shifted(d) if d else a for a, d in zip(args, dk))))
+    arguments = {}
+    zero = Fraction(0)
+    out_rows = []
+    for (m, A, B), (re, im) in sums.items():
+        if not (re or im):
+            continue
+        args = []
+        for j, (a, b) in enumerate(zip(A, B)):
+            arg = arguments.get((j, a, b))
+            if arg is None:
+                arg = arguments[j, a, b] = ExactComplex(Fraction(a, W),
+                                                        Fraction(b, W))
+            args.append(arg)
+        scalar = ExactComplex(Fraction(re, den),
+                              Fraction(im, den) if im else zero)
+        out_rows.append((GammaTerm(m, scalar, tuple(args)), (re, im), A, B))
+    if len(shifts) > 1 or any(any(dk) for _, dk in shifts):
+        # merge_gamma_terms order; with one shift of m alone the rows
+        # keep the input's order, which is that order already
+        by_m = {}
+        for row in out_rows:
+            by_m.setdefault(row[0].m, []).append(row)
+        out_rows = []
+        for m in sorted(by_m, key=lambda m: (sum(m), m)):
+            group = by_m[m]
+            if len(group) > 1:
+                group.sort(key=lambda row: _args_key(row[0].args))
+            out_rows += group
     complete = min(series.complete_below, order + 1) - max_down
-    return GammaSeries(layout, order, out_terms,
-                       form=series.form, complete_below=max(complete, 0))
+    return GammaSeries._from_rows(layout, order, series.form,
+                                  max(complete, 0), (W, den, tuple(out_rows)))

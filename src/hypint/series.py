@@ -9,16 +9,24 @@ closed-form terms straight from the layout and the parameters u:
 
 with scalar = 1 / prod_w m_w!, s(m) = s0 + sum_w m_w * l_w, where l_w
 are the exact rational coordinates of w in the base and s0 solves
-sum_j s0_j * w_j = u.  expand_general (a coefficient function of the
-base values per m) and standard_expansion (a fixed number per m) give
-terms that can be evaluated but not differentiated exactly.
+sum_j s0_j * w_j = u.  The reciprocal form reads each Gamma(s) as
+1/Gamma(1 - s) and multiplies the scalar by the reflection sign
+(-1)**(sum_j k_j), k_j the integer part of s_j(m) - s0_j.
+expand_general (a coefficient function of the base values per m) and
+standard_expansion (a fixed number per m) give terms that can be
+evaluated but not differentiated exactly.
 
 The scalars and the arguments s_j are kept in exact complex-rational
 arithmetic.  Differentiating with respect to a base variable then maps
 Gamma(s)(-a)**(-s) to Gamma(s+1)(-a)**(-(s+1)) with the scalar
 unchanged (the Gamma shift identity absorbed into the argument), so
 annihilation by the generated operators is an exact cancellation of
-equal Fractions, not a floating-point near-miss.
+equal Fractions, not a floating-point near-miss.  The same terms are
+also held as integers over two common denominators (integer_form()),
+on which operators work.  gg_series and apply_to_series write that
+form while they build the terms, and share one ExactComplex per
+distinct argument, so a built series is never converted back from
+Fractions.
 
 Numeric evaluation happens only at the very end.  A closed-form series
 compiles once into a cached numeric_form(): the complex scalars, per
@@ -36,6 +44,7 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -73,12 +82,14 @@ def _log_gamma(z: complex) -> complex:
 
 
 def _exp(w: complex) -> complex:
-    """exp(w), infinite in the quadrant of the value past the double range."""
+    """exp(w), infinite in the quadrant of the value past the double range
+    (a part that is exactly 0, as for a real w, stays 0)."""
     try:
         return cmath.exp(w)
     except OverflowError:
-        return complex(math.copysign(math.inf, math.cos(w.imag)),
-                       math.copysign(math.inf, math.sin(w.imag)))
+        c, s = math.cos(w.imag), math.sin(w.imag)
+        return complex(math.copysign(math.inf, c) if c else 0.0,
+                       math.copysign(math.inf, s) if s else 0.0)
 
 
 def reciprocal_gamma(z: complex) -> complex:
@@ -109,11 +120,18 @@ def reciprocal_gamma(z: complex) -> complex:
 
 
 def complex_gamma(z: complex) -> complex:
-    """Gamma on the complex plane via the entire reciprocal function."""
+    """Gamma on the complex plane via the entire reciprocal function.
+
+    Raises SeriesPoleError at 0, -1, -2, ...  Past the double range,
+    where reciprocal_gamma underflows to 0j, the value is infinite.
+    """
     rg = reciprocal_gamma(z)
-    if rg == 0:
+    if rg != 0:
+        return 1.0 / rg
+    z = complex(z)
+    if z.real < 0.5:  # only the poles give an exact 0j below Re z = 1/2
         raise SeriesPoleError(f"Gamma pole at argument {z}")
-    return 1.0 / rg
+    return _exp(_log_gamma(z))
 
 
 def negated_power(a: complex, rho: complex) -> complex:
@@ -223,6 +241,8 @@ class NumericTerm:
 
 
 def _args_key(args):
+    """The within-m order key of a term's args: their parts' numerators
+    and denominators."""
     return tuple((a.re.numerator, a.re.denominator, a.im.numerator,
                   a.im.denominator) for a in args)
 
@@ -257,6 +277,13 @@ def merge_gamma_terms(terms):
     return tuple(merged)
 
 
+def _check_order_and_form(truncation_order: int, form: str):
+    if truncation_order < 0:
+        raise ValueError("truncation order must be >= 0")
+    if form not in ("direct", "reciprocal"):
+        raise ValueError(f"unknown series form {form!r}")
+
+
 class GammaSeries:
     """A truncated series over a layout.
 
@@ -274,10 +301,7 @@ class GammaSeries:
     def __init__(self, layout: SeriesLayout, truncation_order: int,
                  terms: Sequence, form: str = "direct",
                  complete_below: int | None = None):
-        if truncation_order < 0:
-            raise ValueError("truncation order must be >= 0")
-        if form not in ("direct", "reciprocal"):
-            raise ValueError(f"unknown series form {form!r}")
+        _check_order_and_form(truncation_order, form)
         terms = tuple(terms)
         for t in terms:
             if sum(t.m) > truncation_order:
@@ -287,6 +311,26 @@ class GammaSeries:
         closed = all(isinstance(t, GammaTerm) for t in terms)
         if closed:
             terms = merge_gamma_terms(terms)
+        self._fill(layout, truncation_order, terms, form, complete_below,
+                   closed, None)
+
+    @classmethod
+    def _from_rows(cls, layout: SeriesLayout, truncation_order: int,
+                   form: str, complete_below: int | None,
+                   integers: tuple) -> "GammaSeries":
+        """A closed-form series whose builder wrote its integer_form().
+
+        ``integers`` is (W, S, rows) as integer_form() returns it, the
+        rows already in merge_gamma_terms order with no zero scalar.
+        """
+        series = object.__new__(cls)
+        series._fill(layout, truncation_order,
+                     tuple(row[0] for row in integers[2]), form,
+                     complete_below, True, integers)
+        return series
+
+    def _fill(self, layout, truncation_order, terms, form, complete_below,
+              closed, integers):
         object.__setattr__(self, "layout", layout)
         object.__setattr__(self, "truncation_order", truncation_order)
         object.__setattr__(self, "terms", terms)
@@ -296,7 +340,7 @@ class GammaSeries:
             truncation_order + 1 if complete_below is None else complete_below,
         )
         object.__setattr__(self, "_closed", closed)
-        object.__setattr__(self, "_integers", None)
+        object.__setattr__(self, "_integers", integers)
         object.__setattr__(self, "_numeric", None)
 
     def __setattr__(self, name, value):
@@ -311,7 +355,10 @@ class GammaSeries:
         Returns (W, S, rows): each row is (term, (p, q), A, B) with
         scalar = (p + q i) / S and args[j] = (A[j] + B[j] i) / W in
         integers, so operators can shift, multiply and merge terms
-        without Fraction arithmetic.
+        without Fraction arithmetic.  gg_series and apply_to_series
+        write it while they build the terms, with W and S common
+        multiples of the denominators; otherwise it is derived from the
+        terms, with the least common denominators.
         """
         if self._integers is None:
             terms = self.terms
@@ -366,8 +413,9 @@ class _GammaArguments:
 
     s0 (sum_j s0_j * w_j = u) and the base coordinates L of the series
     exponents are solved once.  With D the common denominator of L,
-    L = N / D for an integer matrix N, so each s(m) takes the integers
-    N m and one Fraction per component.
+    L = N / D for an integer matrix N; with W a common denominator of
+    every s_j(m), s_j(m) = (A0_j + (N m)_j * W / D + B_j i) / W, where
+    (A0_j + B_j i) / W = s0_j.
     """
 
     def __init__(self, layout: SeriesLayout, u):
@@ -385,21 +433,12 @@ class _GammaArguments:
         self.s0 = tuple(solve_exact(rows,
                                     [ExactComplex.from_value(x) for x in u]))
         coords = [layout.coords(var) for var in layout.series_vars]
-        den = math.lcm(*(l.denominator for c in coords for l in c))
-        self.steps = tuple(tuple(l.numerator * (den // l.denominator)
-                                 for l in c) for c in coords)
-        # with Re s0_j = p_j / q_j:
-        # Re s_j(m) = (p_j * den + (N m)_j * q_j) / (q_j * den)
-        self.origin = tuple((s.re.numerator * den, s.re.denominator,
-                             s.re.denominator * den) for s in self.s0)
-
-    def __call__(self, m) -> tuple:
-        args = []
-        for j, (s, (p_den, q, q_den)) in enumerate(zip(self.s0, self.origin)):
-            shift = sum(mw * step[j] for mw, step in zip(m, self.steps) if mw)
-            args.append(ExactComplex(Fraction(p_den + shift * q, q_den), s.im)
-                        if shift else s)
-        return tuple(args)
+        self.D = math.lcm(*(l.denominator for c in coords for l in c))
+        # N row by row: (N m)_j = sum(map(mul, m, N[j]))
+        self.N = tuple(tuple(c[j].numerator * (self.D // c[j].denominator)
+                             for c in coords) for j in range(n))
+        self.W = math.lcm(self.D, common_denominator(self.s0))
+        self.A0, self.B = zip(*(s.numerators(self.W) for s in self.s0))
 
 
 def _weight(m) -> Fraction:
@@ -429,12 +468,51 @@ def gg_series(exponents: ExponentSet, base: Base, u, order: int,
     scalar 1 / prod m_w!, with s(m) from _GammaArguments and the overall
     contour constant fixed to 1 (fitted against quadrature separately).
     Terms whose argument lands on a Gamma pole are flagged, not dropped.
+
+    In reciprocal form each Gamma(s) is read as 1/Gamma(1 - s) =
+    Gamma(s) sin(pi s) / pi, and the scalar carries the reflection sign
+    (-1)**(k_1 + ... + k_n), with k_j = floor((N m)_j / D) the integer
+    part of s_j(m) - s0_j.  sin(pi s_j(m)) / (-1)**k_j then has one
+    value on every term of an argument coset, so the series is the
+    direct one times a constant per coset, annihilated by the same
+    operators.
+
+    The integer form is written in the same pass over m, with one
+    ExactComplex per distinct argument of a base variable and one per
+    distinct scalar shared by the terms.
     """
     layout = SeriesLayout(exponents, base)
-    args = _GammaArguments(layout, u)
-    return GammaSeries(layout, order, [
-        GammaTerm(m, ExactComplex(_weight(m), Fraction(0)), args(m))
-        for m in multi_indices(len(layout.series_vars), order)], form=form)
+    grid = _GammaArguments(layout, u)
+    _check_order_and_form(order, form)
+    W, D, B = grid.W, grid.D, grid.B
+    unit = W // D
+    reciprocal = form == "reciprocal"
+    S = math.factorial(order) if layout.series_vars else 1
+    # per base variable: (N m)_j -> (A_j, the argument)
+    tables = [{} for _ in grid.s0]
+    scalars = {}  # (prod m_w!, sign) -> (numerator over S, the scalar)
+    rows = []
+    for m in multi_indices(len(layout.series_vars), order):
+        A, args, flips = [], [], 0
+        for n_j, table, a0, s0 in zip(grid.N, tables, grid.A0, grid.s0):
+            shift = sum(map(mul, m, n_j))
+            entry = table.get(shift)
+            if entry is None:
+                a = a0 + shift * unit
+                entry = table[shift] = (a, ExactComplex(Fraction(a, W), s0.im))
+            A.append(entry[0])
+            args.append(entry[1])
+            flips += shift // D
+        key = (math.prod(map(math.factorial, m)),
+               -1 if reciprocal and flips % 2 else 1)
+        scalar = scalars.get(key)
+        if scalar is None:
+            scalar = scalars[key] = (key[1] * (S // key[0]), ExactComplex(
+                Fraction(key[1], key[0]), Fraction(0)))
+        rows.append((GammaTerm(m, scalar[1], tuple(args)), (scalar[0], 0),
+                     tuple(A), B))
+    return GammaSeries._from_rows(layout, order, form, None,
+                                  (W, S, tuple(rows)))
 
 
 def standard_expansion(center: SparsePolynomial, exponents: ExponentSet,

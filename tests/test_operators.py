@@ -283,25 +283,33 @@ class TestOperatorAlgebra:
     # 3-D, base (0,1,0) (0,0,1) (2,0,0) of determinant 2
     ([(1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 0, 0), (1, 1, 1), (0, 2, 1)],
      (1, 2, 3), (0.37 + 0.21j, Fraction(6, 5), 0.8 + 0.1j), 10),
+    # 2-D, base (0,1) (1,1) of determinant 1
+    ([(0, 1), (1, 1), (2, 1), (1, 2), (2, 2)], (0, 1),
+     (0.37 + 0.21j, 1.2 - 0.4j), 20),
+    # 2-D, base (2,1) (1,2) of determinant 3
+    ([(1, 0), (0, 1), (2, 1), (1, 2), (2, 2)], (2, 3),
+     (0.37 + 0.21j, 1.2 - 0.4j), 20),
 ])
 def test_exact_annihilation_at_high_order(members, base, u, order):
     """Every Euler residual is empty; every box residual keeps no term
     below complete_below, which sits where the relation's series
-    derivatives reach past the truncation order."""
+    derivatives reach past the truncation order.  Both forms: the
+    reciprocal one through its reflection signs."""
     A = ExponentSet(len(members[0]), members)
-    series = gg_series(A, Base(A, base), u, order)
     series_idx = [i for i in range(len(members)) if i not in base]
     relations = kernel_basis(A)
     assert len(relations) == len(members) - A.dimension
-    for rel in relations:
-        out = apply_to_series(box_operator(rel), series)
-        down = max(sum(max(sign * rel.coefficients[i], 0) for i in series_idx)
-                   for sign in (1, -1))
-        assert out.complete_below == order + 1 - down
-        assert all(sum(t.m) >= out.complete_below for t in out.terms)
-    for j in range(A.dimension):
-        out = apply_to_series(euler_t_operator(A, j + 1, u[j]), series)
-        assert out.terms == ()
+    for form in ("direct", "reciprocal"):
+        series = gg_series(A, Base(A, base), u, order, form=form)
+        for rel in relations:
+            out = apply_to_series(box_operator(rel), series)
+            down = max(sum(max(sign * rel.coefficients[i], 0)
+                           for i in series_idx) for sign in (1, -1))
+            assert out.complete_below == order + 1 - down
+            assert all(sum(t.m) >= out.complete_below for t in out.terms)
+        for j in range(A.dimension):
+            out = apply_to_series(euler_t_operator(A, j + 1, u[j]), series)
+            assert out.terms == ()
 
 
 def _reference_apply(op, series):
@@ -326,7 +334,7 @@ def _reference_apply(op, series):
                     j = layout.base_vars.index(var)
                     if reciprocal and p % 2:
                         scalar = -scalar
-                    args[j] = args[j].shifted(p)
+                    args[j] = args[j] + p
             else:
                 for var, p in mono:
                     if var in layout.series_vars:
@@ -334,7 +342,7 @@ def _reference_apply(op, series):
                         continue
                     j = layout.base_vars.index(var)
                     for _ in range(p):
-                        args[j] = args[j].shifted(-1)
+                        args[j] = args[j] - 1
                         scalar = scalar * (args[j] if reciprocal else -args[j])
                 if sum(m) <= series.truncation_order:
                     out.append(GammaTerm(tuple(m), scalar, tuple(args)))

@@ -1,3 +1,4 @@
+import cmath
 import math
 import subprocess
 import sys
@@ -62,6 +63,14 @@ class TestReciprocalGamma:
         with pytest.raises(SeriesPoleError):
             complex_gamma(-3)
         assert abs(complex_gamma(0.5) - math.sqrt(math.pi)) < 1e-14
+
+    def test_direct_gamma_past_the_double_range(self):
+        # reciprocal_gamma underflows to 0j there, which is not a pole
+        assert complex_gamma(180.0) == complex(math.inf, 0)
+        assert complex_gamma(172.0) == complex(math.inf, 0)
+        assert math.isinf(abs(complex_gamma(200.0 + 3j)))
+        with pytest.raises(SeriesPoleError):
+            complex_gamma(-3)
 
 
 def test_cli_import_leaves_scipy_unloaded():
@@ -132,6 +141,10 @@ SETS_2D = [
     ([(1, 0), (0, 1), (2, 0), (0, 2), (1, 2)], (2, 3)),  # (2,0) (0,2)
 ]
 
+# a 3-D set with base (0,1,0) (0,0,1) (2,0,0) of determinant 2
+SET_3D = ([(1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 0, 0), (1, 1, 1), (0, 2, 1)],
+          (1, 2, 3))
+
 
 @pytest.mark.parametrize("form", ["direct", "reciprocal"])
 @pytest.mark.parametrize("members, base", SETS_2D)
@@ -141,9 +154,16 @@ def test_gg_series_equals_per_term_coefficients(members, base, form):
     series = gg_series(A, Base(A, base), u, 6, form=form)
     layout = series.layout
     assert [t.m for t in series.terms] == list(multi_indices(3, 6))
+    s0 = _per_term_args((0, 0, 0), u, layout)
     for t in series.terms:
         assert t.args == _per_term_args(t.m, u, layout)
         weight = Fraction(1, math.prod(math.factorial(k) for k in t.m))
+        if form == "reciprocal":
+            # the reflection sign (-1)**k_j of each integer part k_j of
+            # s_j(m) - s0_j
+            flips = sum(math.floor((s - s_0).re)
+                        for s, s_0 in zip(t.args, s0))
+            weight *= (-1) ** flips
         assert t.scalar == ec(weight)
         assert all(type(x) is Fraction for a in (t.scalar, *t.args)
                    for x in (a.re, a.im))
@@ -175,9 +195,8 @@ def test_exact_hash_agrees_with_equality():
     assert len({a for pair in pairs for a in pair}) == len(pairs)
 
 
-def test_integer_form_reproduces_terms():
-    A = ExponentSet(2, SETS_2D[2][0])
-    series = gg_series(A, Base(A, SETS_2D[2][1]), (0.5 + 0.25j, 1.5), 4)
+def _assert_integer_form_is_terms(series):
+    """integer_form() is cached and each row equals its term exactly."""
     W, S, rows = series.integer_form()
     assert series.integer_form() is series.integer_form()
     assert [row[0] for row in rows] == list(series.terms)
@@ -185,6 +204,34 @@ def test_integer_form_reproduces_terms():
         assert term.scalar == ExactComplex(Fraction(p, S), Fraction(q, S))
         assert term.args == tuple(ExactComplex(Fraction(a, W), Fraction(b, W))
                                   for a, b in zip(A_, B_))
+
+
+def test_integer_form_reproduces_terms():
+    # written by gg_series in both forms
+    for members, base in SETS_2D + [SET_3D]:
+        A = ExponentSet(len(members[0]), members)
+        u = (0.5 + 0.25j, 1.5, Fraction(2, 3))[:A.dimension]
+        for form in ("direct", "reciprocal"):
+            _assert_integer_form_is_terms(
+                gg_series(A, Base(A, base), u, 5, form=form))
+    # written by apply_to_series: a box operator, an Euler operator with
+    # complex u, a mixed operator with complex scalars and base monomials,
+    # and that operator applied again to its own output
+    A = ExponentSet(2, [(1, 0), (0, 1), (2, 1), (1, 2), (2, 2)])
+    c10, c01, c21, c12, c22 = (CoeffVar(0, w) for w in A.members)
+    mixed = DiffOperator([
+        (((c21, 2), (c10, 1)), ((c21, 1), (c10, 3)), 0.25 - 1.5j),
+        (((c12, 1),), ((c12, 2), (c22, 1)), Fraction(-7, 3)),
+        ((), ((c01, 2),), 1), (((c22, 1),), (), -1)])
+    for form in ("direct", "reciprocal"):
+        series = gg_series(A, Base(A, (2, 3)), (0.37 + 0.21j, Fraction(5, 3)),
+                           6, form=form)
+        for op in (box_operator(kernel_basis(A)[0]),
+                   euler_t_operator(A, 1, 0.5 + 0.3j), mixed):
+            out = apply_to_series(op, series)
+            assert out.terms
+            _assert_integer_form_is_terms(out)
+        _assert_integer_form_is_terms(apply_to_series(mixed, out))
 
 
 def _term_by_term(series, point):
@@ -229,10 +276,6 @@ def _assert_matches_term_by_term(series):
         ref, ref_tail, scale = _term_by_term(series, point)
         assert abs(value - ref) <= 1e-14 * scale
         assert abs(tail - ref_tail) <= 1e-14 * scale
-
-
-SET_3D = ([(1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 0, 0), (1, 1, 1), (0, 2, 1)],
-          (1, 2, 3))
 
 
 class TestCompiledEvaluation:
@@ -447,6 +490,40 @@ class TestEvaluate:
         # the reciprocal normal form instead pairs with 1/Gamma(-2m) = 0,
         # so every positive-integer argument term vanishes
         assert vr == 0
+
+    def test_arguments_past_the_gamma_range_are_not_poles(self):
+        # s(m) = 150.5 + 2m passes 171.6, where Gamma overflows: the value
+        # is not finite, and no term is reported as a pole
+        series = gg_series(A12, B1, 150.5, 20)
+        value, _ = evaluate_series(series, {1: -1, 2: -0.001})
+        assert not math.isfinite(abs(value))
+
+    @pytest.mark.parametrize("members, base", SETS_2D[1:] + [SET_3D])
+    def test_reciprocal_form_is_direct_form_per_coset(self, members, base):
+        # 1/Gamma(1 - s) = Gamma(s) sin(pi s) / pi and the reflection sign
+        # leave sin(pi (s0_j + frac_j)) / pi per Gamma factor: one constant
+        # on each coset of argument fractional parts.  The imaginary parts
+        # of u keep every argument off the integers (non-resonant u).
+        A = ExponentSet(len(members[0]), members)
+        u = (0.37 + 0.21j, 1.2 - 0.4j, 0.8 + 0.1j)[:A.dimension]
+        direct = gg_series(A, Base(A, base), u, 8)
+        recip = gg_series(A, Base(A, base), u, 8, form="reciprocal")
+        s0 = direct.terms[0].args
+        cosets = {}
+        for t in direct.terms:
+            frac = tuple((s - s_0).re % 1 for s, s_0 in zip(t.args, s0))
+            cosets.setdefault(frac, []).append(t)
+        assert len(cosets) > 1
+        for point in _points(direct.layout):
+            ref = 0j
+            for frac, terms in cosets.items():
+                part = GammaSeries(direct.layout, 8, terms)
+                ref += math.prod(
+                    cmath.sin(math.pi * (complex(s_0) + float(f))) / math.pi
+                    for s_0, f in zip(s0, frac)) \
+                    * evaluate_series(part, point)[0]
+            value, _ = evaluate_series(recip, point)
+            assert abs(value - ref) <= 1e-12 * _term_by_term(recip, point)[2]
 
     def test_reciprocal_form_finite_at_direct_pole(self):
         series = gg_series(A12, B1, 0, 1, form="reciprocal")
