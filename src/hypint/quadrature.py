@@ -8,15 +8,23 @@ innermost variable first, using interval halving with an embedded
 Gauss7/Kronrod15 pair so every subinterval carries its own error
 estimate.
 
-Each level is batched over its outer nodes (the values of the outer
-variables handed down by the level above): the integral over variable j
-is computed for all B nodes at once, one lockstep adaptive run per leg.
+Each level is batched over its nodes: the integral over variable j is
+computed for all B nodes at once, one lockstep adaptive run per leg.
 Every round each unconverged node bisects its own worst interval, just
 as it would alone, and the panels of all nodes go to the integrand in
 one array call.  Above the innermost level that call is the next level,
 which takes all points of the round as its nodes, at most _NODE_CAP at
-a time so that memory stays bounded in three variables.  One variable
-is the B = 1 case.
+a time so that memory stays bounded in three variables.
+
+At the outermost level the nodes are the integrands themselves:
+``integrate`` takes one IntegrandSpec or a sequence of specs that differ
+only in their polynomial coefficients, and every node of every level
+carries the index of the batch member whose coefficients it reads.  A
+batch of finite-difference stencil points thus runs in one lockstep
+pass, each member with the bisections, truncation radii, error
+estimates and values it gets alone.  Members whose polynomial supports
+differ (an exactly zero coefficient drops its monomial) run in separate
+passes; a single spec is a batch of one.
 
 Unbounded legs are truncated, per node, where the integrand magnitude
 falls below 1e-18 of its on-leg maximum; before that a decay check
@@ -508,7 +516,7 @@ class _BranchTracker:
         node = np.repeat(np.arange(len(start_args)), grid.size)
         taus = np.tile(grid, len(start_args))
         for _ in range(14):
-            vals = base_fn(path.map(node, taus))
+            vals = base_fn(node, path.map(node, taus))
             pr = np.angle(vals)
             steps = _wrap_angle(np.diff(pr))
             steps[node[1:] != node[:-1]] = 0.0
@@ -560,18 +568,38 @@ def _tracked_power(base_vals, tracker, node, taus, exponent):
 # ----------------------------------------------------------------------
 # the iterated driver
 
-def _collapse_along(P: SparsePolynomial, fixed: dict, axis: int, count: int):
-    """Partial evaluation of P at ``count`` nodes: the variables in
-    ``fixed`` (scalars or length-count arrays) are substituted and
-    variable ``axis`` is kept; returns {degree: length-count array}."""
+def _coefficients(polys):
+    """{exponent: coefficient} of polynomials that share one support: the
+    number all batch members share, else an array with one entry per
+    member.
+
+    A shared coefficient stays a Python number, so a single integrand
+    pays no per-node indexing.  One that differs is substituted in array
+    arithmetic, which in the radius scan of two or more variables may
+    round differently from a lone integrand's Python arithmetic in the
+    last bit; only a radius decided within that rounding could move.
+    """
     out = {}
-    for exponent, coeff in P.terms.items():
-        value = coeff
+    for e in polys[0].terms:
+        values = [p.terms[e] for p in polys]
+        out[e] = values[0] if values.count(values[0]) == len(values) \
+            else np.array(values, dtype=complex)
+    return out
+
+
+def _collapse_along(coeffs: dict, fixed: dict, axis: int, member):
+    """Partial evaluation of a batched polynomial at its nodes: node k
+    reads the coefficients of batch member member[k], the variables in
+    ``fixed`` (scalars or per-node arrays) are substituted and variable
+    ``axis`` is kept; returns {degree: per-node array}."""
+    out = {}
+    for exponent, coeff in coeffs.items():
+        value = coeff[member] if isinstance(coeff, np.ndarray) else coeff
         for j, e in enumerate(exponent):
             if j != axis and e:
                 value *= fixed[j] ** e
         d = exponent[axis]
-        out[d] = out.get(d, np.zeros(count, dtype=complex)) + value
+        out[d] = out.get(d, np.zeros(len(member), dtype=complex)) + value
     return out
 
 
@@ -585,18 +613,23 @@ def _eval_collapsed(coeffs: dict, z, pick):
 
 
 class _Run:
-    def __init__(self, spec, contour, tol):
-        self.spec = spec
+    """One lockstep integration of a batch of integrands that share the
+    dimension, alpha kind, u, v and polynomial supports."""
+
+    def __init__(self, specs, contour):
+        first = specs[0]
         self.contour = contour
-        self.tol = tol
-        self.n = spec.P.dimension
-        self.inner_rel = 0.0
-        self.outer_err = 0.0
-        self.outer_floor = 0.0
-        alpha = spec.alpha
+        self.n = first.P.dimension
+        self.kernel = _coefficients([s.P for s in specs])
+        alpha = first.alpha
         self.u = getattr(alpha, "u", None)
-        self.power_polys = getattr(alpha, "polys", ())
         self.power_v = getattr(alpha, "v", ())
+        self.powers = [_coefficients(polys) for polys in
+                       zip(*(getattr(s.alpha, "polys", ()) for s in specs))]
+        # per member: error bookkeeping of the outermost and inner levels
+        self.inner_rel = np.zeros(len(specs))
+        self.outer_err = None
+        self.outer_floor = None
 
     def monomial_exponent(self, j):
         if self.u is None:
@@ -631,11 +664,13 @@ def _representatives(chain):
 _SCAN_RADII = np.concatenate([[0.0], np.geomspace(1e-4, 1e8, 121)])
 
 
-def _truncate_unbounded(run, j, fixed, count, anchor, direction, what):
-    """For each of the ``count`` outer nodes in ``fixed``, the radius along
-    anchor + direction*r where the integrand has decayed for every
-    representative slice of the inner variables; one array pass."""
+def _truncate_unbounded(run, j, fixed, member, anchor, direction, what):
+    """For each node (its outer values in ``fixed``, its batch member in
+    ``member``), the radius along anchor + direction*r where the
+    integrand has decayed for every representative slice of the inner
+    variables; one array pass."""
     radii = _SCAN_RADII
+    count = len(member)
     z = anchor + direction * radii
     inner_chains = [run.contour.chains[i] for i in range(j + 1, run.n)]
     combos = [()]
@@ -650,7 +685,7 @@ def _truncate_unbounded(run, j, fixed, count, anchor, direction, what):
         fixed_all = dict(fixed)
         for idx, val in zip(range(j + 1, run.n), combo):
             fixed_all[idx] = val
-        coeffs = _collapse_along(run.spec.P, fixed_all, j, count)
+        coeffs = _collapse_along(run.kernel, fixed_all, j, member)
         re_p = _eval_collapsed(coeffs, z, rows).real
         ok_decay &= re_p < DECAY_RE_P
         lm = re_p.copy()
@@ -658,9 +693,9 @@ def _truncate_unbounded(run, j, fixed, count, anchor, direction, what):
             with np.errstate(divide="ignore"):
                 lm = lm + rho.real * np.log(np.maximum(np.abs(z), 1e-300))
         if run.n == 1:
-            for poly, v in zip(run.power_polys, run.power_v):
+            for poly, v in zip(run.powers, run.power_v):
                 pv = np.abs(_eval_collapsed(
-                    _collapse_along(poly, fixed_all, j, count), z, rows))
+                    _collapse_along(poly, fixed_all, j, member), z, rows))
                 with np.errstate(divide="ignore"):
                     lm = lm + v.real * np.log(np.maximum(pv, 1e-300))
         log_mag = np.maximum(log_mag, lm)
@@ -681,19 +716,20 @@ def _truncate_unbounded(run, j, fixed, count, anchor, direction, what):
     return radii[np.minimum(first + 2, len(radii) - 1)]
 
 
-def _build_paths(run, j, fixed, count):
+def _build_paths(run, j, fixed, member):
+    count = len(member)
     paths = []
     for index, leg in enumerate(run.contour.chains[j]):
         what = f"variable {j + 1}, leg {index + 1} ({type(leg).__name__})"
         if isinstance(leg, Ray):
-            cut = (_truncate_unbounded(run, j, fixed, count, complex(leg.start),
+            cut = (_truncate_unbounded(run, j, fixed, member, complex(leg.start),
                                        np.exp(1j * leg.angle), what),)
         elif isinstance(leg, Line):
             d = np.exp(1j * leg.angle)
             cut = (
-                _truncate_unbounded(run, j, fixed, count, 0j, -d,
+                _truncate_unbounded(run, j, fixed, member, 0j, -d,
                                     what + " (negative end)"),
-                _truncate_unbounded(run, j, fixed, count, 0j, d,
+                _truncate_unbounded(run, j, fixed, member, 0j, d,
                                     what + " (positive end)"),
             )
         else:
@@ -702,19 +738,20 @@ def _build_paths(run, j, fixed, count):
     return paths
 
 
-def _build_trackers(run, j, paths, count):
+def _build_trackers(run, j, paths, member):
     """Per-leg trackers for the multivalued factors that vary with
     variable j, each continuing the argument on every node's path."""
+    count = len(member)
     needed = []
     rho = run.monomial_exponent(j)
     if rho is not None and not _is_int(rho):
-        needed.append((("t", j + 1), lambda z: z))
+        needed.append((("t", j + 1), lambda node, z: z))
     if run.n == 1:
-        for i, (poly, v) in enumerate(zip(run.power_polys, run.power_v)):
+        for i, (poly, v) in enumerate(zip(run.powers, run.power_v)):
             if not _is_int(v):
-                coeffs = _collapse_along(poly, {}, 0, 1)
-                needed.append((("P", i + 1),
-                               lambda z, c=coeffs: _eval_collapsed(c, z, 0)))
+                coeffs = _collapse_along(poly, {}, 0, member)
+                needed.append((("P", i + 1), lambda node, z, c=coeffs:
+                               _eval_collapsed(c, z, node)))
     trackers = {}
     for key, base_fn in needed:
         start = run.contour.start_arg(key)
@@ -733,25 +770,26 @@ def _build_trackers(run, j, paths, count):
     return trackers
 
 
-def _level_value(run, j, fixed, rel_tol):
-    """The integral over variables j..n-1 at each outer node.
+def _level_value(run, j, fixed, member, rel_tol):
+    """The integral over variables j..n-1 at each node.
 
-    ``fixed`` maps every i < j to a length-B array of t_i values, one per
-    outer node (empty at the outermost level, where B = 1).  Each leg of
+    ``member`` holds each node's batch member (at the outermost level
+    every member is one node) and ``fixed`` maps every i < j to the
+    array of its t_i values (empty at the outermost level).  Each leg of
     chain j is integrated for all B nodes in one lockstep
     adaptive_quadrature call; an outer level hands the points of a whole
     round to the next level as its nodes, at most _NODE_CAP at a time.
     Returns the B values.
     """
-    count = len(fixed[0]) if fixed else 1
-    paths = _build_paths(run, j, fixed, count)
-    trackers = _build_trackers(run, j, paths, count)
+    count = len(member)
+    paths = _build_paths(run, j, fixed, member)
+    trackers = _build_trackers(run, j, paths, member)
     rho = run.monomial_exponent(j)
     innermost = j == run.n - 1
     if innermost:
-        kernel_coeffs = _collapse_along(run.spec.P, fixed, j, count)
-        power_coeffs = [_collapse_along(poly, fixed, j, count)
-                        for poly in run.power_polys]
+        kernel_coeffs = _collapse_along(run.kernel, fixed, j, member)
+        power_coeffs = [_collapse_along(poly, fixed, j, member)
+                        for poly in run.powers]
 
     total = np.zeros(count, dtype=complex)
     err_total = np.zeros(count)
@@ -781,12 +819,13 @@ def _level_value(run, j, fixed, rel_tol):
             else:
                 outer = {i: t[node] for i, t in fixed.items()}
                 outer[j] = z
+                outer_member = member[node]
                 inner = np.empty_like(z, dtype=complex)
                 for lo in range(0, z.size, _NODE_CAP):
                     chunk = slice(lo, lo + _NODE_CAP)
                     inner[chunk] = _level_value(
                         run, j + 1, {i: t[chunk] for i, t in outer.items()},
-                        rel_tol * 0.5)
+                        outer_member[chunk], rel_tol * 0.5)
                 val = val * inner
             return val * path.dmap(node, taus)
 
@@ -805,62 +844,113 @@ def _level_value(run, j, fixed, rel_tol):
         excess = err_total - 2.0 * ABS_FLOOR - floor_total
         magnitude = np.abs(total)
         hit = (excess > 0) & (magnitude > 0)
-        if hit.any():
-            run.inner_rel = max(run.inner_rel,
-                                float(np.max(excess[hit] / magnitude[hit])))
+        np.maximum.at(run.inner_rel, member[hit], excess[hit] / magnitude[hit])
     else:
-        run.outer_err = float(err_total[0])
-        run.outer_floor = float(floor_total[0])
+        run.outer_err = err_total
+        run.outer_floor = floor_total
     return total
 
 
-def integrate(spec: IntegrandSpec, contour: ProductContour, tol: float = 1e-9):
-    """Integrate exp(P) * alpha over the product contour.
+def _shape(spec):
+    """What the members of a batch must share."""
+    alpha = spec.alpha
+    return (spec.P.dimension, type(alpha), getattr(alpha, "u", None),
+            getattr(alpha, "v", None), len(getattr(alpha, "polys", ())))
 
-    Returns (value, err_estimate).  Raises DivergenceError when an
-    unbounded leg fails the decay check, AccuracyError when the
-    tolerance cannot be met, and ValueError for structural problems
-    (dimension mismatches, missing branch data, and a power-product
-    factor that vanishes at an end of a one-variable chain under an
-    exponent of real part <= -1, which is not integrable there).
-    """
-    n = spec.P.dimension
+
+def _support(spec):
+    return (tuple(spec.P.terms),
+            tuple(tuple(p.terms) for p in getattr(spec.alpha, "polys", ())))
+
+
+def _check_batch(specs, contour):
+    """The structural checks; ValueError unless the specs differ only in
+    their polynomial coefficients and fit the contour."""
+    if not specs:
+        raise ValueError("need at least one integrand")
+    first = specs[0]
+    if any(_shape(spec) != _shape(first) for spec in specs[1:]):
+        raise ValueError(
+            "batched integrands may differ only in their polynomial "
+            "coefficients (same dimension, alpha kind, u and v)"
+        )
+    n = first.P.dimension
     if n > 3:
         raise ValueError("only up to three variables are supported")
     if len(contour.chains) != n:
         raise ValueError(
             f"contour has {len(contour.chains)} chains for {n} variables"
         )
-    factors = tuple(zip(getattr(spec.alpha, "polys", ()),
-                        getattr(spec.alpha, "v", ())))
-    if n > 1 and not all(_is_int(v) for _, v in factors):
+    v = getattr(first.alpha, "v", ())
+    if n > 1 and not all(_is_int(x) for x in v):
         raise ValueError(
             "non-integer power-product exponents are supported in one "
             "variable only"
         )
     if n == 1:
         chain = contour.chains[0]
-        for end in (_leg_endpoints(chain[0])[0], _leg_endpoints(chain[-1])[1]):
-            for poly, v in factors:
-                if (end is not _INF and v.real <= -1
-                        and abs(poly.evaluate(end)) < 1e-12):
-                    raise ValueError(
-                        f"factor vanishes at endpoint {end} with "
-                        f"non-integrable exponent {v}"
-                    )
-    run = _Run(spec, contour, tol)
-    value = _level_value(run, 0, {}, tol * 0.5)[0]
-    err = run.outer_err + run.inner_rel * abs(value)
-    # saturation at the double-precision roundoff floor of a cancelling
-    # integrand counts as converged: the honest error estimate is returned
-    acceptable = (err <= tol * abs(value) or abs(value) <= ABS_FLOOR
-                  or err <= ABS_FLOOR or err <= 2.0 * run.outer_floor)
-    if not acceptable:
-        raise AccuracyError(
-            f"combined error estimate {err:.3e} exceeds tolerance for value "
-            f"{value:.6e}", value, err,
-        )
-    return value, err
+        ends = (_leg_endpoints(chain[0])[0], _leg_endpoints(chain[-1])[1])
+        for spec in specs:
+            for end in ends:
+                for poly, vi in zip(getattr(spec.alpha, "polys", ()), v):
+                    if (end is not _INF and vi.real <= -1
+                            and abs(poly.evaluate(end)) < 1e-12):
+                        raise ValueError(
+                            f"factor vanishes at endpoint {end} with "
+                            f"non-integrable exponent {vi}"
+                        )
+
+
+def _integrate_batch(specs, contour, tol):
+    """(value, err) of each spec; the specs share their supports."""
+    run = _Run(specs, contour)
+    values = _level_value(run, 0, {}, np.arange(len(specs)), tol * 0.5)
+    results = []
+    for k, value in enumerate(values):
+        err = float(run.outer_err[k]) + float(run.inner_rel[k]) * abs(value)
+        floor = float(run.outer_floor[k])
+        # saturation at the double-precision roundoff floor of a cancelling
+        # integrand counts as converged: the honest error estimate is returned
+        acceptable = (err <= tol * abs(value) or abs(value) <= ABS_FLOOR
+                      or err <= ABS_FLOOR or err <= 2.0 * floor)
+        if not acceptable:
+            raise AccuracyError(
+                f"combined error estimate {err:.3e} exceeds tolerance for "
+                f"value {value:.6e}", value, err,
+            )
+        results.append((value, err))
+    return results
+
+
+def integrate(spec, contour: ProductContour, tol: float = 1e-9):
+    """Integrate exp(P) * alpha over the product contour.
+
+    ``spec`` is one IntegrandSpec, for which (value, err_estimate) is
+    returned, or a sequence of specs that differ only in their polynomial
+    coefficients (same dimension, alpha kind, u and v), for which a list
+    of (value, err_estimate) pairs is returned.  The members of a
+    sequence are integrated in one lockstep run per polynomial support,
+    each with the result it gets alone.  Raises DivergenceError when an
+    unbounded leg fails the decay check, AccuracyError when the
+    tolerance cannot be met (for any member of a sequence), and
+    ValueError for structural problems (dimension mismatches, members
+    that differ in more than their coefficients, missing branch data,
+    and a power-product factor that vanishes at an end of a one-variable
+    chain under an exponent of real part <= -1, which is not integrable
+    there).
+    """
+    single = isinstance(spec, IntegrandSpec)
+    specs = [spec] if single else list(spec)
+    _check_batch(specs, contour)
+    groups = {}
+    for k, s in enumerate(specs):
+        groups.setdefault(_support(s), []).append(k)
+    results = [None] * len(specs)
+    for members in groups.values():
+        batch = _integrate_batch([specs[k] for k in members], contour, tol)
+        for k, result in zip(members, batch):
+            results[k] = result
+    return results[0] if single else results
 
 
 def proper_integral(P: SparsePolynomial, contour: ProductContour,

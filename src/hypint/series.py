@@ -96,8 +96,9 @@ def reciprocal_gamma(z: complex) -> complex:
     """1/Gamma(z) on the complex plane.
 
     Exactly 0j at 0, -1, -2, ...; computed in log space, so a large Re z
-    underflows to 0j.  Re z < 1/2 uses the reflection formula
-    1/Gamma(z) = sin(pi z) Gamma(1 - z) / pi.
+    underflows to 0j and a large -Re z overflows to an infinity.  Re z <
+    1/2 uses the reflection formula 1/Gamma(z) = sin(pi z) Gamma(1 - z)
+    / pi.  A real z gives a real value (imaginary part 0).
     """
     z = complex(z)
     if z.real >= 0.5:
@@ -113,6 +114,11 @@ def reciprocal_gamma(z: complex) -> complex:
         sin_w = sign * cmath.sin(w)
         if log_g.real < 690.0:  # |sin w| < cosh 20 < e**19.4: no overflow
             return sin_w * cmath.exp(log_g)
+        if z.imag == 0:
+            # the phase of a negative sin w is pi, and exp(i pi) is not
+            # real in floats: keep the sign out of the exponential
+            magnitude = _exp(log_g.real + math.log(abs(sin_w.real))).real
+            return complex(math.copysign(magnitude, sin_w.real), 0.0)
         return _exp(log_g + cmath.log(sin_w))
     # |exp(2iw)| < 1e-17, so sin w = k (i/2) exp(-k i w) to double precision
     k = 1 if w.imag > 0 else -1
@@ -123,9 +129,14 @@ def complex_gamma(z: complex) -> complex:
     """Gamma on the complex plane via the entire reciprocal function.
 
     Raises SeriesPoleError at 0, -1, -2, ...  Past the double range,
-    where reciprocal_gamma underflows to 0j, the value is infinite.
+    where reciprocal_gamma underflows to 0j, the value is infinite; where
+    it overflows, far left of the origin, Gamma underflows to a zero in
+    the quadrant of the value.
     """
     rg = reciprocal_gamma(z)
+    if cmath.isinf(rg):
+        # 1/rg is the conjugate direction; 1.0 / rg would give nan
+        return complex(math.copysign(0.0, rg.real), -math.copysign(0.0, rg.imag))
     if rg != 0:
         return 1.0 / rg
     z = complex(z)

@@ -14,6 +14,13 @@ combination runs in extended precision, which is what makes the
 h -> h/2 fourfold residual drop observable past the double-precision
 noise floor.
 
+Before it builds its first report, a check collects every stencil point
+of every row it reports.  A quadrature-backed coefficient function
+evaluates them in one lockstep ``integrate`` call (see
+CoeffFunction.prefetch), with the values each point gets alone;
+closed-form, root and user functions are evaluated lazily, once per
+distinct point, as the reports look them up.
+
 On contours with free endpoints the homogeneity identity in the
 integration variable picks up a boundary term (the primitive evaluated
 at the chain ends); the check adds that correction for one-variable
@@ -34,13 +41,20 @@ from .lattice import ExponentSet, unit_exponents
 from .operators import (DiffOperator, build_system, euler_y_operator,
                         gg_relation_operator, operator_text)
 from .polynomials import CoeffVar, SparsePolynomial, as_coeff_var, joined_vars
-from .quadrature import (AlphaMonomial, AlphaOne, IntegrandSpec,
-                         ProductContour, _INF, _leg_endpoints,
-                         euler_integral_eval, integrate)
+from .quadrature import (AlphaMonomial, AlphaOne, AlphaPowerProduct,
+                         IntegrandSpec, ProductContour, _INF, _leg_endpoints,
+                         integrate)
 from .series import GammaSeries, evaluate_series
 
 DEFAULT_STEP_SCALE = 1e-4
 DEFAULT_RESIDUAL_TOL = 1e-3
+
+
+def _takes_batches(fn):
+    """Mark ``fn`` as also taking a list of assignments, for which it
+    returns the list of values (see CoeffFunction.prefetch)."""
+    fn.takes_batches = True
+    return fn
 
 
 class CoeffFunction:
@@ -52,11 +66,36 @@ class CoeffFunction:
         self.name = name
         self._cache = {}
 
+    def _key(self, assignment: Mapping):
+        return tuple((var, assignment[var]) for var in self.variables)
+
     def __call__(self, assignment: Mapping):
-        key = tuple((var, assignment[var]) for var in self.variables)
+        key = self._key(assignment)
         if key not in self._cache:
             self._cache[key] = self.fn(dict(assignment))
         return self._cache[key]
+
+    def prefetch(self, points):
+        """Cache the values at the uncached ``points`` with one call of a
+        batch-capable ``fn``; other functions stay lazy.
+
+        If building the points or the batch raises, nothing is cached:
+        each point is then evaluated as it is looked up and raises what
+        it raises alone.
+        """
+        if not getattr(self.fn, "takes_batches", False):
+            return
+        try:
+            todo = {}
+            for point in points:
+                key = self._key(point)
+                if key not in self._cache:
+                    todo.setdefault(key, point)
+            if todo:
+                values = self.fn([dict(point) for point in todo.values()])
+                self._cache.update(zip(todo, values))
+        except Exception:
+            pass  # the lookups raise it again, point by point
 
     @staticmethod
     def from_gg_quadrature(exponents: ExponentSet, u, contour: ProductContour,
@@ -68,13 +107,12 @@ class CoeffFunction:
         alpha = AlphaOne() if all(complex(x) == 1 for x in uu) \
             else AlphaMonomial(uu)
 
-        def fn(assignment):
-            P = SparsePolynomial(
-                n, {var.exponent: assignment[var] for var in variables})
-            value, _ = integrate(IntegrandSpec(P, alpha), contour, tol)
-            return value
+        def spec(assignment):
+            return IntegrandSpec(SparsePolynomial(
+                n, {var.exponent: assignment[var] for var in variables}), alpha)
 
-        return CoeffFunction(variables, fn, name="gg-quadrature")
+        return CoeffFunction(variables, _quadrature_fn(spec, contour, tol),
+                             name="gg-quadrature")
 
     @staticmethod
     def from_euler_quadrature(exponent_sets: Sequence, v, u,
@@ -85,14 +123,15 @@ class CoeffFunction:
         n = exponent_sets[0].dimension
         variables = joined_vars(exponent_sets)
 
-        def fn(assignment):
-            polys = []
-            for i, s in enumerate(exponent_sets):
-                polys.append(SparsePolynomial(
-                    n, {w: assignment[CoeffVar(i + 1, w)] for w in s.members}))
-            return euler_integral_eval(polys, v, u, contour, tol)
+        def spec(assignment):
+            polys = [SparsePolynomial(
+                n, {w: assignment[CoeffVar(i + 1, w)] for w in s.members})
+                for i, s in enumerate(exponent_sets)]
+            return IntegrandSpec(SparsePolynomial.zero(n),
+                                 AlphaPowerProduct(polys, v, u))
 
-        return CoeffFunction(variables, fn, name="euler-quadrature")
+        return CoeffFunction(variables, _quadrature_fn(spec, contour, tol),
+                             name="euler-quadrature")
 
     @staticmethod
     def gaussian_quadratic(extended: bool = False) -> "CoeffFunction":
@@ -119,6 +158,19 @@ class CoeffFunction:
                 c2 = mp.mpc(assignment[variables[1]])
                 return mp.sqrt(mp.pi / (-c2)) * mp.exp(-c1 * c1 / (4 * c2))
         return CoeffFunction(variables, fn, name="gaussian-closed-form")
+
+
+def _quadrature_fn(spec: Callable, contour: ProductContour, tol: float):
+    """The batch-capable value of integrate at spec(assignment): one
+    assignment gives one value, a list of them one integrate call and
+    the list of values."""
+    @_takes_batches
+    def fn(assignments):
+        batch = not isinstance(assignments, Mapping)
+        specs = [spec(a) for a in (assignments if batch else [assignments])]
+        values = [value for value, _ in integrate(specs, contour, tol)]
+        return values if batch else values[0]
+    return fn
 
 
 @dataclass
@@ -189,27 +241,43 @@ def _steps(f: CoeffFunction, center: Mapping, h, order: int) -> dict:
     return {var: h for var in f.variables}
 
 
-def _derivative_estimate(f, center, deriv, steps):
-    """Tensor central-difference estimate of D^deriv f at the center."""
-    grids = []
-    for var, order in deriv:
-        grids.append((var, _stencil(order), steps[var], order))
+def _stencil_points(center, deriv, steps):
+    """(point, weight) pairs of the tensor central-difference stencil of
+    D^deriv at the center."""
     combos = [({}, 1.0)]
-    for var, stencil, h, _ in grids:
+    for var, order in deriv:
         combos = [
             ({**shift, var: off}, w * w2)
-            for shift, w in combos for off, w2 in stencil.items()
+            for shift, w in combos for off, w2 in _stencil(order).items()
         ]
-    total = 0
+    points = []
     for shift, weight in combos:
         point = dict(center)
         for var, off in shift.items():
             if off:
                 point[var] = point[var] + off * steps[var]
+        points.append((point, weight))
+    return points
+
+
+def _derivative_estimate(f, center, deriv, steps):
+    """Tensor central-difference estimate of D^deriv f at the center."""
+    total = 0
+    for point, weight in _stencil_points(center, deriv, steps):
         total = total + weight * f(point)
-    for _, _, h, order in grids:
-        total = total / h ** order
+    for var, order in deriv:
+        total = total / steps[var] ** order
     return total
+
+
+def _report_points(op: DiffOperator, f: CoeffFunction, center, h):
+    """Every point at which residual_report(op, f, center, h) looks f up."""
+    yield center
+    for _, deriv in op.terms:
+        if deriv:
+            steps = _steps(f, center, h, _order(deriv))
+            for point, _ in _stencil_points(center, deriv, steps):
+                yield point
 
 
 def _term_values(op: DiffOperator, f: CoeffFunction, center, h,
@@ -309,8 +377,11 @@ def check_gg_system(exponents: ExponentSet, u, center: Mapping,
             raise ValueError("either a coefficient function or a contour is needed")
         f = CoeffFunction.from_gg_quadrature(exponents, uu, contour, quad_tol)
     center = {as_coeff_var(k): v for k, v in center.items()}
+    rows = build_system((exponents,), 0, uu_ops)
+    f.prefetch(point for *_, op in rows
+               for point in _report_points(op, f, center, h))
     return [residual_report(op, f, center, h=h, tol=tol, label=label)
-            for _, _, label, op in build_system((exponents,), 0, uu_ops)]
+            for _, _, label, op in rows]
 
 
 def _chain_endpoint_values(chain):
@@ -413,6 +484,8 @@ def check_cayley_consistency(center_polys: Sequence, v, u,
                 continue
         jobs.append((label, op, correction, note))
 
+    f.prefetch(point for _, op, _, _ in jobs
+               for point in _report_points(op, f, center, h))
     return [residual_report(op, f, center, h=h, tol=tol, label=label,
                             correction=corr, note=note)
             for label, op, corr, note in jobs] + skipped

@@ -9,8 +9,9 @@ import pytest
 
 from hypint.polynomials import SparsePolynomial
 from hypint.quadrature import (AccuracyError, AlphaMonomial, AlphaOne,
-                               Arc, DivergenceError, IntegrandSpec, Line,
-                               ProductContour, Ray, Segment,
+                               AlphaPowerProduct, Arc, DivergenceError,
+                               IntegrandSpec, Line, ProductContour, Ray,
+                               Segment,
                                adaptive_quadrature, euler_integral_eval,
                                gg_eval, integrate, proper_integral)
 
@@ -277,6 +278,122 @@ class TestBentContour:
             moment = (1 - phase) * g
             total += 0.2 ** k / math.factorial(k) * moment
         assert abs(value - total) < 1e-9
+
+
+def _bits(results):
+    """(value, err) pairs as exact tuples, so == compares bit for bit."""
+    return [(complex(v).real, complex(v).imag, float(e)) for v, e in results]
+
+
+def _stencil(coeffs, steps):
+    """The 3^k central-difference grid around a {exponent: value} centre."""
+    points = [dict(coeffs)]
+    for w, h in steps.items():
+        points = [{**p, w: p[w] + off * h} for p in points for off in (-1, 0, 1)]
+    return points
+
+
+class TestBatchedIntegrands:
+    """A sequence of specs gives, member for member, the values and error
+    estimates of separate calls."""
+
+    def check_batch(self, specs, contour, tol):
+        batch = integrate(specs, contour, tol)
+        assert isinstance(batch, list) and len(batch) == len(specs)
+        assert _bits(batch) == _bits([integrate(s, contour, tol) for s in specs])
+        return batch
+
+    def test_line_gaussian(self):
+        specs = [IntegrandSpec(SparsePolynomial(1, p), AlphaOne())
+                 for p in _stencil({(1,): 0.3 + 0.1j, (2,): -1.1},
+                                   {(1,): 1e-4, (2,): 1e-4})]
+        batch = self.check_batch(specs, REAL_LINE, 1e-10)
+        assert rel(batch[4][0], SQRT_PI / math.sqrt(1.1)
+                   * cmath.exp((0.3 + 0.1j) ** 2 / 4.4)) < 1e-9
+
+    @pytest.mark.parametrize("u, tol", [(0.1, 1e-9), (0.62, 1e-10), (2.3, 1e-10)])
+    def test_branch_tracked_ray(self, u, tol):
+        specs = [IntegrandSpec(SparsePolynomial(1, {(1,): -1.0 + d}),
+                               AlphaMonomial(u)) for d in (-1e-4, 0.0, 1e-4)]
+        self.check_batch(specs, POSITIVE_RAY, tol)
+
+    def test_segment_power_product(self):
+        contour = ProductContour([[Segment(0, 1)]], {("P", 1): 0.0})
+        specs = [IntegrandSpec(SparsePolynomial.zero(1), AlphaPowerProduct(
+            [SparsePolynomial(1, p)], [0.73], [2.0]))
+            for p in _stencil({(0,): 1.2, (1,): -0.4}, {(0,): 1e-3, (1,): 1e-3})]
+        self.check_batch(specs, contour, 1e-10)
+
+    def test_members_whose_factor_winds_apart(self):
+        # 1 + a t + b t^2 turns its argument past pi on [0, 1]; with the
+        # conjugate coefficients past -pi: each member continues its own
+        contour = ProductContour([[Segment(0, 1)]], {("P", 1): 0.0})
+        a, b = -2.2 + 1.2j, 0.2 - 2j
+        specs = [IntegrandSpec(SparsePolynomial.zero(1), AlphaPowerProduct(
+            [SparsePolynomial(1, {(0,): 1, (1,): x, (2,): y})], [0.5], [1.0]))
+            for x, y in ((a, b), (a.conjugate(), b.conjugate()))]
+        (v1, _), (v2, _) = self.check_batch(specs, contour, 1e-10)
+        assert abs(v2 - v1.conjugate()) < 1e-9 * abs(v1)
+
+    def test_two_dimensional_gaussian_mixes_members_in_chunks(self, monkeypatch):
+        from hypint import quadrature
+        level = quadrature._level_value
+        mixed = []
+
+        def spy(run, j, fixed, member, rel_tol):
+            if j > 0:
+                mixed.append(len(set(member.tolist())) > 1)
+            return level(run, j, fixed, member, rel_tol)
+
+        monkeypatch.setattr(quadrature, "_level_value", spy)
+        contour = ProductContour([[Line(0.0)], [Line(0.0)]])
+        specs = [IntegrandSpec(SparsePolynomial(2, {
+            (2, 0): -1.0 + d, (1, 1): 0.2, (0, 2): -1.4,
+            (1, 0): 0.1 + 0.2j, (0, 1): -0.3j}), AlphaOne())
+            for d in (-1e-3, 0.0, 1e-3)]
+        self.check_batch(specs, contour, 1e-8)
+        # inner levels got chunks of _NODE_CAP nodes from several members
+        assert any(mixed) and len(mixed) > len(specs)
+
+    def test_members_with_different_supports(self):
+        # a zero coefficient drops its monomial: such members run apart
+        specs = [IntegrandSpec(SparsePolynomial(1, {(1,): c1, (2,): -1.0}),
+                               AlphaOne()) for c1 in (-1e-4, 0.0, 1e-4)]
+        assert specs[1].P.terms.keys() != specs[0].P.terms.keys()
+        self.check_batch(specs, REAL_LINE, 1e-10)
+
+    def test_single_spec_returns_a_pair(self):
+        spec = IntegrandSpec(SparsePolynomial(1, {(2,): -1}), AlphaOne())
+        value, err = integrate(spec, REAL_LINE, 1e-10)
+        assert _bits(integrate([spec], REAL_LINE, 1e-10)) == _bits([(value, err)])
+
+    def test_divergent_member_raises(self):
+        specs = [IntegrandSpec(SparsePolynomial(1, {(2,): c2}), AlphaOne())
+                 for c2 in (-1.0, 0.5, -2.0)]
+        with pytest.raises(DivergenceError):
+            integrate(specs, REAL_LINE, 1e-10)
+
+    def test_inaccurate_member_raises(self):
+        # 2e5 radians of oscillation need more than the interval budget
+        specs = [IntegrandSpec(SparsePolynomial(1, {(1,): c1}), AlphaOne())
+                 for c1 in (1j, 2e5j)]
+        with pytest.raises(AccuracyError, match="after 4096 intervals"):
+            integrate(specs, UNIT_SEGMENT, 1e-10)
+
+    @pytest.mark.parametrize("other", [
+        IntegrandSpec(SparsePolynomial(1, {(1,): -1.0}), AlphaOne()),
+        IntegrandSpec(SparsePolynomial(1, {(1,): -1.0}), AlphaMonomial(0.7)),
+        IntegrandSpec(SparsePolynomial(2, {(1, 0): -1.0, (0, 1): -1.0}),
+                      AlphaMonomial((0.5, 0.5))),
+    ])
+    def test_members_must_share_alpha_and_u(self, other):
+        spec = IntegrandSpec(SparsePolynomial(1, {(1,): -2.0}), AlphaMonomial(0.5))
+        with pytest.raises(ValueError, match="only in their polynomial"):
+            integrate([spec, other], POSITIVE_RAY, 1e-9)
+
+    def test_empty_batch_rejected(self):
+        with pytest.raises(ValueError):
+            integrate([], REAL_LINE)
 
 
 def test_error_estimate_is_honest():

@@ -59,6 +59,33 @@ class TestReciprocalGamma:
         assert all(math.isinf(abs(reciprocal_gamma(z)))
                    for z in (-200.5, -180.5 + 0.3j, 0.5 + 500j))
 
+    # far left of the origin 1/Gamma overflows and Gamma underflows
+    FAR_LEFT = (-170.5, -171.5, -172.5, -175.5, -180.5, -200.5, -300.25,
+                -171.99999)
+
+    def test_real_argument_far_left_stays_real(self):
+        with mpmath.workdps(30):
+            for z in self.FAR_LEFT:
+                value = reciprocal_gamma(z)
+                ref = mpmath.rgamma(z)
+                assert value.imag == 0
+                if abs(ref) < 1e308:
+                    assert abs(value.real - ref) <= 1e-12 * abs(ref)
+                else:
+                    assert value.real == math.copysign(math.inf, ref)
+
+    def test_direct_gamma_underflows_to_a_signed_zero(self):
+        with mpmath.workdps(30):
+            for z in self.FAR_LEFT + (-190.5 + 0.5j, -200.25 - 3j, -250.5 + 2j):
+                value = complex_gamma(z)
+                ref = mpmath.gamma(z)
+                assert abs(value - complex(ref)) <= 1e-12 * abs(ref) + 1e-300
+                if value == 0:
+                    assert math.copysign(1, value.real) == mpmath.sign(ref.real)
+                    if ref.imag:
+                        assert (math.copysign(1, value.imag)
+                                == mpmath.sign(ref.imag))
+
     def test_direct_gamma_raises_at_pole(self):
         with pytest.raises(SeriesPoleError):
             complex_gamma(-3)
@@ -497,6 +524,19 @@ class TestEvaluate:
         series = gg_series(A12, B1, 150.5, 20)
         value, _ = evaluate_series(series, {1: -1, 2: -0.001})
         assert not math.isfinite(abs(value))
+
+    def test_arguments_where_gamma_underflows_give_zero_terms(self):
+        # s(m) = -180.5 + 2m: every Gamma(s) is below the double range,
+        # and at a = -1 each (-a)**(-s) is 1
+        series = gg_series(A12, B1, -180.5, 4)
+        point = {1: -1.0, 2: 0.01}
+        value, tail = evaluate_series(series, point)
+        assert value == 0 and tail == 0
+        with mpmath.workdps(30):
+            ref = sum(mpmath.mpf(t.scalar.re.numerator) / t.scalar.re.denominator
+                      * mpmath.gamma(complex(t.args[0]))
+                      * mpmath.mpf(0.01) ** t.m[0] for t in series.terms)
+        assert abs(ref) < 1e-300
 
     @pytest.mark.parametrize("members, base", SETS_2D[1:] + [SET_3D])
     def test_reciprocal_form_is_direct_form_per_coset(self, members, base):

@@ -8,7 +8,9 @@ from hypint.lattice import Base, ExponentSet
 from hypint.operators import (DiffOperator, euler_t_operator,
                               gg_relation_operator)
 from hypint.polynomials import CoeffVar, SparsePolynomial
-from hypint.quadrature import Line, ProductContour, Ray, Segment
+from hypint import verify
+from hypint.quadrature import (AccuracyError, IntegrandSpec, Line,
+                               ProductContour, Ray, Segment)
 from hypint.series import gg_series
 from hypint.verify import (CoeffFunction, RootContinuation,
                            check_cayley_consistency, check_gg_system,
@@ -201,6 +203,96 @@ class TestCayleyChecks:
         for r in reports[1:]:
             assert r.passed and math.isnan(r.residual)
             assert r.note.startswith("skipped:")
+
+
+class TestBatchedStencils:
+    """A check evaluates all its quadrature stencil points in one
+    integrate call and reports exactly what the per-point path reports."""
+
+    RAY = ProductContour([[Ray(0, 0.0)]], {("t", 1): 0.0})
+    POWER_SEGMENT = ProductContour([[Segment(0, 1)]], {("P", 1): 0.0})
+
+    @staticmethod
+    def run_both(monkeypatch, check):
+        """(batched reports, per-point reports, integrate batch sizes of
+        the batched run, integrate calls of the per-point run)."""
+        sizes = []
+        real = verify.integrate
+
+        def counting(spec, contour, tol=1e-9):
+            sizes.append(1 if isinstance(spec, IntegrandSpec) else len(spec))
+            return real(spec, contour, tol)
+
+        monkeypatch.setattr(verify, "integrate", counting)
+        batched = check()
+        batched_sizes = list(sizes)
+        sizes.clear()
+        with monkeypatch.context() as m:
+            m.setattr(verify, "_takes_batches", lambda fn: fn)
+            lazy = check()
+        return batched, lazy, batched_sizes, len(sizes)
+
+    @pytest.mark.parametrize("check", [
+        lambda: check_gg_system(A12, 1, {(1,): 0.3 + 0.1j, (2,): -1.1},
+                                contour=REAL_LINE, quad_tol=1e-10),
+        lambda: check_gg_system(ExponentSet(1, [1]), 0.62, {(1,): -1.0},
+                                contour=TestBatchedStencils.RAY, quad_tol=1e-10,
+                                operator_u=0.7),
+        lambda: check_gg_system(ExponentSet(1, [1]), 0.1, {(1,): -1.0},
+                                contour=TestBatchedStencils.RAY, quad_tol=1e-9),
+        lambda: check_cayley_consistency(
+            [SparsePolynomial(1, {(0,): 1.2, (1,): -0.4})], [0.73], [2.0],
+            TestBatchedStencils.POWER_SEGMENT, quad_tol=1e-10),
+        lambda: check_cayley_consistency(
+            [SparsePolynomial(1, {(0,): 1.0, (1,): -1.0}),
+             SparsePolynomial(1, {(0,): 0.7, (1,): 1.0})], [1.0, 1.0], [1.0],
+            UNIT_SEGMENT, tol=1e-6, quad_tol=1e-12),
+        # the euler_t rows are skipped and add no points
+        lambda: check_cayley_consistency(
+            [SparsePolynomial(2, {(0, 0): 1.0, (1, 0): 0.1, (0, 1): 0.2})],
+            [-1.0], [1.0, 1.0],
+            ProductContour([[Segment(0, 1)], [Segment(0, 1)]]), quad_tol=1e-8),
+    ])
+    def test_one_integrate_call_same_reports(self, monkeypatch, check):
+        batched, lazy, sizes, lazy_calls = self.run_both(monkeypatch, check)
+        assert [repr(r) for r in batched] == [repr(r) for r in lazy]
+        # one call whose members are the distinct points looked up one by one
+        assert sizes == [lazy_calls] and lazy_calls > 1
+
+    def test_accuracy_error_in_the_stencil(self, monkeypatch):
+        # t^(0.02 - 1) at the ray's end: every point exhausts its bisections
+        def check():
+            return check_gg_system(ExponentSet(1, [1]), 0.02, {(1,): -1.0},
+                                   contour=self.RAY, quad_tol=1e-9)
+
+        with monkeypatch.context() as m:
+            m.setattr(verify, "_takes_batches", lambda fn: fn)
+            with pytest.raises(AccuracyError) as lazy:
+                check()
+        with pytest.raises(AccuracyError) as batched:
+            check()
+        assert str(batched.value) == str(lazy.value)
+        assert batched.value.value == lazy.value.value
+
+    def test_per_point_functions_stay_lazy(self):
+        gauss = CoeffFunction.gaussian_quadratic()
+        calls = []
+
+        def fn(assignment):
+            assert isinstance(assignment, dict)
+            calls.append(tuple(assignment[v] for v in (C1, C2)))
+            return gauss.fn(assignment)
+
+        f = CoeffFunction((C1, C2), fn, name="counted")
+        f.prefetch([{C1: 0.3, C2: -1.0}])
+        assert calls == []
+        reports = check_gg_system(A12, 1, {(1,): 0.3, (2,): -1.0}, f=f)
+        assert all(r.passed for r in reports)
+        assert len(calls) == len(set(calls)) > 1
+        # the reports look the same points up again, from the cache
+        assert [repr(r) for r in check_gg_system(
+            A12, 1, {(1,): 0.3, (2,): -1.0}, f=f)] == [repr(r) for r in reports]
+        assert len(calls) == len(set(calls))
 
 
 class TestRootTheorems:
