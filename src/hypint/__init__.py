@@ -1,49 +1,57 @@
 """hypint: differential systems, Gamma-type series and contour quadrature
 for integrals of exp(P) against algebraic weights, viewed as functions of
-the polynomial coefficients."""
+the polynomial coefficients.
 
-from .exact import ExactComplex
-from .lattice import (Base, ExponentSet, LatticeRelation, base_coords,
-                      cayley_set, enumerate_bases, kernel_basis)
-from .operators import (DiffOperator, apply_to_series, box_operator,
-                        build_system, euler_t_operator, euler_y_operator,
-                        gg_relation_operator, operator_text)
-from .polynomials import (CoeffVar, Perturbation, SparsePolynomial,
-                          apply_perturbation, cayley_polynomial)
-from .quadrature import (AccuracyError, AlphaMonomial, AlphaOne,
-                         AlphaPowerProduct, Arc, DivergenceError,
-                         IntegrandSpec, Line, ProductContour, QuadratureError,
-                         Ray, Segment, euler_integral_eval, gg_eval,
-                         integrate, proper_integral)
-from .series import (GammaSeries, GammaTerm, NumericTerm, OracleTerm,
-                     SeriesLayout, SeriesPoleError, evaluate_series,
-                     expand_general, gg_series, standard_expansion)
-from .verify import (CoeffFunction, ResidualReport, RootContinuation,
-                     SeriesOracleReport, check_cayley_consistency,
-                     check_gg_system, check_jacobian_case,
-                     check_root_theorems, fd_apply, residual_report,
-                     series_vs_oracle)
+The names in __all__ are loaded on first access (PEP 562), each from the
+module that defines it, and so are the submodules that define them, so
+``import hypint`` costs nothing and the exact modules (lattice,
+operators, series) come without numpy.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ExactComplex",
-    "ExponentSet", "Base", "LatticeRelation", "base_coords", "kernel_basis",
-    "cayley_set", "enumerate_bases",
-    "SparsePolynomial", "Perturbation", "CoeffVar", "apply_perturbation",
-    "cayley_polynomial",
-    "DiffOperator", "box_operator", "euler_t_operator", "euler_y_operator",
-    "gg_relation_operator", "build_system", "apply_to_series",
-    "operator_text",
-    "GammaSeries", "GammaTerm", "OracleTerm", "NumericTerm", "SeriesLayout",
-    "SeriesPoleError", "gg_series", "expand_general",
-    "standard_expansion", "evaluate_series",
-    "Segment", "Ray", "Arc", "Line", "ProductContour", "IntegrandSpec",
-    "AlphaOne", "AlphaMonomial", "AlphaPowerProduct", "integrate",
-    "proper_integral", "gg_eval", "euler_integral_eval",
-    "QuadratureError", "DivergenceError", "AccuracyError",
-    "CoeffFunction", "ResidualReport", "RootContinuation",
-    "SeriesOracleReport", "fd_apply", "residual_report", "check_gg_system",
-    "check_cayley_consistency", "check_root_theorems", "check_jacobian_case",
-    "series_vs_oracle",
-]
+# (module, names) in the order of __all__
+_EXPORTS = (
+    ("exact", ("ExactComplex",)),
+    ("lattice", ("ExponentSet", "Base", "LatticeRelation", "base_coords",
+                 "kernel_basis", "cayley_set", "enumerate_bases")),
+    ("polynomials", ("SparsePolynomial", "Perturbation", "CoeffVar",
+                     "apply_perturbation", "cayley_polynomial")),
+    ("operators", ("DiffOperator", "box_operator", "euler_t_operator",
+                   "euler_y_operator", "gg_relation_operator", "build_system",
+                   "apply_to_series", "operator_text")),
+    ("series", ("GammaSeries", "GammaTerm", "OracleTerm", "NumericTerm",
+                "SeriesLayout", "SeriesPoleError", "gg_series",
+                "expand_general", "standard_expansion", "evaluate_series")),
+    ("contours", ("Segment", "Ray", "Arc", "Line", "ProductContour")),
+    ("quadrature", ("IntegrandSpec", "AlphaOne", "AlphaMonomial",
+                    "AlphaPowerProduct", "integrate", "proper_integral",
+                    "gg_eval", "euler_integral_eval")),
+    ("contours", ("QuadratureError", "DivergenceError", "AccuracyError")),
+    ("verify", ("CoeffFunction", "ResidualReport", "RootContinuation",
+                "SeriesOracleReport", "fd_apply", "residual_report",
+                "check_gg_system", "check_cayley_consistency",
+                "check_root_theorems", "check_jacobian_case",
+                "series_vs_oracle")),
+)
+
+__all__ = [name for _, names in _EXPORTS for name in names]
+
+_HOME = {name: module for module, names in _EXPORTS for name in names}
+
+
+def __getattr__(name):
+    if name in _HOME.values():  # a submodule: importing binds it here
+        return importlib.import_module(f".{name}", __name__)
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

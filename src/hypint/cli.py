@@ -4,6 +4,10 @@ Reads a problem JSON file, runs the requested computation and writes a
 report JSON document to stdout (and to --out when given).  Exit codes:
 0 success / all checks passed, 1 verification failure, 2 input error,
 3 numeric (divergence or accuracy) error.
+
+Each command imports the modules it uses when it runs: system and series
+are exact and load no numpy, eval loads the quadrature and verify the
+finite-difference checks.
 """
 
 from __future__ import annotations
@@ -11,15 +15,11 @@ from __future__ import annotations
 import argparse
 import sys
 
+from .contours import QuadratureError
 from .lattice import Base, enumerate_bases, unit_exponents
-from .operators import build_system, operator_text
 from .polynomials import SparsePolynomial
 from .problem_io import (Problem, ProblemFormatError, dump_report,
                          fraction_str, load_problem, make_report)
-from .quadrature import (AlphaMonomial, AlphaOne, AlphaPowerProduct,
-                         IntegrandSpec, QuadratureError, integrate)
-from .series import GammaTerm, gg_series
-from .verify import check_cayley_consistency, check_gg_system
 
 
 def _op_struct(op, parameter=None, value=None) -> dict:
@@ -40,6 +40,8 @@ def _op_struct(op, parameter=None, value=None) -> dict:
 
 def cmd_system(problem: Problem) -> dict:
     """Operator listing: heat-type relations, box operators, Euler operators."""
+    from .operators import build_system, operator_text
+
     warnings = []
     if problem.blocks == 0 and not all(
             e in problem.exponent_sets[0]
@@ -76,6 +78,8 @@ def cmd_system(problem: Problem) -> dict:
 def cmd_series(problem: Problem, order: int | None = None,
                base_indices: tuple | None = None) -> dict:
     """Closed-form series dump to the requested order."""
+    from .series import GammaTerm, gg_series
+
     if problem.blocks != 0:
         raise ProblemFormatError(
             "series: only single-polynomial problems are supported; join "
@@ -125,6 +129,8 @@ def cmd_series(problem: Problem, order: int | None = None,
 
 
 def _alpha_for(problem: Problem):
+    from .quadrature import AlphaMonomial, AlphaOne, AlphaPowerProduct
+
     if problem.blocks == 0:
         if problem.u is None or all(x == 1 for x in problem.u):
             return AlphaOne()
@@ -145,6 +151,8 @@ def _block_polys(problem: Problem):
 
 def cmd_eval(problem: Problem, tol: float | None = None) -> dict:
     """Contour quadrature of the problem's integral."""
+    from .quadrature import IntegrandSpec, integrate
+
     if problem.contour is None:
         raise ProblemFormatError("eval: a contour is required")
     tol = problem.quad_tol if tol is None else tol
@@ -160,6 +168,8 @@ def cmd_eval(problem: Problem, tol: float | None = None) -> dict:
 
 def cmd_verify(problem: Problem, tol: float | None = None) -> dict:
     """Finite-difference residuals of the generated system."""
+    from .verify import check_cayley_consistency, check_gg_system
+
     if problem.contour is None:
         raise ProblemFormatError("verify: a contour is required")
     if problem.u is None:

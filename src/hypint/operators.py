@@ -18,13 +18,15 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from operator import add
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .exact import ExactComplex, common_denominator
 from .lattice import (ExponentSet, LatticeRelation, cayley_set, kernel_basis,
                       unit_exponents)
 from .polynomials import CoeffVar, joined_vars
-from .series import GammaSeries, GammaTerm, _args_key
+
+if TYPE_CHECKING:  # build_system and the operators themselves need no series
+    from .series import GammaSeries
 
 
 def _as_power_key(powers: Iterable) -> tuple:
@@ -370,6 +372,8 @@ def apply_to_series(op: DiffOperator, series: GammaSeries) -> GammaSeries:
     sums over the denominator S * G become the result's integer_form(),
     so a chained application starts from integers again.
     """
+    from .series import GammaSeries, GammaTerm, _args_key
+
     layout = series.layout
     if not series.is_closed_form():
         raise ValueError("operator application needs a closed-form series")

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .lattice import ExponentSet
-from .quadrature import Arc, Line, ProductContour, Ray, Segment
+from .contours import Arc, Line, ProductContour, Ray, Segment
 
 SCHEMA_PROBLEM = "hypint/problem-v1"
 SCHEMA_REPORT = "hypint/report-v1"

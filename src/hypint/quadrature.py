@@ -6,7 +6,10 @@ P_1^v_1 .. P_k^v_k t^(u-1), over one parametric complex path chain per
 variable.  The driver is iterated one-dimensional adaptive integration,
 innermost variable first, using interval halving with an embedded
 Gauss7/Kronrod15 pair so every subinterval carries its own error
-estimate.
+estimate.  The contours (Segment, Ray, Arc, Line, ProductContour) and
+the errors (QuadratureError, DivergenceError, AccuracyError) are
+defined in hypint.contours, which loads no numpy, and re-exported here;
+this module holds the integrand descriptions and the numeric driver.
 
 Each level is batched over its nodes: the integral over variable j is
 computed for all B nodes at once, one lockstep adaptive run per leg.
@@ -45,10 +48,14 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
 
 import numpy as np
 
+# the contour descriptions and errors live in .contours, which needs no
+# numpy; they are re-exported here as part of this module's interface
+from .contours import (AccuracyError, Arc, DivergenceError, Leg, Line,
+                       ProductContour, QuadratureError, Ray, Segment, _INF,
+                       _leg_endpoints)
 from .polynomials import SparsePolynomial
 
 TWO_PI = 2.0 * math.pi
@@ -70,144 +77,6 @@ _NODE_CAP = 64              # outer nodes per inner-level call; bounds memory
 # threshold to the block's size and the trim threshold to twice it,
 # unless they were set explicitly; other allocators ignore it.
 np.empty(4 << 20, dtype=np.uint8)
-
-
-class QuadratureError(Exception):
-    """Base class for numeric contour-integration failures."""
-
-
-class DivergenceError(QuadratureError):
-    """An unbounded leg fails the decay check."""
-
-
-class AccuracyError(QuadratureError):
-    """The requested tolerance was not met; carries the best estimate."""
-
-    def __init__(self, message, value, err_estimate):
-        super().__init__(message)
-        self.value = value
-        self.err_estimate = err_estimate
-
-
-# ----------------------------------------------------------------------
-# contour description
-
-
-def _check_orientation(orientation):
-    if orientation not in (1, -1):
-        raise ValueError("orientation must be +1 or -1")
-
-
-@dataclass(frozen=True)
-class Segment:
-    start: complex
-    end: complex
-    orientation: int = 1
-
-    def __post_init__(self):
-        _check_orientation(self.orientation)
-        if complex(self.start) == complex(self.end):
-            raise ValueError("segment endpoints must be distinct")
-
-
-@dataclass(frozen=True)
-class Ray:
-    """From ``start`` to infinity along exp(i*angle)."""
-
-    start: complex
-    angle: float
-    orientation: int = 1
-
-    def __post_init__(self):
-        _check_orientation(self.orientation)
-
-
-@dataclass(frozen=True)
-class Arc:
-    center: complex
-    radius: float
-    angle_start: float
-    angle_end: float
-    orientation: int = 1
-
-    def __post_init__(self):
-        _check_orientation(self.orientation)
-        if not self.radius > 0:
-            raise ValueError("arc radius must be positive")
-        if self.angle_start == self.angle_end:
-            raise ValueError("arc must span a nonzero angle")
-
-
-@dataclass(frozen=True)
-class Line:
-    """The full rotated line t = exp(i*angle) * x, x real."""
-
-    angle: float
-    orientation: int = 1
-
-    def __post_init__(self):
-        _check_orientation(self.orientation)
-
-
-Leg = Segment | Ray | Arc | Line
-
-_INF = object()  # marker for an endpoint at infinity
-
-
-def _leg_endpoints(leg):
-    """Effective (start, end) after applying the orientation."""
-    if isinstance(leg, Segment):
-        ends = (complex(leg.start), complex(leg.end))
-    elif isinstance(leg, Ray):
-        ends = (complex(leg.start), _INF)
-    elif isinstance(leg, Arc):
-        ends = (
-            leg.center + leg.radius * np.exp(1j * leg.angle_start),
-            leg.center + leg.radius * np.exp(1j * leg.angle_end),
-        )
-    else:
-        ends = (_INF, _INF)
-    return ends if leg.orientation == 1 else ends[::-1]
-
-
-def _validate_chain(chain):
-    if not chain:
-        raise ValueError("empty contour chain")
-    for leg in chain:
-        if isinstance(leg, Line) and len(chain) > 1:
-            raise ValueError("a full line must be the only leg of its chain")
-    for a, b in zip(chain, chain[1:]):
-        end = _leg_endpoints(a)[1]
-        start = _leg_endpoints(b)[0]
-        if end is _INF or start is _INF:
-            raise ValueError("an unbounded end must terminate its chain")
-        if abs(end - start) > 1e-9 * (1.0 + abs(end)):
-            raise ValueError(
-                f"chain is disconnected: leg ends at {end}, next starts at {start}"
-            )
-
-
-@dataclass(frozen=True)
-class ProductContour:
-    """One leg chain per variable plus starting arguments for the
-    multivalued factors (keys ("t", j) and ("P", i), 1-based)."""
-
-    chains: tuple
-    branch_data: tuple = ()
-
-    def __init__(self, chains: Sequence, branch_data: Mapping | None = None):
-        chains = tuple(tuple(chain) for chain in chains)
-        for chain in chains:
-            _validate_chain(chain)
-        items = tuple(sorted((branch_data or {}).items()))
-        object.__setattr__(self, "chains", chains)
-        object.__setattr__(self, "branch_data", items)
-
-    def start_arg(self, key):
-        for k, v in self.branch_data:
-            if k == key:
-                return float(v)
-        return None
 
 
 # ----------------------------------------------------------------------
@@ -343,7 +212,7 @@ def _gk15(f, node, a, b, batched):
 
 
 def adaptive_quadrature(f, a, b, rel_tol, abs_floor, max_intervals=4096,
-                        what="integral"):
+                        what="integral", failures=None):
     """Adaptive interval-halving with the embedded Gauss/Kronrod pair.
 
     With scalar ``a`` and ``b``, ``f`` is evaluated on numpy arrays of
@@ -355,7 +224,10 @@ def adaptive_quadrature(f, a, b, rel_tol, abs_floor, max_intervals=4096,
     results are then length-B arrays.  Each integral stops on its own
     target and follows exactly the bisections it would follow alone.
     Raises AccuracyError carrying the best estimate of the failing
-    integral when its budget or bisection depth is exhausted.
+    integral when its budget or bisection depth is exhausted.  Batched,
+    with a dict ``failures``, that error is stored there under the
+    integral's index instead, and the other integrals run on; integrals
+    already in it are not refined, and their results mean nothing.
     """
     batched = np.ndim(a) > 0
     pieces = np.linspace(np.atleast_1d(a), np.atleast_1d(b), 9, axis=1)
@@ -377,7 +249,15 @@ def adaptive_quadrature(f, a, b, rel_tol, abs_floor, max_intervals=4096,
     stuck_err = {}
     intervals = {}
     tiebreak = 8  # the starting panels hold 0..7
-    active = range(count)
+    active = [i for i in range(count) if i not in failures] if failures \
+        else range(count)
+
+    def fail(i, message):
+        error = AccuracyError(message, total[i], err_total[i])
+        if failures is None:
+            raise error
+        failures[i] = error
+
     while True:
         split = []
         still = []
@@ -387,7 +267,6 @@ def adaptive_quadrature(f, a, b, rel_tol, abs_floor, max_intervals=4096,
             target = max(abs_floor, rel_tol * abs(total[i]), 5e-16 * mass[i])
             if err_total[i] <= target:
                 continue
-            still.append(i)
             if i not in heaps:
                 heaps[i] = list(zip((-errs[i]).tolist(), range(8),
                                     pieces[i, :-1].tolist(),
@@ -396,22 +275,21 @@ def adaptive_quadrature(f, a, b, rel_tol, abs_floor, max_intervals=4096,
                 stuck_err[i] = 0.0
                 intervals[i] = 8
             if intervals[i] >= max_intervals or not heaps[i]:
-                raise AccuracyError(
-                    f"tolerance not met for {what} after {intervals[i]} "
-                    f"intervals (err {err_total[i]:.3e}, value {total[i]:.6e})",
-                    total[i], err_total[i],
-                )
+                fail(i, f"tolerance not met for {what} after {intervals[i]} "
+                        f"intervals (err {err_total[i]:.3e}, value "
+                        f"{total[i]:.6e})")
+                continue
             neg_err, _, lo, hi, val = heapq.heappop(heaps[i])
             if hi - lo < max(1e-15 * max(abs(lo), abs(hi)), 5e-300):
                 # cannot usefully subdivide; its error stays in the total
                 stuck_err[i] -= neg_err
                 if stuck_err[i] > target:
-                    raise AccuracyError(
-                        f"bisection depth exhausted for {what} "
-                        f"(err {err_total[i]:.3e}, value {total[i]:.6e})",
-                        total[i], err_total[i],
-                    )
+                    fail(i, f"bisection depth exhausted for {what} "
+                            f"(err {err_total[i]:.3e}, value {total[i]:.6e})")
+                    continue
+                still.append(i)
                 continue
+            still.append(i)
             split.append((i, lo, 0.5 * (lo + hi), hi, val, neg_err))
         if not still:
             break
@@ -630,6 +508,9 @@ class _Run:
         self.inner_rel = np.zeros(len(specs))
         self.outer_err = None
         self.outer_floor = None
+        # member -> the AccuracyError of its outermost integral, in the
+        # order the failures happen; the other members run on
+        self.failures = {}
 
     def monomial_exponent(self, j):
         if self.u is None:
@@ -832,6 +713,7 @@ def _level_value(run, j, fixed, member, rel_tol):
         value, err, floor = adaptive_quadrature(
             f, np.zeros(count), np.ones(count), rel_tol,
             ABS_FLOOR / len(paths), what=f"variable {j + 1}, {path.describe()}",
+            failures=run.failures if j == 0 else None,
         )
         total += value
         err_total += err
@@ -902,24 +784,44 @@ def _check_batch(specs, contour):
 
 
 def _integrate_batch(specs, contour, tol):
-    """(value, err) of each spec; the specs share their supports."""
+    """(results, first) for specs that share their supports: per spec its
+    (value, err) pair or its AccuracyError, and the failure that happened
+    first (None if every spec succeeds).
+
+    A member whose outermost integral fails, or whose result misses the
+    tolerance, gets the error it raises alone, and the others run on.
+    Any other failure (an inner level's, a divergence, missing branch
+    data) raises for the whole batch.
+    """
     run = _Run(specs, contour)
-    values = _level_value(run, 0, {}, np.arange(len(specs)), tol * 0.5)
+    try:
+        values = _level_value(run, 0, {}, np.arange(len(specs)), tol * 0.5)
+    except (QuadratureError, ValueError):
+        if run.failures:  # failed first, so it is what the batch raises
+            raise next(iter(run.failures.values())) from None
+        raise
     results = []
+    misses = []
     for k, value in enumerate(values):
+        if k in run.failures:
+            results.append(run.failures[k])
+            continue
         err = float(run.outer_err[k]) + float(run.inner_rel[k]) * abs(value)
         floor = float(run.outer_floor[k])
         # saturation at the double-precision roundoff floor of a cancelling
         # integrand counts as converged: the honest error estimate is returned
         acceptable = (err <= tol * abs(value) or abs(value) <= ABS_FLOOR
                       or err <= ABS_FLOOR or err <= 2.0 * floor)
-        if not acceptable:
-            raise AccuracyError(
-                f"combined error estimate {err:.3e} exceeds tolerance for "
-                f"value {value:.6e}", value, err,
-            )
-        results.append((value, err))
-    return results
+        if acceptable:
+            results.append((value, err))
+            continue
+        results.append(AccuracyError(
+            f"combined error estimate {err:.3e} exceeds tolerance for "
+            f"value {value:.6e}", value, err,
+        ))
+        misses.append(results[-1])
+    first = next(iter(run.failures.values()), misses[0] if misses else None)
+    return results, first
 
 
 def integrate(spec, contour: ProductContour, tol: float = 1e-9):
@@ -938,6 +840,14 @@ def integrate(spec, contour: ProductContour, tol: float = 1e-9):
     and a power-product factor that vanishes at an end of a one-variable
     chain under an exponent of real part <= -1, which is not integrable
     there).
+
+    A member of a sequence whose own integral fails (interval budget or
+    bisection depth at the outermost level, or the final tolerance test)
+    stops while the others run on.  The AccuracyError raised is then the
+    first of those failures, and its ``results`` attribute holds, per
+    member, the (value, err_estimate) pair, the member's own
+    AccuracyError (the one it raises alone), or None where the member did
+    not run (a later polynomial support).  Other failures raise at once.
     """
     single = isinstance(spec, IntegrandSpec)
     specs = [spec] if single else list(spec)
@@ -947,9 +857,13 @@ def integrate(spec, contour: ProductContour, tol: float = 1e-9):
         groups.setdefault(_support(s), []).append(k)
     results = [None] * len(specs)
     for members in groups.values():
-        batch = _integrate_batch([specs[k] for k in members], contour, tol)
+        batch, first = _integrate_batch([specs[k] for k in members], contour,
+                                        tol)
         for k, result in zip(members, batch):
             results[k] = result
+        if first is not None:
+            first.results = results
+            raise first
     return results[0] if single else results
 
 

@@ -35,7 +35,9 @@ base variable the table of distinct arguments s with Gamma(s) (or
 index into it, and the exponent matrix of m.  Each point then computes
 only (-a_j)**(-s) per table entry and the products and sums in arrays.
 The principal branch of log is used for the powers (-a_j)**(-s_j), with
-the plane cut along the negative real axis of (-a_j).
+the plane cut along the negative real axis of (-a_j).  Only this numeric
+path imports numpy, so building a series and applying operators to it
+load none.
 """
 
 from __future__ import annotations
@@ -46,8 +48,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
 from typing import Callable, Mapping, Sequence
-
-import numpy as np
 
 from .exact import ExactComplex, common_denominator, solve_exact
 from .lattice import Base, ExponentSet, base_coords
@@ -565,6 +565,25 @@ def _gamma_part(s: complex, form: str):
         return None
 
 
+def _log_reciprocal_gamma(z: complex) -> complex:
+    """A logarithm of 1/Gamma(z) (not the principal one); z is not one of
+    0, -1, -2, ...  Re z < 1/2 uses the reflection formula, as
+    reciprocal_gamma does."""
+    if z.real >= 0.5:
+        return -_log_gamma(z)
+    # sin(pi z) = (-1)**n sin(w) with w = pi (z - n)
+    n = round(z.real)
+    w = math.pi * (z - n)
+    if abs(w.imag) < 20.0:
+        log_sin = cmath.log(cmath.sin(w))
+    else:
+        k = 1 if w.imag > 0 else -1
+        log_sin = cmath.log(k * 0.5j) - k * 1j * w
+    if n % 2:
+        log_sin += 1j * math.pi
+    return log_sin + _log_gamma(1 - z) - _LOG_PI
+
+
 @dataclass(frozen=True)
 class ArgumentTable:
     """The distinct Gamma arguments of one base variable over a series."""
@@ -586,6 +605,8 @@ class NumericForm:
 
 
 def _numeric_form(series: GammaSeries) -> NumericForm:
+    import numpy as np
+
     W, S, rows = series.integer_form()
     direct = series.form == "direct"
     tables = []
@@ -617,15 +638,21 @@ def _numeric_form(series: GammaSeries) -> NumericForm:
 def _closed_form_values(series: GammaSeries, values) -> np.ndarray:
     """Each term's value at the point, raising as a term-by-term loop would.
 
-    Per point only (-a_j)**(-s) is computed, once per table entry.  A
-    factor that is exactly 0 makes its term 0 and hides its later
-    factors.  The first term in series order that reaches a failing
-    factor (a Gamma overflow or a zero base value under an exponent with
-    nonpositive real part) raises, and a direct-form pole term raises
-    SeriesPoleError unless an earlier term has raised.
+    Per point only (-a_j)**(-s) is computed, once per table entry.  Where
+    the Gamma part or the power leaves the double range, so that their
+    product comes out 0 or not finite, the product is formed again in
+    log space, which keeps it wherever it is itself in range.  A factor
+    that is exactly 0 makes its term 0 and hides its later factors.  The
+    first term in series order that reaches a failing factor (a Gamma
+    overflow or a zero base value under an exponent with nonpositive
+    real part) raises, and a direct-form pole term raises SeriesPoleError
+    unless an earlier term has raised.
     """
+    import numpy as np
+
     form = series.numeric_form()
     layout = series.layout
+    direct = series.form == "direct"
     out = form.scalars.copy()
     live = np.ones(len(out), dtype=bool)
     culprit = np.full(len(out), -1)  # the base variable whose factor failed
@@ -636,11 +663,20 @@ def _closed_form_values(series: GammaSeries, values) -> np.ndarray:
         for k, (s, g) in enumerate(zip(table.args, table.gammas)):
             if g is None:
                 failing[k] = True
-            elif g != 0:
-                try:
-                    factors[k] = g * negated_power(a, -s)
-                except ValueError:
-                    failing[k] = True
+                continue
+            if g == 0 and not direct and s.imag == 0 and s.real >= 1 \
+                    and s.real.is_integer():
+                continue  # 1/Gamma(1 - s) is exactly 0 here
+            try:
+                factor = g * negated_power(a, -s) if g != 0 else 0j
+            except ValueError:
+                failing[k] = True
+                continue
+            if (factor == 0 or not cmath.isfinite(factor)) and a != 0:
+                log_g = -_log_reciprocal_gamma(s) if direct \
+                    else _log_reciprocal_gamma(1 - s)
+                factor = _exp(log_g - s * cmath.log(-a))
+            factors[k] = factor
         term_factors = factors[table.index]
         culprit[live & failing[table.index]] = j
         live &= term_factors != 0
@@ -699,6 +735,8 @@ def evaluate_series(series: GammaSeries, assignment: Mapping):
     """
     values = _normalize_assignment(series.layout, assignment)
     if series.is_closed_form():
+        import numpy as np
+
         # inf and nan arise silently, as in Python's complex arithmetic
         with np.errstate(over="ignore", invalid="ignore"):
             terms = _closed_form_values(series, values)

@@ -37,13 +37,13 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from .contours import AccuracyError, ProductContour, _INF, _leg_endpoints
 from .lattice import ExponentSet, unit_exponents
 from .operators import (DiffOperator, build_system, euler_y_operator,
                         gg_relation_operator, operator_text)
 from .polynomials import CoeffVar, SparsePolynomial, as_coeff_var, joined_vars
 from .quadrature import (AlphaMonomial, AlphaOne, AlphaPowerProduct,
-                         IntegrandSpec, ProductContour, _INF, _leg_endpoints,
-                         integrate)
+                         IntegrandSpec, integrate)
 from .series import GammaSeries, evaluate_series
 
 DEFAULT_STEP_SCALE = 1e-4
@@ -52,7 +52,9 @@ DEFAULT_RESIDUAL_TOL = 1e-3
 
 def _takes_batches(fn):
     """Mark ``fn`` as also taking a list of assignments, for which it
-    returns the list of values (see CoeffFunction.prefetch)."""
+    returns the list of values.  In place of a value an entry may hold
+    the exception that the point raises alone, or None where the point
+    was not evaluated (see CoeffFunction.prefetch)."""
     fn.takes_batches = True
     return fn
 
@@ -65,6 +67,7 @@ class CoeffFunction:
         self.fn = fn
         self.name = name
         self._cache = {}
+        self._errors = {}  # prefetched points whose evaluation raises
 
     def _key(self, assignment: Mapping):
         return tuple((var, assignment[var]) for var in self.variables)
@@ -72,6 +75,8 @@ class CoeffFunction:
     def __call__(self, assignment: Mapping):
         key = self._key(assignment)
         if key not in self._cache:
+            if key in self._errors:
+                raise self._errors[key]
             self._cache[key] = self.fn(dict(assignment))
         return self._cache[key]
 
@@ -79,9 +84,11 @@ class CoeffFunction:
         """Cache the values at the uncached ``points`` with one call of a
         batch-capable ``fn``; other functions stay lazy.
 
-        If building the points or the batch raises, nothing is cached:
-        each point is then evaluated as it is looked up and raises what
-        it raises alone.
+        A point whose entry in the batch is an exception raises it when
+        it is looked up.  A point the batch did not evaluate (None) is not
+        cached, and if building the points or the batch raises, nothing
+        is: such a point is evaluated when it is looked up and raises
+        what it raises alone.
         """
         if not getattr(self.fn, "takes_batches", False):
             return
@@ -93,7 +100,11 @@ class CoeffFunction:
                     todo.setdefault(key, point)
             if todo:
                 values = self.fn([dict(point) for point in todo.values()])
-                self._cache.update(zip(todo, values))
+                for key, value in zip(todo, values):
+                    if isinstance(value, Exception):
+                        self._errors[key] = value
+                    elif value is not None:
+                        self._cache[key] = value
         except Exception:
             pass  # the lookups raise it again, point by point
 
@@ -163,12 +174,20 @@ class CoeffFunction:
 def _quadrature_fn(spec: Callable, contour: ProductContour, tol: float):
     """The batch-capable value of integrate at spec(assignment): one
     assignment gives one value, a list of them one integrate call and
-    the list of values."""
+    the list of values, with a point's AccuracyError in place of its
+    value where its integral fails, and None where integrate did not get
+    to it."""
     @_takes_batches
     def fn(assignments):
         batch = not isinstance(assignments, Mapping)
         specs = [spec(a) for a in (assignments if batch else [assignments])]
-        values = [value for value, _ in integrate(specs, contour, tol)]
+        try:
+            results = integrate(specs, contour, tol)
+        except AccuracyError as exc:
+            results = getattr(exc, "results", None)
+            if not batch or results is None:
+                raise
+        values = [r[0] if isinstance(r, tuple) else r for r in results]
         return values if batch else values[0]
     return fn
 

@@ -380,6 +380,36 @@ class TestBatchedIntegrands:
         with pytest.raises(AccuracyError, match="after 4096 intervals"):
             integrate(specs, UNIT_SEGMENT, 1e-10)
 
+    def test_failing_members_keep_the_others_results(self):
+        # members 1 and 3 run out of intervals; 0 and 2 run on to the end
+        specs = [IntegrandSpec(SparsePolynomial(1, {(1,): c1}), AlphaOne())
+                 for c1 in (1j, 2e5j, -2.0 + 3j, 3e5j)]
+        alone = []
+        for spec in specs:
+            try:
+                alone.append(integrate(spec, UNIT_SEGMENT, 1e-10))
+            except AccuracyError as exc:
+                alone.append(exc)
+        with pytest.raises(AccuracyError) as batched:
+            integrate(specs, UNIT_SEGMENT, 1e-10)
+        results = batched.value.results
+        # the error raised is the first to happen, member 1's
+        assert results[1] is batched.value
+        for got, want in zip(results, alone):
+            if isinstance(want, AccuracyError):
+                assert type(got) is AccuracyError
+                assert (str(got), got.value, got.err_estimate) == \
+                    (str(want), want.value, want.err_estimate)
+            else:
+                assert _bits([got]) == _bits([want])
+
+    def test_members_of_later_supports_do_not_run_after_a_failure(self):
+        specs = [IntegrandSpec(SparsePolynomial(1, p), AlphaOne())
+                 for p in ({(1,): 2e5j}, {(1,): 1j, (2,): -1.0})]
+        with pytest.raises(AccuracyError) as batched:
+            integrate(specs, UNIT_SEGMENT, 1e-10)
+        assert batched.value.results == [batched.value, None]
+
     @pytest.mark.parametrize("other", [
         IntegrandSpec(SparsePolynomial(1, {(1,): -1.0}), AlphaOne()),
         IntegrandSpec(SparsePolynomial(1, {(1,): -1.0}), AlphaMonomial(0.7)),

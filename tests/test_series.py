@@ -1,5 +1,6 @@
 import cmath
 import math
+import os
 import subprocess
 import sys
 import warnings
@@ -108,6 +109,32 @@ def test_cli_import_leaves_scipy_unloaded():
     assert out.strip() == "[]"
 
 
+GAUSSIAN_JSON = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "problems", "gaussian.json")
+EXACT_ONLY = ("numpy", "hypint.quadrature", "hypint.verify")
+
+
+@pytest.mark.parametrize("command, present, absent", [
+    ("system", "hypint.operators", EXACT_ONLY),
+    ("series", "hypint.series", EXACT_ONLY),
+    ("eval", "hypint.quadrature",
+     ("hypint.verify", "hypint.operators", "hypint.series")),
+    ("verify", "hypint.verify", ()),
+])
+def test_each_command_imports_only_what_it_uses(command, present, absent):
+    code = ("import contextlib, io, sys, hypint.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    rc = hypint.cli.main([{command!r}, {GAUSSIAN_JSON!r}])\n"
+            "print(rc, *sorted(sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], text=True,
+                         capture_output=True, check=True).stdout.split()
+    assert out[0] == "0"
+    loaded = set(out[1:])
+    assert present in loaded
+    assert [m for m in absent if m in loaded] == []
+    assert not any(m.split(".")[0] == "scipy" for m in loaded)
+
+
 def _args_by_m(exponents, base, u, order):
     return {t.m: t.args for t in gg_series(exponents, base, u, order).terms}
 
@@ -115,6 +142,34 @@ def _args_by_m(exponents, base, u, order):
 def test_package_exports_resolve():
     import hypint
     assert [name for name in hypint.__all__ if not hasattr(hypint, name)] == []
+
+
+def test_package_exports_are_lazy_and_listed():
+    code = ("import sys, hypint\n"
+            "before = sorted(m for m in sys.modules if m.startswith('hypint'))\n"
+            "missing = [n for n in hypint.__all__ if n not in dir(hypint)]\n"
+            "ns = {}\n"
+            "exec('from hypint import *', ns)\n"
+            "print(before, missing, sorted(set(hypint.__all__) - set(ns)))")
+    out = subprocess.run([sys.executable, "-c", code], text=True,
+                         capture_output=True, check=True).stdout
+    assert out.strip() == "['hypint'] [] []"
+    import hypint
+    with pytest.raises(AttributeError):
+        hypint.no_such_name
+    # the submodules behind the names are reachable as attributes too
+    assert hypint.series.gg_series is hypint.gg_series
+
+
+@pytest.mark.parametrize("name", ["Segment", "Ray", "Arc", "Line",
+                                  "ProductContour", "QuadratureError",
+                                  "DivergenceError", "AccuracyError"])
+def test_quadrature_reexports_the_contour_objects(name):
+    import hypint
+    import hypint.contours
+    import hypint.quadrature
+    assert getattr(hypint.quadrature, name) is getattr(hypint.contours, name)
+    assert getattr(hypint, name) is getattr(hypint.contours, name)
 
 
 class TestGammaCoefficient:
@@ -526,17 +581,31 @@ class TestEvaluate:
         assert not math.isfinite(abs(value))
 
     def test_arguments_where_gamma_underflows_give_zero_terms(self):
-        # s(m) = -180.5 + 2m: every Gamma(s) is below the double range,
-        # and at a = -1 each (-a)**(-s) is 1
+        # s(m) = -180.5 + 2m: Gamma(s) is below the double range for
+        # m <= 1 and subnormal from m = 2 on, and at a = -1 each
+        # (-a)**(-s) is 1; only the subnormal terms m = 3, 4 survive
         series = gg_series(A12, B1, -180.5, 4)
         point = {1: -1.0, 2: 0.01}
         value, tail = evaluate_series(series, point)
-        assert value == 0 and tail == 0
         with mpmath.workdps(30):
             ref = sum(mpmath.mpf(t.scalar.re.numerator) / t.scalar.re.denominator
                       * mpmath.gamma(complex(t.args[0]))
                       * mpmath.mpf(0.01) ** t.m[0] for t in series.terms)
         assert abs(ref) < 1e-300
+        assert abs(value - complex(ref)) < 3 * 5e-324  # subnormal spacing
+        assert tail != 0
+
+    @pytest.mark.parametrize("form", ["direct", "reciprocal"])
+    @pytest.mark.parametrize("u, a", [(-180.5, -2.0), (180.5, -200.0)])
+    def test_gamma_out_of_range_is_recombined_with_the_power(self, form, u, a):
+        # Gamma(-180.5) underflows, 1/Gamma(181.5) too, and Gamma(180.5)
+        # overflows, while (-a)**(-u) brings the product back in range
+        series = gg_series(A12, B1, u, 0, form=form)
+        value, _ = evaluate_series(series, {1: a, 2: 0.01})
+        g = mpmath.gamma(u) if form == "direct" else 1 / mpmath.gamma(1 - u)
+        ref = complex(g * mpmath.mpf(-a) ** -u)
+        assert ref != 0 and math.isfinite(abs(ref))
+        assert abs(value - ref) <= 1e-12 * abs(ref)
 
     @pytest.mark.parametrize("members, base", SETS_2D[1:] + [SET_3D])
     def test_reciprocal_form_is_direct_form_per_coset(self, members, base):

@@ -274,6 +274,37 @@ class TestBatchedStencils:
         assert str(batched.value) == str(lazy.value)
         assert batched.value.value == lazy.value.value
 
+    def test_prefetch_keeps_each_points_outcome(self, monkeypatch):
+        # c1 = 2e5 i oscillates past the interval budget; the other points
+        # converge, and no point is integrated a second time
+        f = CoeffFunction.from_gg_quadrature(ExponentSet(1, [1]), 1,
+                                             UNIT_SEGMENT, 1e-10)
+        points = [{C1: c1} for c1 in (1j, 2e5j, -2.0 + 3j)]
+        alone = []
+        for point in points:
+            try:
+                alone.append(f.fn(point))
+            except AccuracyError as exc:
+                alone.append(exc)
+        calls = []
+        real = verify.integrate
+
+        def counting(spec, contour, tol=1e-9):
+            calls.append(spec)
+            return real(spec, contour, tol)
+
+        monkeypatch.setattr(verify, "integrate", counting)
+        f.prefetch(points)
+        assert len(calls) == 1
+        for point, want in zip(points, alone):
+            if isinstance(want, AccuracyError):
+                with pytest.raises(AccuracyError) as got:
+                    f(point)
+                assert (str(got.value), got.value.value) == (str(want), want.value)
+            else:
+                assert f(point) == want
+        assert len(calls) == 1
+
     def test_per_point_functions_stay_lazy(self):
         gauss = CoeffFunction.gaussian_quadratic()
         calls = []
