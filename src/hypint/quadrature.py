@@ -13,11 +13,15 @@ this module holds the integrand descriptions and the numeric driver.
 
 Each level is batched over its nodes: the integral over variable j is
 computed for all B nodes at once, one lockstep adaptive run per leg.
-Every round each unconverged node bisects its own worst interval, just
-as it would alone, and the panels of all nodes go to the integrand in
-one array call.  Above the innermost level that call is the next level,
-which takes all points of the round as its nodes, at most _NODE_CAP at
-a time so that memory stays bounded in three variables.
+Every round each unconverged node bisects, just as it would alone, its
+worst intervals, as many as together carry its excess error over the
+target (bulk marking, as in Doerfler's adaptive refinement), and the
+panels of all nodes go to the integrand in one array call.  Above the
+innermost level that call is the next level, which takes all points of
+the round as its nodes, at most _NODE_CAP (the 120 points of one set of
+starting panels) at a time so that memory stays bounded in three
+variables.  One integrand's starting round, and each of its rounds that
+bisects at most four intervals, thus makes one inner-level call.
 
 At the outermost level the nodes are the integrands themselves:
 ``integrate`` takes one IntegrandSpec or a sequence of specs that differ
@@ -64,18 +68,22 @@ DECAY_RE_P = -50.0          # required exponent decay on unbounded legs
 MAGNITUDE_CUT = 1e-18       # truncation threshold relative to on-leg max
 VANISH_TOL = 1e-12          # multivalued factor may not vanish on a leg
 ABS_FLOOR = 1e-14           # below this magnitude relative error is moot
-_NODE_CAP = 64              # outer nodes per inner-level call; bounds memory
+_START_PANELS = 8           # equal panels an adaptive run starts from
+# outer nodes per inner-level call, which bounds memory: the GK15 points
+# of one starting panel set
+_NODE_CAP = _START_PANELS * 15
 
-# glibc returns the top of its heap to the system whenever more than its
-# trim threshold (128 KiB by default) lies free there.  A batched level
-# allocates and frees complex temporaries of up to 125 KiB (_NODE_CAP
-# nodes times 120 points or 122 scan radii), so, depending on where
-# long-lived objects happen to sit on the heap, every inner level could
-# hand pages back and fault them in again: up to 200 page faults and a
-# tenth of the time of a 2-D integral, varying from process to process.
-# Freeing one block above the mmap threshold makes glibc raise that
-# threshold to the block's size and the trim threshold to twice it,
-# unless they were set explicitly; other allocators ignore it.
+# glibc serves blocks above its mmap threshold (128 KiB by default) from
+# fresh pages, and returns the top of its heap to the system whenever
+# more than its trim threshold (also 128 KiB) lies free there.  A batched
+# level allocates and frees complex temporaries of up to 230 KiB
+# (_NODE_CAP nodes times 120 points or 122 scan radii, 16 bytes each), so
+# every inner level would fault its pages in again: without the line
+# below a 2-D Gaussian of the benchmark kind took 1,300 page faults and
+# up to 1.7 times the time (glibc 2.36, x86-64).  Freeing one block above
+# the mmap threshold makes glibc raise that threshold to the block's size
+# and the trim threshold to twice it, unless they were set explicitly;
+# other allocators ignore it.
 np.empty(4 << 20, dtype=np.uint8)
 
 
@@ -217,28 +225,34 @@ def adaptive_quadrature(f, a, b, rel_tol, abs_floor, max_intervals=4096,
 
     With scalar ``a`` and ``b``, ``f`` is evaluated on numpy arrays of
     points and (value, err, roundoff floor) is returned.  With length-B
-    arrays, B independent integrals run in lockstep: each round every
-    unconverged integral bisects its own worst interval, and ``f``
-    receives one array with fields ``node`` (which integral) and ``tau``
-    (the point) holding all panels requested in the round; the three
-    results are then length-B arrays.  Each integral stops on its own
-    target and follows exactly the bisections it would follow alone.
-    Raises AccuracyError carrying the best estimate of the failing
-    integral when its budget or bisection depth is exhausted.  Batched,
+    arrays, B independent integrals run in lockstep, and ``f`` receives
+    one array with fields ``node`` (which integral) and ``tau`` (the
+    point) holding all panels requested in the round; the three results
+    are then length-B arrays.  Each round every unconverged integral
+    bisects its worst intervals, as many as it takes for their estimates
+    to sum to the excess of its error over its target: at least one, no
+    more than its budget of ``max_intervals`` has room for, and none
+    after an interval too short to bisect, whose error stays in the
+    total.  Each integral stops on its own target and follows exactly the
+    bisections it would follow alone.  Raises AccuracyError carrying the
+    best estimate of the failing integral when its budget is exhausted,
+    or its bisection depth: the errors of the intervals too short to
+    bisect exceed its target.  Batched,
     with a dict ``failures``, that error is stored there under the
     integral's index instead, and the other integrals run on; integrals
     already in it are not refined, and their results mean nothing.
     """
     batched = np.ndim(a) > 0
-    pieces = np.linspace(np.atleast_1d(a), np.atleast_1d(b), 9, axis=1)
+    pieces = np.linspace(np.atleast_1d(a), np.atleast_1d(b),
+                         _START_PANELS + 1, axis=1)
     count = len(pieces)
-    vals, errs = _gk15(f, np.repeat(np.arange(count), 8),
+    vals, errs = _gk15(f, np.repeat(np.arange(count), _START_PANELS),
                        pieces[:, :-1].ravel(), pieces[:, 1:].ravel(), batched)
-    vals, errs = vals.reshape(count, 8), errs.reshape(count, 8)
+    vals, errs = vals.reshape(count, -1), errs.reshape(count, -1)
     total = np.zeros(count, dtype=complex)
     err_total = np.zeros(count)
     mass = np.zeros(count)
-    for k in range(8):
+    for k in range(_START_PANELS):
         total += vals[:, k]
         err_total += errs[:, k]
         mass += np.abs(vals[:, k])
@@ -248,7 +262,7 @@ def adaptive_quadrature(f, a, b, rel_tol, abs_floor, max_intervals=4096,
     heaps = {}  # built when an integral first needs a bisection
     stuck_err = {}
     intervals = {}
-    tiebreak = 8  # the starting panels hold 0..7
+    tiebreak = _START_PANELS  # the starting panels hold the numbers below
     active = [i for i in range(count) if i not in failures] if failures \
         else range(count)
 
@@ -268,29 +282,41 @@ def adaptive_quadrature(f, a, b, rel_tol, abs_floor, max_intervals=4096,
             if err_total[i] <= target:
                 continue
             if i not in heaps:
-                heaps[i] = list(zip((-errs[i]).tolist(), range(8),
+                heaps[i] = list(zip((-errs[i]).tolist(), range(_START_PANELS),
                                     pieces[i, :-1].tolist(),
                                     pieces[i, 1:].tolist(), vals[i].tolist()))
                 heapq.heapify(heaps[i])
                 stuck_err[i] = 0.0
-                intervals[i] = 8
-            if intervals[i] >= max_intervals or not heaps[i]:
+                intervals[i] = _START_PANELS
+            heap = heaps[i]
+            if intervals[i] >= max_intervals or not heap:
                 fail(i, f"tolerance not met for {what} after {intervals[i]} "
                         f"intervals (err {err_total[i]:.3e}, value "
                         f"{total[i]:.6e})")
                 continue
-            neg_err, _, lo, hi, val = heapq.heappop(heaps[i])
-            if hi - lo < max(1e-15 * max(abs(lo), abs(hi)), 5e-300):
-                # cannot usefully subdivide; its error stays in the total
-                stuck_err[i] -= neg_err
-                if stuck_err[i] > target:
-                    fail(i, f"bisection depth exhausted for {what} "
-                            f"(err {err_total[i]:.3e}, value {total[i]:.6e})")
-                    continue
-                still.append(i)
+            # bulk marking: the worst intervals that together carry the
+            # excess error, at least one, within the interval budget
+            first = len(split)
+            excess = err_total[i] - target
+            room = max_intervals - intervals[i]
+            while True:
+                neg_err, _, lo, hi, val = heapq.heappop(heap)
+                short = hi - lo < max(1e-15 * max(abs(lo), abs(hi)), 5e-300)
+                if short:
+                    # cannot usefully subdivide; its error stays in the
+                    # total, and the round's marking for i ends here
+                    stuck_err[i] -= neg_err
+                    break
+                split.append((i, lo, 0.5 * (lo + hi), hi, val, neg_err))
+                excess += neg_err
+                if excess <= 0 or len(split) - first == room or not heap:
+                    break
+            if short and stuck_err[i] > target:
+                del split[first:]
+                fail(i, f"bisection depth exhausted for {what} "
+                        f"(err {err_total[i]:.3e}, value {total[i]:.6e})")
                 continue
             still.append(i)
-            split.append((i, lo, 0.5 * (lo + hi), hi, val, neg_err))
         if not still:
             break
         active = still
@@ -659,7 +685,8 @@ def _level_value(run, j, fixed, member, rel_tol):
     array of its t_i values (empty at the outermost level).  Each leg of
     chain j is integrated for all B nodes in one lockstep
     adaptive_quadrature call; an outer level hands the points of a whole
-    round to the next level as its nodes, at most _NODE_CAP at a time.
+    round to the next level as its nodes, at most _NODE_CAP at a time, so
+    a single integrand's starting round makes one call.
     Returns the B values.
     """
     count = len(member)

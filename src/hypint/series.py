@@ -145,8 +145,28 @@ def complex_gamma(z: complex) -> complex:
     return _exp(_log_gamma(z))
 
 
+def _int_power(base: complex, n: int) -> complex:
+    """base**n for a nonzero base, infinite in the quadrant of the value
+    past the double range (a real base gives a real infinity).  Python
+    raises there (ZeroDivisionError where base**-n underflows to 0), or,
+    multiplying out a small n, may give nan."""
+    try:
+        value = base ** n
+        if cmath.isfinite(value):
+            return value
+    except (OverflowError, ZeroDivisionError):
+        pass
+    if base.imag == 0:
+        negative = base.real < 0 and n % 2
+        return complex(-math.inf if negative else math.inf, 0.0)
+    d = (base / abs(base)) ** n
+    return complex(math.copysign(math.inf, d.real) if d.real else 0.0,
+                   math.copysign(math.inf, d.imag) if d.imag else 0.0)
+
+
 def negated_power(a: complex, rho: complex) -> complex:
-    """Principal-branch (-a)**rho; rho may be complex."""
+    """Principal-branch (-a)**rho; rho may be complex.  Past the double
+    range the value is infinite in its quadrant, as from _exp."""
     base = -complex(a)
     if base == 0:
         if rho == 0:
@@ -155,8 +175,8 @@ def negated_power(a: complex, rho: complex) -> complex:
             return 0j
         raise ValueError("0 raised to an exponent with nonpositive real part")
     if rho.imag == 0 and float(rho.real).is_integer():
-        return base ** int(rho.real)
-    return cmath.exp(complex(rho) * cmath.log(base))
+        return _int_power(base, int(rho.real))
+    return _exp(complex(rho) * cmath.log(base))
 
 
 def multi_indices(width: int, max_total: int):
@@ -698,7 +718,8 @@ def _closed_form_values(series: GammaSeries, values) -> np.ndarray:
         )
     for i, var in enumerate(layout.series_vars):
         x = values[var]
-        powers = np.array([x ** k for k in range(series.truncation_order + 1)],
+        powers = np.array([_int_power(x, k)
+                           for k in range(series.truncation_order + 1)],
                           dtype=complex)
         out *= powers[form.exponents[:, i]]
     out[~live] = 0
@@ -715,7 +736,7 @@ def _term_value(term, series: GammaSeries, values) -> complex:
     series_part = 1.0 + 0j
     for mw, var in zip(term.m, layout.series_vars):
         if mw:
-            series_part *= values[var] ** mw
+            series_part *= _int_power(values[var], mw)
     if isinstance(term, OracleTerm):
         base_values = {var: values[var] for var in layout.base_vars}
         return float(term.weight) * complex(term.coefficient(base_values)) \
@@ -730,7 +751,9 @@ def evaluate_series(series: GammaSeries, assignment: Mapping):
     order's contribution, the only truncation indicator available (the
     expansion carries no remainder bound).  Direct-form pole terms raise
     SeriesPoleError; a zero base value under a negative-real-part
-    exponent raises ValueError.  A closed-form series is evaluated in
+    exponent raises ValueError.  Past the double range a power or a term
+    overflows to an infinity, and infinities may sum to nan, silently (no
+    OverflowError and no warning).  A closed-form series is evaluated in
     arrays from its cached numeric_form().
     """
     values = _normalize_assignment(series.layout, assignment)

@@ -729,8 +729,9 @@ def series_vs_oracle(series: GammaSeries, contour: ProductContour,
     report the deviation from quadrature at the remaining points.
 
     Points whose series tail estimate exceeds ``tail_tol`` (relative to
-    the value) are outside the expansion's usable region and are skipped
-    with a notice rather than compared.
+    the value), or whose series value or tail is not finite, are outside
+    the expansion's usable region and are skipped with a notice rather
+    than compared.
     """
     layout = series.layout
     n = layout.exponents.dimension
@@ -740,6 +741,10 @@ def series_vs_oracle(series: GammaSeries, contour: ProductContour,
     skipped = []
     for point in points:
         value, tail = evaluate_series(series, point)
+        if not (cmath.isfinite(value) and math.isfinite(tail)):
+            skipped.append((dict(point), float(tail),
+                            "series value or tail estimate not finite"))
+            continue
         if tail > tail_tol * max(1.0, abs(value)):
             skipped.append((dict(point), float(tail),
                             "tail estimate beyond the usable region"))

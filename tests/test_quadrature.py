@@ -66,6 +66,66 @@ class TestAdaptiveRule:
         assert abs(info.value.value) > 0
         assert info.value.err_estimate > 0
 
+    def test_bulk_round_bisects_every_interval_it_needs(self):
+        # the eight starting panels all miss 1e-12 on cos(40 x); one round
+        # bisects them together and meets it
+        import numpy as np
+        sizes = []
+
+        def f(x):
+            sizes.append(x.size)
+            return np.cos(40.0 * x)
+
+        value, err, _ = adaptive_quadrature(f, 0.0, 1.0, 1e-12, 1e-15)
+        assert len(sizes) == 2
+        assert sizes[1] // 30 > 1  # two panels of 15 points per bisection
+        assert abs(value - math.sin(40.0) / 40.0) < 1e-15
+        assert err <= 1e-12 * abs(value)
+
+    def test_a_round_stays_within_the_interval_budget(self):
+        # every starting panel of cos(200 x) misses the tolerance, but a
+        # budget of 12 intervals leaves room for four bisections
+        import numpy as np
+        sizes = []
+
+        def f(x):
+            sizes.append(x.size)
+            return np.cos(200.0 * x)
+
+        with pytest.raises(AccuracyError, match="after 12 intervals"):
+            adaptive_quadrature(f, 0.0, 1.0, 1e-12, 1e-15, max_intervals=12)
+        assert sizes == [8 * 15, 4 * 30]
+
+    # a jump at 100 + 1/sqrt(2): the interval holding it shrinks below
+    # 1e-15 of its position while its error still exceeds the target
+    JUMP = 100.0 + 1.0 / math.sqrt(2.0)
+
+    def test_bisection_depth_exhausted(self):
+        with pytest.raises(AccuracyError, match="bisection depth exhausted"):
+            adaptive_quadrature(lambda x: (x > self.JUMP).astype(float),
+                                100.0, 101.0, 1e-16, 0.0)
+
+    def test_bisection_depth_exhausted_in_a_batch(self):
+        import numpy as np
+        scales = np.array([0.0, 0.5, 3.0])
+
+        def f(x):
+            node, t = x["node"], x["tau"]
+            return np.where(node == 0, (t > self.JUMP).astype(float),
+                            np.exp(-scales[node] * t) * np.sqrt(t))
+
+        failures = {}
+        values, errs, _ = adaptive_quadrature(
+            f, np.array([100.0, 0.0, 0.0]), np.array([101.0, 1.0, 1.0]),
+            1e-16, 0.0, failures=failures)
+        assert list(failures) == [0]
+        assert "bisection depth exhausted" in str(failures[0])
+        for k in (1, 2):
+            value, err, _ = adaptive_quadrature(
+                lambda t: np.exp(-scales[k] * t) * np.sqrt(t), 0.0, 1.0,
+                1e-16, 0.0)
+            assert (values[k], errs[k]) == (value, err)
+
 
 class TestProperIntegral:
     def test_gaussian(self):
@@ -96,6 +156,43 @@ class TestProperIntegral:
         a = 1 - 0.15 ** 2
         expected = SQRT_PI * math.sqrt(math.pi / a) * math.erf(math.sqrt(a))
         assert rel(proper_integral(P, c, 1e-8), expected) < 1e-8
+
+    def test_two_dimensional_gaussian_one_inner_call_per_outer_round(
+            self, monkeypatch):
+        # the points of an outer round fit in one inner-level call
+        from hypint import quadrature
+        level, gk15 = quadrature._level_value, quadrature._gk15
+        depth = [0]
+        outer_rounds = []
+        inner_calls = []
+
+        def spy_level(run, j, fixed, member, rel_tol):
+            if j == 1:
+                inner_calls.append(len(member))
+            return level(run, j, fixed, member, rel_tol)
+
+        def spy_gk15(f, node, a, b, batched):
+            if depth[0] == 0:
+                outer_rounds.append(len(a))
+            depth[0] += 1
+            try:
+                return gk15(f, node, a, b, batched)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(quadrature, "_level_value", spy_level)
+        monkeypatch.setattr(quadrature, "_gk15", spy_gk15)
+        P = SparsePolynomial(2, {(2, 0): -1.2, (1, 1): 0.4, (0, 2): -0.9,
+                                 (1, 0): 0.3 + 0.2j})
+        c = ProductContour([[Line(0.0)], [Line(0.0)]])
+        value, _ = integrate(IntegrandSpec(P, AlphaOne()), c, 1e-8)
+        a = 1.2 * 0.9 - 0.2 ** 2
+        expected = math.pi / math.sqrt(a) * cmath.exp(0.9 * (0.3 + 0.2j) ** 2
+                                                       / (4 * a))
+        assert rel(value, expected) < 1e-8
+        assert len(outer_rounds) > 1  # a refinement round was needed
+        assert len(inner_calls) == len(outer_rounds)
+        assert inner_calls == [15 * panels for panels in outer_rounds]
 
     def test_inner_variable_without_decay_diverges(self):
         P = SparsePolynomial(2, {(2, 0): -1, (1, 1): 0.5})
@@ -446,12 +543,13 @@ def test_gaussian_family_runtime():
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
                     reason="glibc heap trimming")
 def test_freed_temporaries_stay_on_the_heap():
-    # 2 MB of level-sized temporaries, allocated and freed again and again,
-    # must not make glibc trim its heap and fault the pages back in
+    # 3.7 MB of level-sized temporaries (122 scan radii for each of 120
+    # nodes), allocated and freed again and again, must not make glibc
+    # trim its heap or map fresh pages and fault them in
     code = """if True:
         import resource, numpy as np, hypint.quadrature
         def churn():
-            arrays = [np.ones(7600, dtype=complex) for _ in range(16)]
+            arrays = [np.ones(14640, dtype=complex) for _ in range(16)]
         churn()
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         for _ in range(20):

@@ -172,6 +172,26 @@ def test_quadrature_reexports_the_contour_objects(name):
     assert getattr(hypint, name) is getattr(hypint.contours, name)
 
 
+@pytest.mark.parametrize("a, rho, want", [
+    (-1e10, 200, complex(math.inf, 0)),     # integer power
+    (1e10, 201, complex(-math.inf, 0)),     # odd power of a negative base
+    (-1e-300, -25, complex(math.inf, 0)),   # inverse of an underflow
+    (-1e10, 200.5, complex(math.inf, 0)),   # through the exponential
+    (-1e10j, 201.5, complex(-math.inf, math.inf)),  # arg 201.5 pi/2: 3 pi/4
+    (-1e10j, 99, complex(0, -math.inf)),    # i**99 = -i; products give nan
+])
+def test_negated_power_overflows_to_a_signed_infinity(a, rho, want):
+    assert negated_power(a, rho) == want
+
+
+def test_negated_power_in_range_is_unchanged():
+    assert negated_power(-3.0, 5) == (3.0 + 0j) ** 5
+    assert negated_power(2 - 1j, -7) == (-2 + 1j) ** -7
+    assert negated_power(-1e10, 30) == (1e10 + 0j) ** 30
+    assert negated_power(-2 + 1j, 0.3 - 2j) == \
+        cmath.exp((0.3 - 2j) * cmath.log(2 - 1j))
+
+
 class TestGammaCoefficient:
     def test_linear_base_arguments(self):
         args = _args_by_m(A12, B1, 1, 3)
@@ -477,6 +497,26 @@ class TestCompiledEvaluation:
             value, tail = evaluate_series(series, {1: -1.0, 2: 1.0})
         assert value == complex(math.inf, 0)
         assert tail == abs(complex_gamma(171.5))
+
+    def test_series_variable_power_overflows_silently(self):
+        # c2**30 = 1e600 leaves the double range in the last order
+        series = gg_series(A12, B1, 0.5, 30)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value, tail = evaluate_series(series, {1: -1, 2: 1e20})
+        assert not cmath.isfinite(value)
+        assert tail == math.inf
+
+    @pytest.mark.parametrize("u", [0.5, 1])
+    def test_base_power_overflows_silently(self, u):
+        # (-a)**(-s) = 1e300**(u + 2m) leaves the double range: through
+        # the exponential for u = 1/2, through an integer power for u = 1
+        series = gg_series(A12, B1, u, 30)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value, tail = evaluate_series(series, {1: -1e-300, 2: 1.0})
+        assert not cmath.isfinite(value)
+        assert not math.isfinite(tail)
 
     def test_oracle_and_numeric_terms_keep_the_loop(self):
         layout = SeriesLayout(A12, B1)

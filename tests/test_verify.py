@@ -438,6 +438,19 @@ class TestSeriesVsOracle:
         assert len(report.skipped) == 1
         assert report.skipped[0][0][2] == -0.25
 
+    def test_points_whose_value_is_not_finite_are_skipped(self):
+        # at a1 = -1e-300 the powers (-a1)**(-1 - 2m) overflow and the sum
+        # is nan, whose tail no gate comparison would reject
+        series = gg_series(A12, Base(A12, (0,)), 1, 12)
+        ray = ProductContour([[Ray(0, 0.0)]])
+        points = [{1: -1.0, 2: -0.001}, {1: -1e-300, 2: 1.0},
+                  {1: -1.0, 2: -0.002}]
+        report = series_vs_oracle(series, ray, points, u=1, quad_tol=1e-12)
+        assert [s[0] for s in report.skipped] == [points[1]]
+        assert "not finite" in report.skipped[0][2]
+        assert len(report.comparisons) == 1
+        assert report.max_deviation < 1e-6
+
     def test_standard_expansion_against_closed_form(self):
         A1 = ExponentSet(1, [1])
         P0 = SparsePolynomial(1, {(2,): -1})
