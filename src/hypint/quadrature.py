@@ -4,24 +4,46 @@ Evaluates integrals of exp(P(t)) * alpha(t) dt1..dtn for n <= 3, where
 alpha is 1, a monomial t^(u-1), or a product of polynomial powers
 P_1^v_1 .. P_k^v_k t^(u-1), over one parametric complex path chain per
 variable.  The driver is iterated one-dimensional adaptive integration,
-innermost variable first, using interval halving with an embedded
-Gauss7/Kronrod15 pair so every subinterval carries its own error
-estimate.  The contours (Segment, Ray, Arc, Line, ProductContour) and
-the errors (QuadratureError, DivergenceError, AccuracyError) are
-defined in hypint.contours, which loads no numpy, and re-exported here;
-this module holds the integrand descriptions and the numeric driver.
+innermost variable first, with one of two rules per leg:
+
+- On a Line leg whose integrand is entire in the leg's variable (every
+  factor that varies with it is exp(P), t_j^k or P_i^k with an integer
+  k >= 0), the trapezoid rule on the truncated line.  The integrand is
+  analytic in a strip and decays at both cut ends, so the rule converges
+  exponentially in the number of points (Trefethen and Weideman, SIAM
+  Review 56, 2014): it starts from 2**4 + 1 points and halves the step
+  until two successive sums agree, the difference being the error
+  estimate, and until the step resolves the slopes of P that the
+  truncation scan found where the integrand matters, so that neither a
+  peak narrower than the scan's spacing nor an oscillation aliased onto
+  both grids gives two sums that agree on a wrong value.  A node that
+  would need more than 2**10 intervals takes the rule below.
+- On every other leg (rays and segments, whose ends may carry t^(u-1)
+  or a zero of a factor, arcs, and integrands with poles or branch
+  points), interval halving with an embedded Gauss7/Kronrod15 pair, so
+  every subinterval carries its own error estimate and the bisection
+  resolves endpoint and near-singular behaviour locally.
+
+The rule depends only on the integrand and the leg.  The contours
+(Segment, Ray, Arc, Line, ProductContour) and the errors
+(QuadratureError, DivergenceError, AccuracyError) are defined in
+hypint.contours, which loads no numpy, and re-exported here; this
+module holds the integrand descriptions and the numeric driver.
 
 Each level is batched over its nodes: the integral over variable j is
 computed for all B nodes at once, one lockstep adaptive run per leg.
-Every round each unconverged node bisects, just as it would alone, its
-worst intervals, as many as together carry its excess error over the
-target (bulk marking, as in Doerfler's adaptive refinement), and the
-panels of all nodes go to the integrand in one array call.  Above the
-innermost level that call is the next level, which takes all points of
-the round as its nodes, at most _NODE_CAP (the 120 points of one set of
-starting panels) at a time so that memory stays bounded in three
-variables.  One integrand's starting round, and each of its rounds that
-bisects at most four intervals, thus makes one inner-level call.
+Under GK15, every round each unconverged node bisects, just as it would
+alone, its worst intervals, as many as together carry its excess error
+over the target (bulk marking, as in Doerfler's adaptive refinement),
+and the panels of all nodes go to the integrand in one array call.
+Under the trapezoid rule every unconverged node evaluates the new
+midpoints of one halving, and each node's sums are reduced on its own
+row.  Above the innermost level that call is the next level, which
+takes all points of the round as its nodes, at most _NODE_CAP (the 120
+points of one set of starting panels) at a time so that memory stays
+bounded in three variables.  One integrand's starting round, each of its
+GK15 rounds that bisects at most four intervals and each trapezoid
+halving of up to 120 new points thus makes one inner-level call.
 
 At the outermost level the nodes are the integrands themselves:
 ``integrate`` takes one IntegrandSpec or a sequence of specs that differ
@@ -36,13 +58,14 @@ passes; a single spec is a batch of one.
 Unbounded legs are truncated, per node, where the integrand magnitude
 falls below 1e-18 of its on-leg maximum; before that a decay check
 requires Re P < -50 within the sampled range, otherwise the integral is
-declared divergent.  The scan over the radii runs for all nodes in one
-array pass.  For multivalued factors (non-integer exponents) the
-argument of each factor is continued along each node's path by
-accumulating argument increments between consecutive sample points on a
-refined grid; quadrature nodes then pick up the winding number nearest
-to the tracked argument, which makes branch-corrected evaluation
-independent of the order in which the adaptive rule visits the points.
+declared divergent.  The scan over the radii runs for all nodes, and
+for both ends of a Line, in one array pass.  For multivalued factors
+(non-integer exponents) the argument of each factor is continued along
+each node's path by accumulating argument increments between consecutive
+sample points on a refined grid; quadrature nodes then pick up the
+winding number nearest to the tracked argument, which makes
+branch-corrected evaluation independent of the order in which the
+adaptive rule visits the points.
 Power products with non-integer exponents are supported in one variable
 (their branch structure on higher-dimensional product contours is not
 modeled); integer powers work in any dimension.
@@ -72,12 +95,34 @@ _START_PANELS = 8           # equal panels an adaptive run starts from
 # outer nodes per inner-level call, which bounds memory: the GK15 points
 # of one starting panel set
 _NODE_CAP = _START_PANELS * 15
+# integrand points per trapezoid call: what a GK15 round of _NODE_CAP
+# nodes on their starting panels evaluates
+_POINT_CAP = _NODE_CAP * _NODE_CAP
+_TRAP_START = 4             # the trapezoid rule starts from 2**4 intervals
+# A trapezoid sum may stop only at a step h with h |Im dP/dr| <= pi and
+# h |Re dP/dr| <= 16, dP/dr taken as the mean slope between neighbouring
+# scan radii, over the gaps next to a scanned point where the integrand
+# lies within MAGNITUDE_CUT of its peak.  The first keeps the frequencies
+# of exp(P) below the first alias of the coarser of the two sums
+# compared, so that their difference bounds the finer one's error:
+# exp(-t^2 + 32it) sampled with steps of 2 pi / 32 and twice that gives
+# sqrt(pi) both times, where the integral is 3e-111.  The second makes a
+# feature the scan found steep be resolved, such as a peak narrower than
+# the spacing of the scan radii, which 17 or 33 points can miss
+# altogether.  On the Gaussians of the benchmark it asks for no more
+# than the 2**5 intervals of the first comparison, where a node whose
+# value lies below the absolute floor stops.
+_TRAP_ALIAS = math.pi
+_TRAP_STEEP = 16.0
+# a node whose scan asks for more trapezoid intervals than this takes
+# GK15, whose bisection spends its points near the narrow feature
+_TRAP_MAX = 2 ** 10
 
 # glibc serves blocks above its mmap threshold (128 KiB by default) from
 # fresh pages, and returns the top of its heap to the system whenever
 # more than its trim threshold (also 128 KiB) lies free there.  A batched
-# level allocates and frees complex temporaries of up to 230 KiB
-# (_NODE_CAP nodes times 120 points or 122 scan radii, 16 bytes each), so
+# level allocates and frees complex temporaries of up to 460 KiB
+# (_NODE_CAP nodes times 120 points or 244 scan radii, 16 bytes each), so
 # every inner level would fault its pages in again: without the line
 # below a 2-D Gaussian of the benchmark kind took 1,300 page faults and
 # up to 1.7 times the time (glibc 2.36, x86-64).  Freeing one block above
@@ -219,52 +264,105 @@ def _gk15(f, node, a, b, batched):
     return kron, np.abs(kron - gauss)
 
 
-def adaptive_quadrature(f, a, b, rel_tol, abs_floor, max_intervals=4096,
-                        what="integral", failures=None):
-    """Adaptive interval-halving with the embedded Gauss/Kronrod pair.
+def _row_sums(f, rows, a, b, s, weights, batched):
+    """Weighted sums of f and of |f| over the points a + (b - a) * s of
+    integrals ``rows``: one row of points per integral, reduced row by row
+    so an integral's sums do not depend on the others in the call; at
+    most _POINT_CAP points go to ``f`` at a time."""
+    m = s.size
+    per_call = max(1, _POINT_CAP // m)
+    sums = np.empty(len(rows), dtype=complex)
+    mags = np.empty(len(rows))
+    for lo in range(0, len(rows), per_call):
+        group = rows[lo:lo + per_call]
+        x = (a[group, None] + (b - a)[group, None] * s).ravel()
+        if batched:
+            points = np.empty(x.size, dtype=_NODE_TAU)
+            points["node"] = np.repeat(group, m)
+            points["tau"] = x
+        else:
+            points = x
+        fx = np.concatenate([
+            np.asarray(f(points[k:k + _POINT_CAP]), dtype=complex).ravel()
+            for k in range(0, x.size, _POINT_CAP)]).reshape(len(group), m)
+        fx *= weights
+        sums[lo:lo + len(group)] = fx.sum(axis=1)
+        mags[lo:lo + len(group)] = np.abs(fx).sum(axis=1)
+    return sums, mags
 
-    With scalar ``a`` and ``b``, ``f`` is evaluated on numpy arrays of
-    points and (value, err, roundoff floor) is returned.  With length-B
-    arrays, B independent integrals run in lockstep, and ``f`` receives
-    one array with fields ``node`` (which integral) and ``tau`` (the
-    point) holding all panels requested in the round; the three results
-    are then length-B arrays.  Each round every unconverged integral
-    bisects its worst intervals, as many as it takes for their estimates
-    to sum to the excess of its error over its target: at least one, no
-    more than its budget of ``max_intervals`` has room for, and none
-    after an interval too short to bisect, whose error stays in the
-    total.  Each integral stops on its own target and follows exactly the
-    bisections it would follow alone.  Raises AccuracyError carrying the
-    best estimate of the failing integral when its budget is exhausted,
-    or its bisection depth: the errors of the intervals too short to
-    bisect exceed its target.  Batched,
-    with a dict ``failures``, that error is stored there under the
-    integral's index instead, and the other integrals run on; integrals
-    already in it are not refined, and their results mean nothing.
-    """
-    batched = np.ndim(a) > 0
-    pieces = np.linspace(np.atleast_1d(a), np.atleast_1d(b),
-                         _START_PANELS + 1, axis=1)
-    count = len(pieces)
-    vals, errs = _gk15(f, np.repeat(np.arange(count), _START_PANELS),
+
+def _trapezoid(f, a, b, rows, need, cap, rel_tol, abs_floor, what, failures,
+               batched, total, err, mass):
+    """Lockstep trapezoid halving of integrals ``rows``; see
+    adaptive_quadrature.  Fills their entries of ``total``, ``err`` and
+    ``mass``."""
+    start = rows
+    n = 2 ** _TRAP_START
+    weights = np.ones(n + 1)
+    weights[[0, -1]] = 0.5
+    sums, mags = _row_sums(f, rows, a, b, np.arange(n + 1) / n, weights,
+                           batched)
+    step = (b[rows] - a[rows]) / n
+    total[rows] = step * sums
+    mass[rows] = step * mags
+    while rows.size:
+        if n >= cap:
+            for i in rows.tolist():
+                error = AccuracyError(
+                    f"tolerance not met for {what} after {n} trapezoid "
+                    f"intervals (err {err[i]:.3e}, value {total[i]:.6e})",
+                    complex(total[i]), float(err[i]))
+                if failures is None:
+                    raise error
+                failures[i] = error
+            break
+        n *= 2
+        sums, mags = _row_sums(f, rows, a, b, np.arange(1, n, 2) / n, 1.0,
+                               batched)
+        step = (b[rows] - a[rows]) / n
+        new = 0.5 * total[rows] + step * sums
+        err[rows] = np.abs(new - total[rows])
+        total[rows] = new
+        mass[rows] = 0.5 * mass[rows] + step * mags
+        # the target of the GK15 driver, from the same three floors
+        target = np.maximum(np.maximum(abs_floor, rel_tol * np.abs(new)),
+                            5e-16 * mass[rows])
+        # a nan difference runs on
+        rows = rows[~((err[rows] <= target) & (n >= need[rows]))]
+    # two sums that agree to below the roundoff of the sum itself do not
+    # bound its error: that roundoff does
+    err[start] = np.maximum(err[start], 5e-16 * mass[start])
+
+
+def _gauss_kronrod(f, a, b, rows, rel_tol, abs_floor, max_intervals, what,
+                   failures, batched, total_out, err_out, mass_out):
+    """Lockstep GK15 bisection of integrals ``rows``; see
+    adaptive_quadrature.  Fills their entries of the three arrays."""
+    count = len(a)
+    pieces = np.linspace(a[rows], b[rows], _START_PANELS + 1, axis=1)
+    vals, errs = _gk15(f, np.repeat(rows, _START_PANELS),
                        pieces[:, :-1].ravel(), pieces[:, 1:].ravel(), batched)
-    vals, errs = vals.reshape(count, -1), errs.reshape(count, -1)
-    total = np.zeros(count, dtype=complex)
-    err_total = np.zeros(count)
-    mass = np.zeros(count)
+    vals, errs = vals.reshape(len(rows), -1), errs.reshape(len(rows), -1)
+    start_total = np.zeros(len(rows), dtype=complex)
+    start_err = np.zeros(len(rows))
+    start_mass = np.zeros(len(rows))
     for k in range(_START_PANELS):
-        total += vals[:, k]
-        err_total += errs[:, k]
-        mass += np.abs(vals[:, k])
+        start_total += vals[:, k]
+        start_err += errs[:, k]
+        start_mass += np.abs(vals[:, k])
     # a converged integral never changes again, so from here on only the
     # active ones are visited, with their state as python scalars
-    total, err_total, mass = total.tolist(), err_total.tolist(), mass.tolist()
+    total, err_total, mass = [0j] * count, [0.0] * count, [0.0] * count
+    row_of = {}
+    for r, (i, t, e, m) in enumerate(zip(rows, start_total.tolist(),
+                                         start_err.tolist(),
+                                         start_mass.tolist())):
+        total[i], err_total[i], mass[i], row_of[i] = t, e, m, r
     heaps = {}  # built when an integral first needs a bisection
     stuck_err = {}
     intervals = {}
     tiebreak = _START_PANELS  # the starting panels hold the numbers below
-    active = [i for i in range(count) if i not in failures] if failures \
-        else range(count)
+    active = rows
 
     def fail(i, message):
         error = AccuracyError(message, total[i], err_total[i])
@@ -282,9 +380,10 @@ def adaptive_quadrature(f, a, b, rel_tol, abs_floor, max_intervals=4096,
             if err_total[i] <= target:
                 continue
             if i not in heaps:
-                heaps[i] = list(zip((-errs[i]).tolist(), range(_START_PANELS),
-                                    pieces[i, :-1].tolist(),
-                                    pieces[i, 1:].tolist(), vals[i].tolist()))
+                r = row_of[i]
+                heaps[i] = list(zip((-errs[r]).tolist(), range(_START_PANELS),
+                                    pieces[r, :-1].tolist(),
+                                    pieces[r, 1:].tolist(), vals[r].tolist()))
                 heapq.heapify(heaps[i])
                 stuck_err[i] = 0.0
                 intervals[i] = _START_PANELS
@@ -335,10 +434,73 @@ def adaptive_quadrature(f, a, b, rel_tol, abs_floor, max_intervals=4096,
             heapq.heappush(heaps[i], (-e1, tiebreak, lo, mid, v1))
             heapq.heappush(heaps[i], (-e2, tiebreak + 1, mid, hi, v2))
             tiebreak += 2
-    floor = [5e-16 * x for x in mass]
+    for i in rows:
+        total_out[i], err_out[i], mass_out[i] = total[i], err_total[i], mass[i]
+
+
+def adaptive_quadrature(f, a, b, rel_tol, abs_floor, max_intervals=4096,
+                        what="integral", failures=None, trapezoid=None):
+    """Adaptive interval-halving with the embedded Gauss/Kronrod pair.
+
+    With scalar ``a`` and ``b``, ``f`` is evaluated on numpy arrays of
+    points and (value, err, roundoff floor) is returned.  With length-B
+    arrays, B independent integrals run in lockstep, and ``f`` receives
+    one array with fields ``node`` (which integral) and ``tau`` (the
+    point) holding all panels requested in the round; the three results
+    are then length-B arrays.  Each round every unconverged integral
+    bisects its worst intervals, as many as it takes for their estimates
+    to sum to the excess of its error over its target: at least one, no
+    more than its budget of ``max_intervals`` has room for, and none
+    after an interval too short to bisect, whose error stays in the
+    total.  Each integral stops on its own target and follows exactly the
+    bisections it would follow alone.  Raises AccuracyError carrying the
+    best estimate of the failing integral when its budget is exhausted,
+    or its bisection depth: the errors of the intervals too short to
+    bisect exceed its target.  Batched,
+    with a dict ``failures``, that error is stored there under the
+    integral's index instead, and the other integrals run on; integrals
+    already in it are not refined, and their results mean nothing.
+
+    ``trapezoid``, for integrands entire on the interval and decayed at
+    both ends (a truncated Line), is the fewest intervals each integral
+    must be resolved with (a number, or one per integral).  Those
+    integrals take the trapezoid rule instead, from 2**4 + 1 points,
+    halving the step until two successive sums agree to the same target
+    and that many intervals are reached; each halving evaluates only the
+    new midpoints of the unconverged integrals, and the error reported is
+    the last difference, or the roundoff floor where that is larger.
+    Its budget is the largest power of two of intervals whose points do
+    not outnumber those of ``max_intervals`` GK15 panels; past it, it
+    fails as above.  An integral that needs more intervals than that
+    takes GK15, whose bisection resolves a narrow feature locally.
+    """
+    batched = np.ndim(a) > 0
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    b = np.atleast_1d(np.asarray(b, dtype=float))
+    count = len(a)
+    rows = np.arange(count)
+    if failures:
+        rows = np.setdiff1d(rows, list(failures))
+    gk_rows, trap_rows = rows, rows[:0]
+    if trapezoid is not None:
+        need = np.broadcast_to(np.asarray(trapezoid, dtype=float), (count,))
+        cap = 2 ** ((15 * max_intervals - 1).bit_length() - 1)
+        fits = need[rows] <= cap  # false for a nan need too
+        trap_rows, gk_rows = rows[fits], rows[~fits]
+    total = np.zeros(count, dtype=complex)
+    err = np.zeros(count)
+    mass = np.zeros(count)
+    if trap_rows.size:
+        _trapezoid(f, a, b, trap_rows, need, cap, rel_tol, abs_floor, what,
+                   failures, batched, total, err, mass)
+    if gk_rows.size:
+        _gauss_kronrod(f, a, b, gk_rows.tolist(), rel_tol, abs_floor,
+                       max_intervals, what, failures, batched, total, err,
+                       mass)
+    floor = 5e-16 * mass
     if batched:
-        return np.array(total), np.array(err_total), np.array(floor)
-    return total[0], err_total[0], floor[0]
+        return total, err, floor
+    return complex(total[0]), float(err[0]), float(floor[0])
 
 
 # ----------------------------------------------------------------------
@@ -353,6 +515,8 @@ class _Path:
         self.index = index
         self.map = map_fn
         self.dmap = dmap_fn
+        # per node, the fewest trapezoid intervals (None: GK15 leg)
+        self.trapezoid = None
 
     def describe(self):
         return f"leg {self.index + 1} ({type(self.leg).__name__})"
@@ -544,6 +708,16 @@ class _Run:
         rho = self.u[j] - 1.0
         return None if rho == 0 else rho
 
+    def entire_along(self, j):
+        """Whether every factor that varies with variable j is entire in
+        it: exp(P), t_j^k and P_i^k with integers k >= 0."""
+        def entire(exponent):
+            return _is_int(exponent) and exponent.real >= 0
+        rho = self.monomial_exponent(j)
+        return (rho is None or entire(rho)) and all(
+            entire(v) or not any(e[j] for e in poly)
+            for poly, v in zip(self.powers, self.power_v))
+
 
 def _representatives(chain):
     points = []
@@ -569,31 +743,44 @@ def _representatives(chain):
 
 
 _SCAN_RADII = np.concatenate([[0.0], np.geomspace(1e-4, 1e8, 121)])
+# per gap between neighbouring radii, the factors that turn the change of
+# Im P and of Re P across it into the trapezoid rate they ask for
+_GAP_ALIAS = 1.0 / (_TRAP_ALIAS * np.diff(_SCAN_RADII))
+_GAP_STEEP = 1.0 / (_TRAP_STEEP * np.diff(_SCAN_RADII))
 
 
-def _truncate_unbounded(run, j, fixed, member, anchor, direction, what):
+def _truncate_unbounded(run, j, fixed, member, anchor, ends, rate=False):
     """For each node (its outer values in ``fixed``, its batch member in
-    ``member``), the radius along anchor + direction*r where the
-    integrand has decayed for every representative slice of the inner
-    variables; one array pass."""
+    ``member``) and each (direction, what) of ``ends``, the radius along
+    anchor + direction*r where the integrand has decayed for every
+    representative slice of the inner variables; one array pass, each
+    direction with its own peak and decay test.
+
+    With ``rate``, the list of radii is followed by each node's inverse
+    of the largest trapezoid step the rule allows (see _TRAP_ALIAS), from
+    the mean dP/dr between neighbouring radii, over the gaps next to a
+    sampled point of any of ``ends`` where the integrand lies within
+    MAGNITUDE_CUT of its largest sampled magnitude."""
     radii = _SCAN_RADII
     count = len(member)
-    z = anchor + direction * radii
+    z = np.concatenate([anchor + direction * radii for direction, _ in ends])
     inner_chains = [run.contour.chains[i] for i in range(j + 1, run.n)]
     combos = [()]
     for chain in inner_chains:
         combos = [c + (p,) for c in combos for p in _representatives(chain)]
 
     rows = (slice(None), None)  # node coefficients down, radii across
-    ok_decay = np.ones((count, len(radii)), dtype=bool)
-    log_mag = np.full((count, len(radii)), -np.inf)
+    ok_decay = np.ones((count, z.size), dtype=bool)
+    log_mag = np.full((count, z.size), -np.inf)
+    slices = []  # (P, log magnitude) of each slice
     rho = run.monomial_exponent(j)
     for combo in combos:
         fixed_all = dict(fixed)
         for idx, val in zip(range(j + 1, run.n), combo):
             fixed_all[idx] = val
         coeffs = _collapse_along(run.kernel, fixed_all, j, member)
-        re_p = _eval_collapsed(coeffs, z, rows).real
+        p = _eval_collapsed(coeffs, z, rows)
+        re_p = p.real
         ok_decay &= re_p < DECAY_RE_P
         lm = re_p.copy()
         if rho is not None:
@@ -606,42 +793,74 @@ def _truncate_unbounded(run, j, fixed, member, anchor, direction, what):
                 with np.errstate(divide="ignore"):
                     lm = lm + v.real * np.log(np.maximum(pv, 1e-300))
         log_mag = np.maximum(log_mag, lm)
+        if rate:
+            slices.append((p, lm))
 
-    finite = np.isfinite(log_mag)
-    peak = np.where(finite, log_mag, -np.inf).max(axis=1)
-    peak[~finite.any(axis=1)] = 0.0
-    small = log_mag < peak[:, None] + math.log(MAGNITUDE_CUT)
-    # good[:, i]: decayed at every radius from i outwards
-    good = np.logical_and.accumulate((ok_decay & small)[:, ::-1], axis=1)[:, ::-1]
-    if not good.any(axis=1).all():
-        raise DivergenceError(
-            f"no decay of Re P below {DECAY_RE_P} along {what}; "
-            "the integral diverges on this contour"
-        )
-    # a range decayed from the origin on still starts one radius out
-    first = np.maximum(good.argmax(axis=1), 1)
-    return radii[np.minimum(first + 2, len(radii) - 1)]
+    cuts = []
+    top = np.full(count, -np.inf)
+    reach = 0  # radii up to the farthest cut
+    for k, (_, what) in enumerate(ends):
+        part = slice(k * radii.size, (k + 1) * radii.size)
+        mag = log_mag[:, part]
+        finite = np.isfinite(mag)
+        peak = np.where(finite, mag, -np.inf).max(axis=1)
+        top = np.maximum(top, peak)
+        peak[~finite.any(axis=1)] = 0.0
+        small = mag < peak[:, None] + math.log(MAGNITUDE_CUT)
+        # good[:, i]: decayed at every radius from i outwards
+        good = np.logical_and.accumulate((ok_decay[:, part] & small)[:, ::-1],
+                                         axis=1)[:, ::-1]
+        if not good.any(axis=1).all():
+            raise DivergenceError(
+                f"no decay of Re P below {DECAY_RE_P} along {what}; "
+                "the integral diverges on this contour"
+            )
+        # a range decayed from the origin on still starts one radius out
+        first = np.maximum(good.argmax(axis=1), 1)
+        last = np.minimum(first + 2, len(radii) - 1)
+        reach = max(reach, int(last.max()) + 1)
+        cuts.append(radii[last])
+    if not rate:
+        return cuts
+    band = np.where(np.isfinite(top), top + math.log(MAGNITUDE_CUT), np.inf)
+    shape = (count, len(ends), radii.size)
+    fastest = np.zeros(count)
+    for p, lm in slices:
+        with np.errstate(invalid="ignore"):  # inf - inf far out
+            change = np.diff(p.reshape(shape)[:, :, :reach], axis=2)
+        r = np.maximum(np.abs(change.imag) * _GAP_ALIAS[:reach - 1],
+                       np.abs(change.real) * _GAP_STEEP[:reach - 1])
+        seen = (lm.reshape(shape)[:, :, :reach] >= band[:, None, None])
+        # every gap next to such a point: a peak narrower than the
+        # spacing of the radii lies in one of them, and the slope at a
+        # sampled peak alone is zero
+        r[~(seen[:, :, 1:] | seen[:, :, :-1])] = 0.0
+        fastest = np.maximum(fastest, r.max(axis=(1, 2)))
+    return cuts + [fastest]
 
 
 def _build_paths(run, j, fixed, member):
     count = len(member)
+    entire = run.entire_along(j)
     paths = []
     for index, leg in enumerate(run.contour.chains[j]):
         what = f"variable {j + 1}, leg {index + 1} ({type(leg).__name__})"
         if isinstance(leg, Ray):
-            cut = (_truncate_unbounded(run, j, fixed, member, complex(leg.start),
-                                       np.exp(1j * leg.angle), what),)
+            cut = _truncate_unbounded(run, j, fixed, member, complex(leg.start),
+                                      [(np.exp(1j * leg.angle), what)])
         elif isinstance(leg, Line):
             d = np.exp(1j * leg.angle)
-            cut = (
-                _truncate_unbounded(run, j, fixed, member, 0j, -d,
-                                    what + " (negative end)"),
-                _truncate_unbounded(run, j, fixed, member, 0j, d,
-                                    what + " (positive end)"),
-            )
+            cut = _truncate_unbounded(run, j, fixed, member, 0j, [
+                (-d, what + " (negative end)"), (d, what + " (positive end)")],
+                rate=entire)
         else:
             cut = ()
-        paths.append(_make_path(leg, index, cut, count))
+        path = _make_path(leg, index, cut, count)
+        if entire and isinstance(leg, Line):
+            # the fewest intervals whose step the scan allows
+            need = (cut[0] + cut[1]) * cut[2]
+            path.trapezoid = np.where(need <= _TRAP_MAX, need, np.inf)
+        paths.append(path)
     return paths
 
 
@@ -741,6 +960,7 @@ def _level_value(run, j, fixed, member, rel_tol):
             f, np.zeros(count), np.ones(count), rel_tol,
             ABS_FLOOR / len(paths), what=f"variable {j + 1}, {path.describe()}",
             failures=run.failures if j == 0 else None,
+            trapezoid=path.trapezoid,
         )
         total += value
         err_total += err

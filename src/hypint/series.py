@@ -145,6 +145,21 @@ def complex_gamma(z: complex) -> complex:
     return _exp(_log_gamma(z))
 
 
+def _unit_power(d: complex, n: int) -> complex:
+    """d**n for |d| = 1 by repeated squaring, exact on 1, -1, 1j and -1j
+    (Python's ``complex ** int`` goes through exp and log for |n| > 100,
+    which leaves a component of rounding size off an axis)."""
+    if n < 0:
+        d, n = d.conjugate(), -n
+    out = 1.0 + 0j
+    while n:
+        if n & 1:
+            out *= d
+        d *= d
+        n >>= 1
+    return out
+
+
 def _int_power(base: complex, n: int) -> complex:
     """base**n for a nonzero base, infinite in the quadrant of the value
     past the double range (a real base gives a real infinity).  Python
@@ -159,7 +174,7 @@ def _int_power(base: complex, n: int) -> complex:
     if base.imag == 0:
         negative = base.real < 0 and n % 2
         return complex(-math.inf if negative else math.inf, 0.0)
-    d = (base / abs(base)) ** n
+    d = _unit_power(base / abs(base), n)
     return complex(math.copysign(math.inf, d.real) if d.real else 0.0,
                    math.copysign(math.inf, d.imag) if d.imag else 0.0)
 

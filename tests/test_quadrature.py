@@ -100,6 +100,75 @@ class TestAdaptiveRule:
     # 1e-15 of its position while its error still exceeds the target
     JUMP = 100.0 + 1.0 / math.sqrt(2.0)
 
+    # integral of |x - 1/3|^0.1 over [0, 1], which is not smooth at 1/3
+    KINK = ((1 / 3) ** 1.1 + (2 / 3) ** 1.1) / 1.1
+
+    @pytest.mark.parametrize("budget, levels, close", [(4096, 15, 1e-6),
+                                                       (64, 9, 1e-3)])
+    def test_trapezoid_level_cap_reports_best(self, budget, levels, close):
+        # the trapezoid budget is the largest 2**k intervals whose points
+        # do not outnumber those of the GK15 budget: 2**k + 1 <= 15 budget
+        import numpy as np
+        with pytest.raises(AccuracyError,
+                           match=f"after {2 ** levels} trapezoid") as info:
+            adaptive_quadrature(lambda x: np.abs(x - 1 / 3) ** 0.1,
+                                0.0, 1.0, 1e-13, 1e-15, max_intervals=budget,
+                                trapezoid=0)
+        assert abs(info.value.value - self.KINK) < close
+        assert 0 < info.value.err_estimate < close
+
+    def test_trapezoid_minimum_intervals(self):
+        # the sums of exp(-200 (x - 1/2)^2) agree long before 2**9
+        import numpy as np
+        sizes = []
+
+        def f(x):
+            sizes.append(x.size)
+            return np.exp(-200 * (x - 0.5) ** 2)
+
+        adaptive_quadrature(f, 0.0, 1.0, 1e-10, 1e-15, trapezoid=0)
+        natural = sum(sizes) - 1
+        sizes.clear()
+        value, _, _ = adaptive_quadrature(f, 0.0, 1.0, 1e-10, 1e-15,
+                                          trapezoid=300)
+        assert natural < 300 and sum(sizes) - 1 == 512
+        assert abs(value - math.sqrt(math.pi / 200)) < 1e-13
+
+    def test_integrals_past_the_trapezoid_budget_take_gk15(self):
+        # in one batch, each integral takes the rule it takes alone
+        import numpy as np
+        scales = np.array([200.0, 3.0, 40.0])
+        needs = np.array([0.0, np.inf, 1e9])
+
+        def f(x):
+            return np.exp(-scales[x["node"]] * (x["tau"] - 0.5) ** 2)
+
+        values, errs, floors = adaptive_quadrature(
+            f, np.zeros(3), np.ones(3), 1e-12, 1e-15, trapezoid=needs)
+        for k in range(3):
+            alone = adaptive_quadrature(
+                lambda t: np.exp(-scales[k] * (t - 0.5) ** 2), 0.0, 1.0,
+                1e-12, 1e-15, trapezoid=0 if k == 0 else None)
+            assert (values[k], errs[k], floors[k]) == alone
+
+    def test_trapezoid_failure_keeps_the_other_integrals(self):
+        import numpy as np
+
+        def f(x):
+            tau = x["tau"]
+            return np.where(x["node"] == 1, np.abs(tau - 1 / 3) ** 0.1,
+                            np.exp(-200 * (tau - 0.5) ** 2))
+
+        failures = {}
+        values, errs, _ = adaptive_quadrature(
+            f, np.zeros(3), np.ones(3), 1e-13, 1e-15, failures=failures,
+            trapezoid=0)
+        assert list(failures) == [1]
+        assert abs(failures[1].value - self.KINK) < 1e-6
+        for i in (0, 2):
+            assert abs(values[i] - math.sqrt(math.pi / 200)) < 1e-13
+            assert errs[i] < 1e-13
+
     def test_bisection_depth_exhausted(self):
         with pytest.raises(AccuracyError, match="bisection depth exhausted"):
             adaptive_quadrature(lambda x: (x > self.JUMP).astype(float),
@@ -157,9 +226,19 @@ class TestProperIntegral:
         expected = SQRT_PI * math.sqrt(math.pi / a) * math.erf(math.sqrt(a))
         assert rel(proper_integral(P, c, 1e-8), expected) < 1e-8
 
+    # the real line as two rays from the origin: Ray legs keep GK15
+    SPLIT_LINE = [Ray(0, math.pi, orientation=-1), Ray(0, 0.0)]
+    ROTATED = SparsePolynomial(2, {(2, 0): -1.2, (1, 1): 0.4, (0, 2): -0.9,
+                                   (1, 0): 0.3 + 0.2j})
+
+    def rotated_value(self):
+        a = 1.2 * 0.9 - 0.2 ** 2
+        return math.pi / math.sqrt(a) * cmath.exp(0.9 * (0.3 + 0.2j) ** 2
+                                                  / (4 * a))
+
     def test_two_dimensional_gaussian_one_inner_call_per_outer_round(
             self, monkeypatch):
-        # the points of an outer round fit in one inner-level call
+        # the points of an outer GK15 round fit in one inner-level call
         from hypint import quadrature
         level, gk15 = quadrature._level_value, quadrature._gk15
         depth = [0]
@@ -182,17 +261,38 @@ class TestProperIntegral:
 
         monkeypatch.setattr(quadrature, "_level_value", spy_level)
         monkeypatch.setattr(quadrature, "_gk15", spy_gk15)
-        P = SparsePolynomial(2, {(2, 0): -1.2, (1, 1): 0.4, (0, 2): -0.9,
-                                 (1, 0): 0.3 + 0.2j})
-        c = ProductContour([[Line(0.0)], [Line(0.0)]])
-        value, _ = integrate(IntegrandSpec(P, AlphaOne()), c, 1e-8)
-        a = 1.2 * 0.9 - 0.2 ** 2
-        expected = math.pi / math.sqrt(a) * cmath.exp(0.9 * (0.3 + 0.2j) ** 2
-                                                       / (4 * a))
-        assert rel(value, expected) < 1e-8
-        assert len(outer_rounds) > 1  # a refinement round was needed
+        c = ProductContour([self.SPLIT_LINE, self.SPLIT_LINE])
+        value, _ = integrate(IntegrandSpec(self.ROTATED, AlphaOne()), c, 1e-9)
+        assert rel(value, self.rotated_value()) < 1e-9
+        # each of the two outer legs starts with one round
+        assert len(outer_rounds) > 2  # a refinement round was needed
         assert len(inner_calls) == len(outer_rounds)
         assert inner_calls == [15 * panels for panels in outer_rounds]
+
+    def test_two_dimensional_gaussian_one_inner_call_per_outer_halving(
+            self, monkeypatch):
+        # on two Lines the trapezoid rule runs: its starting points, then
+        # the new midpoints of each halving, go to one inner-level call
+        from hypint import quadrature
+        level = quadrature._level_value
+        inner_calls = []
+        gk15_calls = []
+
+        def spy_level(run, j, fixed, member, rel_tol):
+            if j == 1:
+                inner_calls.append(len(member))
+            return level(run, j, fixed, member, rel_tol)
+
+        monkeypatch.setattr(quadrature, "_level_value", spy_level)
+        monkeypatch.setattr(quadrature, "_gk15",
+                            lambda *args: gk15_calls.append(args))
+        c = ProductContour([[Line(0.0)], [Line(0.0)]])
+        value, _ = integrate(IntegrandSpec(self.ROTATED, AlphaOne()), c, 1e-8)
+        assert rel(value, self.rotated_value()) < 1e-8
+        assert gk15_calls == []
+        assert len(inner_calls) > 2  # more than one halving was needed
+        assert inner_calls == [17] + [16 * 2 ** k
+                                      for k in range(len(inner_calls) - 1)]
 
     def test_inner_variable_without_decay_diverges(self):
         P = SparsePolynomial(2, {(2, 0): -1, (1, 1): 0.5})
@@ -375,6 +475,139 @@ class TestBentContour:
             moment = (1 - phase) * g
             total += 0.2 ** k / math.factorial(k) * moment
         assert abs(value - total) < 1e-9
+
+
+class TestTrapezoidLegs:
+    """Calibration of the trapezoid rule on Line legs of entire
+    integrands: the real error stays within max(tol * |value|, the
+    reported estimate), and no GK15 panel is evaluated."""
+
+    @pytest.fixture
+    def gk15_calls(self, monkeypatch):
+        from hypint import quadrature
+        gk15 = quadrature._gk15
+        calls = []
+
+        def spy(*args):
+            calls.append(len(args[2]))
+            return gk15(*args)
+
+        monkeypatch.setattr(quadrature, "_gk15", spy)
+        return calls
+
+    @staticmethod
+    def check(spec, contour, tol, expected):
+        value, err = integrate(spec, contour, tol)
+        assert abs(value - expected) <= max(tol * abs(value), err)
+
+    @pytest.mark.parametrize("tol", [1e-8, 1e-12])
+    @pytest.mark.parametrize("angle", [0.0, 0.4, 1.1, 2.0, 2.9])
+    def test_rotated_gaussian_plane(self, angle, tol, gk15_calls):
+        # exp(-x^T A x + b^T x) with A = R diag(1.7, 0.6) R^T
+        c, s = math.cos(angle), math.sin(angle)
+        a11 = 1.7 * c * c + 0.6 * s * s
+        a22 = 1.7 * s * s + 0.6 * c * c
+        a12 = (1.7 - 0.6) * c * s
+        b = (0.4 - 0.3j, -0.2 + 0.5j)
+        P = SparsePolynomial(2, {(2, 0): -a11, (1, 1): -2 * a12, (0, 2): -a22,
+                                 (1, 0): b[0], (0, 1): b[1]})
+        det = a11 * a22 - a12 * a12
+        quad_form = (a22 * b[0] ** 2 - 2 * a12 * b[0] * b[1]
+                     + a11 * b[1] ** 2) / det
+        expected = math.pi / math.sqrt(det) * cmath.exp(quad_form / 4)
+        self.check(IntegrandSpec(P, AlphaOne()),
+                   ProductContour([[Line(0.0)], [Line(0.0)]]), tol, expected)
+        assert gk15_calls == []
+
+    @pytest.mark.parametrize("tol", [1e-8, 1e-12])
+    def test_oscillatory_gaussian(self, tol, gk15_calls):
+        c, b = 1 + 3j, 0.5 - 0.2j
+        P = SparsePolynomial(1, {(2,): -c, (1,): b})
+        expected = cmath.sqrt(math.pi / c) * cmath.exp(b * b / (4 * c))
+        self.check(IntegrandSpec(P, AlphaOne()), REAL_LINE, tol, expected)
+        assert gk15_calls == []
+
+    @pytest.mark.parametrize("tol", [1e-8, 1e-12])
+    def test_narrow_off_centre_peak(self, tol, gk15_calls):
+        # width 0.035 around t = 0.3, value e^36 sqrt(pi) / 20
+        P = SparsePolynomial(1, {(2,): -400, (1,): 240})
+        expected = SQRT_PI / 20 * math.exp(36)
+        self.check(IntegrandSpec(P, AlphaOne()), REAL_LINE, tol, expected)
+        assert gk15_calls == []
+
+    @pytest.mark.parametrize("tol", [1e-8, 1e-12])
+    def test_quartic_with_complex_shift(self, tol, gk15_calls):
+        import mpmath
+        c = 0.7 + 0.3j
+        with mpmath.workdps(30):
+            expected = complex(mpmath.quad(
+                lambda t: mpmath.exp(-t ** 4 + c * t), [-mpmath.inf, 0, mpmath.inf]))
+        P = SparsePolynomial(1, {(4,): -1, (1,): c})
+        self.check(IntegrandSpec(P, AlphaOne()), REAL_LINE, tol, expected)
+        assert gk15_calls == []
+
+    @pytest.mark.parametrize("tol", [1e-8, 1e-12])
+    def test_integer_monomial_weight(self, tol, gk15_calls):
+        # t^2 exp(-t^2): Gamma(3/2)
+        P = SparsePolynomial(1, {(2,): -1})
+        self.check(IntegrandSpec(P, AlphaMonomial(3.0)), REAL_LINE, tol,
+                   math.gamma(1.5))
+        assert gk15_calls == []
+
+    @pytest.mark.parametrize("tol", [1e-8, 1e-12])
+    def test_integer_power_product(self, tol, gk15_calls):
+        # (1 + t)^2 exp(-t^2): sqrt(pi) + sqrt(pi) / 2
+        alpha = AlphaPowerProduct([SparsePolynomial(1, {(0,): 1, (1,): 1})],
+                                  [2.0], [1.0])
+        self.check(IntegrandSpec(SparsePolynomial(1, {(2,): -1}), alpha),
+                   REAL_LINE, tol, 1.5 * SQRT_PI)
+        assert gk15_calls == []
+
+    @pytest.mark.parametrize("tol", [1e-8, 1e-10])
+    @pytest.mark.parametrize("a, t0", [(400.0, 30.0), (1e5, 3.0)])
+    def test_narrow_peak_far_from_the_origin(self, a, t0, tol, gk15_calls):
+        # exp(-a (t - t0)^2), narrower than the spacing of the scan radii
+        # near t0: the 17- and 33-point sums of the truncated line both
+        # miss it and agree on about 0, so the scan's steep flank at the
+        # radii around t0 must ask for a finer step, here past the
+        # trapezoid's reach, where GK15 bisects down to the peak
+        P = SparsePolynomial(1, {(2,): -a, (1,): 2 * a * t0,
+                                 (0,): -a * t0 * t0})
+        self.check(IntegrandSpec(P, AlphaOne()), REAL_LINE, tol,
+                   math.sqrt(math.pi / a))
+        assert gk15_calls
+
+    @pytest.mark.parametrize("tol", [1e-8, 1e-12])
+    def test_oscillation_aliased_on_two_grids(self, tol, gk15_calls):
+        # exp(-t^2 + i w t) on the line truncated at +-10**1.1, with w
+        # 2 pi over the step of 128 intervals: the sums of 64 and 128
+        # intervals both sample exp(i w t) at one phase, so both give
+        # sqrt(pi) in modulus where the integral is 3e-111; the step has
+        # to stay below pi / w
+        w = 2 * math.pi * 128 / (2 * 10 ** 1.1)
+        P = SparsePolynomial(1, {(2,): -1, (1,): 1j * w})
+        self.check(IntegrandSpec(P, AlphaOne()), REAL_LINE, tol,
+                   SQRT_PI * math.exp(-w * w / 4))
+        assert gk15_calls == []
+
+    def test_pole_factor_keeps_gk15(self, gk15_calls):
+        # (1 + t^2)^-1 exp(-t^2) has poles at +-i: not entire, so GK15
+        import mpmath
+        alpha = AlphaPowerProduct([SparsePolynomial(1, {(0,): 1, (2,): 1})],
+                                  [-1.0], [1.0])
+        expected = math.pi * math.e * float(mpmath.erfc(1))
+        self.check(IntegrandSpec(SparsePolynomial(1, {(2,): -1}), alpha),
+                   REAL_LINE, 1e-10, expected)
+        assert gk15_calls and gk15_calls[0] == 8
+
+    def test_batched_members_match_lone_runs(self):
+        contour = ProductContour([[Line(0.3)], [Line(-0.2)]])
+        specs = [IntegrandSpec(SparsePolynomial(2, {
+            (2, 0): -1.3 + d, (1, 1): 0.3j, (0, 2): -0.8, (0, 1): 0.2}),
+            AlphaMonomial((2.0, 1.0))) for d in (-1e-3, 0.0, 1e-3)]
+        batch = integrate(specs, contour, 1e-9)
+        assert _bits(batch) == _bits([integrate(s, contour, 1e-9)
+                                      for s in specs])
 
 
 def _bits(results):

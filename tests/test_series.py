@@ -184,6 +184,34 @@ def test_negated_power_overflows_to_a_signed_infinity(a, rho, want):
     assert negated_power(a, rho) == want
 
 
+INF_I, MINUS_INF_I, MINUS_INF = complex(0, math.inf), complex(0, -math.inf), \
+    complex(-math.inf, 0)
+
+
+@pytest.mark.parametrize("a, n, want", [
+    # base i * 1e10: i**n is -i, i, -1, -i
+    (-1e10j, 99, MINUS_INF_I), (-1e10j, 201, INF_I),
+    (-1e10j, 202, MINUS_INF), (-1e10j, 203, MINUS_INF_I),
+    # base -i * 1e10: (-i)**n is i, -i, -1, i
+    (1e10j, 99, INF_I), (1e10j, 201, MINUS_INF_I),
+    (1e10j, 202, MINUS_INF), (1e10j, 203, INF_I),
+    # base i * 1e-10 under a negative power: (1/i)**201 = -i
+    (-1e-10j, -201, MINUS_INF_I),
+])
+def test_negated_power_on_an_axis_keeps_a_zero_part(a, n, want):
+    # a base on an axis stays on an axis under any integer power, also
+    # above n = 100, where Python's complex ** int leaves a rounding-size
+    # part that would overflow to a second infinity
+    got = negated_power(a, n)
+    assert got == want
+    assert (got.real == 0, got.imag == 0) == (want.real == 0, want.imag == 0)
+
+
+def test_negated_power_off_the_axes_past_one_hundred():
+    # arg (1 + i) * 201 = 50 pi + pi / 4: both parts positive
+    assert negated_power(-1e10 - 1e10j, 201) == complex(math.inf, math.inf)
+
+
 def test_negated_power_in_range_is_unchanged():
     assert negated_power(-3.0, 5) == (3.0 + 0j) ** 5
     assert negated_power(2 - 1j, -7) == (-2 + 1j) ** -7
