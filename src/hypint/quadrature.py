@@ -55,11 +55,29 @@ estimates and values it gets alone.  Members whose polynomial supports
 differ (an exactly zero coefficient drops its monomial) run in separate
 passes; a single spec is a batch of one.
 
-Unbounded legs are truncated, per node, where the integrand magnitude
-falls below 1e-18 of its on-leg maximum; before that a decay check
-requires Re P < -50 within the sampled range, otherwise the integral is
-declared divergent.  The scan over the radii runs for all nodes, and
-for both ends of a Line, in one array pass.  For multivalued factors
+Unbounded legs are truncated, per node, on a scan of 122 radii (0, then
+1e-4 to 1e8 at ten a decade) out from a Ray's start or, both ways, from
+the origin of a Line, with the inner variables at representative
+points: from some radius on the integrand must stay below 1e-18 of its
+largest sampled magnitude, and Re P below -50, otherwise the integral is
+declared divergent.  The scan runs for all nodes, and for both ends of
+a Line, in one array pass.  A Line that takes the trapezoid rule is cut
+at the first radius from which the integrand stays that small, rounded
+up to eight significant bits so that its nodes are exact in binary.  At
+a level with inner variables each end of that cut is then checked: the
+inner slice's own peak there (the largest magnitude over the scan points
+of the inner variables, refined at the vertex of a parabola through the
+largest sample) must lie 1e-18 below the level's peak, or the end moves
+out one radius.  The range thus holds the marginal of a correlated
+integrand, whose mass lies where the slice through the representatives
+has long decayed; the inner peaks at the two ends also give the mean
+frequency of the marginal, which the trapezoid step must resolve.  Every
+other unbounded leg is cut two radii (a factor 1.58) further out and not
+checked: those legs take GK15, whose bisection spends its panels where
+the integrand matters, so the margin costs it little, while the
+trapezoid rule spends its points evenly over the whole range.  An
+integrand value that is not finite (past the double range) raises
+QuadratureError.  For multivalued factors
 (non-integer exponents) the argument of each factor is continued along
 each node's path by accumulating argument increments between consecutive
 sample points on a refined grid; quadrature nodes then pick up the
@@ -747,20 +765,139 @@ _SCAN_RADII = np.concatenate([[0.0], np.geomspace(1e-4, 1e8, 121)])
 # Im P and of Re P across it into the trapezoid rate they ask for
 _GAP_ALIAS = 1.0 / (_TRAP_ALIAS * np.diff(_SCAN_RADII))
 _GAP_STEEP = 1.0 / (_TRAP_STEEP * np.diff(_SCAN_RADII))
+_LOG_CUT = math.log(MAGNITUDE_CUT)
 
 
-def _truncate_unbounded(run, j, fixed, member, anchor, ends, rate=False):
+def _monomial_log(run, axis, z):
+    """Re(rho) log|z| of the weight t^rho of variable ``axis`` at z (0
+    without one)."""
+    rho = run.monomial_exponent(axis)
+    if rho is None:
+        return 0.0
+    return rho.real * np.log(np.maximum(np.abs(z), 1e-300))
+
+
+def _slice_log_mag(run, axis, fixed, member, z):
+    """P and the log magnitude of the integrand along variable ``axis`` at
+    the points ``z`` (nodes down, points across), the other variables at
+    their per-node values in ``fixed``: Re P, the weight t^rho of ``axis``
+    and, in one variable, the power-product factors."""
+    rows = (slice(None), None)  # node coefficients down, points across
+    p = _eval_collapsed(_collapse_along(run.kernel, fixed, axis, member), z,
+                        rows)
+    lm = p.real + _monomial_log(run, axis, z)
+    if run.n == 1:
+        for poly, v in zip(run.powers, run.power_v):
+            pv = np.abs(_eval_collapsed(
+                _collapse_along(poly, fixed, axis, member), z, rows))
+            lm = lm + v.real * np.log(np.maximum(pv, 1e-300))
+    return p, lm
+
+
+def _scan_points(chain):
+    """Where the integrand is sampled along an inner chain, as (points,
+    directions, runs): the representatives of its bounded legs, each a
+    run of its own with direction 0, and the scan radii of each unbounded
+    leg, one run in order along it (across the origin on a Line) with the
+    leg's direction."""
+    reps = _representatives(chain)
+    points, directions = [np.array(reps)], [np.zeros(len(reps))]
+    runs = [np.arange(len(reps))]
+    for leg in chain:
+        if isinstance(leg, (Line, Ray)):
+            direction = np.exp(1j * leg.angle)
+            if isinstance(leg, Line):
+                along = direction * np.r_[-_SCAN_RADII[:0:-1], _SCAN_RADII]
+            else:
+                along = complex(leg.start) + direction * _SCAN_RADII
+            points.append(along)
+            directions.append(np.full(along.size, direction))
+            runs.append(np.full(along.size, len(reps) + len(runs)))
+    return (np.concatenate(points), np.concatenate(directions),
+            np.concatenate(runs))
+
+
+def _inner_peak(run, j, fixed, member, z):
+    """Per node, the largest log magnitude of the integrand over the scan
+    points of the inner variables j+1..n-1, with variable j at z, and P
+    where it lies: the inner slice's own peak.  Every inner variable but
+    the last is spread over the nodes; along the last one, where the
+    largest sample lies between two neighbours of its run, the integrand
+    is also taken at the vertex of the parabola through the three, which
+    is the peak itself when log |f| is quadratic there, however narrow
+    the peak."""
+    fixed = {**fixed, j: z}
+    extra = _monomial_log(run, j, z) + np.zeros(len(member))
+    count = len(member)
+    for i in range(j + 1, run.n - 1):
+        points = _scan_points(run.contour.chains[i])[0]
+        fixed = {k: np.repeat(v, points.size) for k, v in fixed.items()}
+        fixed[i] = np.tile(points, len(member))
+        extra = np.repeat(extra, points.size) + _monomial_log(run, i, fixed[i])
+        member = np.repeat(member, points.size)
+    last = run.n - 1
+    points, directions, runs = _scan_points(run.contour.chains[last])
+    p, lm = _slice_log_mag(run, last, fixed, member, points)
+    lm[np.isnan(lm)] = -np.inf
+    best = lm.argmax(axis=1)
+    every = np.arange(len(best))
+    peak, at_peak = lm[every, best], p[every, best]
+    mid = np.clip(best, 1, points.size - 2)
+    inside = ((mid == best) & (runs[mid - 1] == runs[mid])
+              & (runs[mid + 1] == runs[mid]))
+    rows = np.nonzero(inside)[0]
+    mid = mid[rows]
+    direction = directions[mid]
+    # the neighbours' coordinates along the run, taking the best point as 0
+    h0 = ((points[mid - 1] - points[mid]) * direction.conj()).real
+    h2 = ((points[mid + 1] - points[mid]) * direction.conj()).real
+    f0, f1, f2 = (lm[rows, mid - 1], lm[rows, mid], lm[rows, mid + 1])
+    with np.errstate(invalid="ignore", divide="ignore"):
+        vertex = -0.5 * ((h0 * h0 * (f1 - f2) - h2 * h2 * (f1 - f0))
+                         / (h2 * (f1 - f0) - h0 * (f1 - f2)))
+    keep = np.isfinite(vertex)
+    rows = rows[keep]
+    at = points[mid[keep]] + direction[keep] * vertex[keep]
+    p, refined = _slice_log_mag(run, last,
+                                {k: v[rows] for k, v in fixed.items()},
+                                member[rows], at[:, None])
+    higher = refined[:, 0] > peak[rows]
+    peak[rows[higher]] = refined[higher, 0]
+    at_peak[rows[higher]] = p[higher, 0]
+    peak = (peak + extra).reshape(count, -1)
+    pick = peak.argmax(axis=1)
+    every = np.arange(count)
+    return peak[every, pick], at_peak.reshape(count, -1)[every, pick]
+
+
+def _truncate_unbounded(run, j, fixed, member, anchor, ends, trapezoid=False):
     """For each node (its outer values in ``fixed``, its batch member in
     ``member``) and each (direction, what) of ``ends``, the radius along
     anchor + direction*r where the integrand has decayed for every
     representative slice of the inner variables; one array pass, each
     direction with its own peak and decay test.
 
-    With ``rate``, the list of radii is followed by each node's inverse
-    of the largest trapezoid step the rule allows (see _TRAP_ALIAS), from
-    the mean dP/dr between neighbouring radii, over the gaps next to a
-    sampled point of any of ``ends`` where the integrand lies within
-    MAGNITUDE_CUT of its largest sampled magnitude."""
+    A leg that takes GK15 is cut two scan radii past the first radius
+    from which the integrand stays below MAGNITUDE_CUT of that peak, as
+    a margin for the inner slices between the representatives; GK15
+    bisects where the integrand matters, so the margin costs it little.
+    A ``trapezoid`` leg (a Line), whose rule spends its points evenly over
+    the range, is cut at that first radius.  At a level with inner
+    variables each of its ends is then checked against the inner slice's
+    own peak there (see _inner_peak), which must lie MAGNITUDE_CUT below
+    the level's peak: the larger of the scan's peak and every end value
+    seen so far.  An end that fails moves out one scan radius and is
+    checked again, so the range holds the marginal of a correlated
+    integrand, whose mass lies away from the inner representatives.  The
+    radii are then rounded up to eight significant bits.
+
+    For a ``trapezoid`` leg the list of radii is followed by each node's
+    inverse of the largest trapezoid step the rule allows (see
+    _TRAP_ALIAS): from the mean dP/dr between neighbouring radii, over
+    the gaps next to a sampled point of any of ``ends`` where the
+    integrand lies within MAGNITUDE_CUT of its largest sampled
+    magnitude, and at a level with inner variables from the mean slope
+    of Im P along the inner peaks between the two checked ends."""
     radii = _SCAN_RADII
     count = len(member)
     z = np.concatenate([anchor + direction * radii for direction, _ in ends])
@@ -769,36 +906,21 @@ def _truncate_unbounded(run, j, fixed, member, anchor, ends, rate=False):
     for chain in inner_chains:
         combos = [c + (p,) for c in combos for p in _representatives(chain)]
 
-    rows = (slice(None), None)  # node coefficients down, radii across
     ok_decay = np.ones((count, z.size), dtype=bool)
     log_mag = np.full((count, z.size), -np.inf)
     slices = []  # (P, log magnitude) of each slice
-    rho = run.monomial_exponent(j)
     for combo in combos:
         fixed_all = dict(fixed)
         for idx, val in zip(range(j + 1, run.n), combo):
             fixed_all[idx] = val
-        coeffs = _collapse_along(run.kernel, fixed_all, j, member)
-        p = _eval_collapsed(coeffs, z, rows)
-        re_p = p.real
-        ok_decay &= re_p < DECAY_RE_P
-        lm = re_p.copy()
-        if rho is not None:
-            with np.errstate(divide="ignore"):
-                lm = lm + rho.real * np.log(np.maximum(np.abs(z), 1e-300))
-        if run.n == 1:
-            for poly, v in zip(run.powers, run.power_v):
-                pv = np.abs(_eval_collapsed(
-                    _collapse_along(poly, fixed_all, j, member), z, rows))
-                with np.errstate(divide="ignore"):
-                    lm = lm + v.real * np.log(np.maximum(pv, 1e-300))
+        p, lm = _slice_log_mag(run, j, fixed_all, member, z)
+        ok_decay &= p.real < DECAY_RE_P
         log_mag = np.maximum(log_mag, lm)
-        if rate:
+        if trapezoid:
             slices.append((p, lm))
 
-    cuts = []
+    index = []
     top = np.full(count, -np.inf)
-    reach = 0  # radii up to the farthest cut
     for k, (_, what) in enumerate(ends):
         part = slice(k * radii.size, (k + 1) * radii.size)
         mag = log_mag[:, part]
@@ -806,7 +928,7 @@ def _truncate_unbounded(run, j, fixed, member, anchor, ends, rate=False):
         peak = np.where(finite, mag, -np.inf).max(axis=1)
         top = np.maximum(top, peak)
         peak[~finite.any(axis=1)] = 0.0
-        small = mag < peak[:, None] + math.log(MAGNITUDE_CUT)
+        small = mag < peak[:, None] + _LOG_CUT
         # good[:, i]: decayed at every radius from i outwards
         good = np.logical_and.accumulate((ok_decay[:, part] & small)[:, ::-1],
                                          axis=1)[:, ::-1]
@@ -817,14 +939,23 @@ def _truncate_unbounded(run, j, fixed, member, anchor, ends, rate=False):
             )
         # a range decayed from the origin on still starts one radius out
         first = np.maximum(good.argmax(axis=1), 1)
-        last = np.minimum(first + 2, len(radii) - 1)
-        reach = max(reach, int(last.max()) + 1)
-        cuts.append(radii[last])
-    if not rate:
-        return cuts
-    band = np.where(np.isfinite(top), top + math.log(MAGNITUDE_CUT), np.inf)
-    shape = (count, len(ends), radii.size)
+        index.append(first if trapezoid
+                     else np.minimum(first + 2, len(radii) - 1))
+    if not trapezoid:
+        return [radii[i] for i in index]
     fastest = np.zeros(count)
+    if j < run.n - 1:
+        index, ridge = _check_ends(run, j, fixed, member, anchor, ends, index,
+                                   top)
+        # Im P along the inner peaks from one end of the line to the other:
+        # its mean slope is the frequency of the marginal when the inner
+        # slices are Gaussian, which the slices at the representatives
+        # do not see
+        fastest = (np.abs((ridge[:, 1] - ridge[:, 0]).imag)
+                   / (_TRAP_ALIAS * (radii[index[0]] + radii[index[1]])))
+    reach = max(int(i.max()) for i in index) + 1  # radii up to the farthest cut
+    band = np.where(np.isfinite(top), top + _LOG_CUT, np.inf)
+    shape = (count, len(ends), radii.size)
     for p, lm in slices:
         with np.errstate(invalid="ignore"):  # inf - inf far out
             change = np.diff(p.reshape(shape)[:, :, :reach], axis=2)
@@ -836,7 +967,41 @@ def _truncate_unbounded(run, j, fixed, member, anchor, ends, rate=False):
         # sampled peak alone is zero
         r[~(seen[:, :, 1:] | seen[:, :, :-1])] = 0.0
         fastest = np.maximum(fastest, r.max(axis=(1, 2)))
-    return cuts + [fastest]
+    # eight significant bits, rounded up, keep the trapezoid nodes
+    # -r0 + (r0 + r1) k / n of a line at angle 0 exact in binary, so that
+    # no rounding of the nodes biases the sum
+    mantissa, exponent = np.frexp([radii[i] for i in index])
+    cuts = np.ldexp(np.ceil(np.ldexp(mantissa, 8)), exponent - 8)
+    return list(cuts) + [fastest]
+
+
+def _check_ends(run, j, fixed, member, anchor, ends, index, top):
+    """The cut radius indices ``index`` (one array per end) moved out
+    until the inner slice at each end lies MAGNITUDE_CUT below the
+    level's peak, and P at the inner slice's peak at each final end
+    (nodes down, ends across); see _truncate_unbounded."""
+    at = np.stack(index, axis=1)  # nodes down, ends across
+    ridge = np.empty(at.shape, dtype=complex)
+    peak = top.copy()
+    directions = np.array([direction for direction, _ in ends])
+    nodes, end = np.nonzero(np.ones(at.shape, dtype=bool))
+    while nodes.size:
+        z = anchor + directions[end] * _SCAN_RADII[at[nodes, end]]
+        value, ridge[nodes, end] = _inner_peak(
+            run, j, {i: t[nodes] for i, t in fixed.items()}, member[nodes], z)
+        # the end values seen so far only raise the peak, so an end that
+        # passed once stays passed
+        np.maximum.at(peak, nodes, value)
+        moved = ~(value < peak[nodes] + _LOG_CUT)
+        nodes, end = nodes[moved], end[moved]
+        outside = at[nodes, end] == len(_SCAN_RADII) - 1
+        if outside.any():
+            raise DivergenceError(
+                "the integrand over the inner variables has not decayed at "
+                f"the end of {ends[end[outside][0]][1]}; the integral "
+                "diverges on this contour")
+        at[nodes, end] += 1
+    return list(at.T), ridge
 
 
 def _build_paths(run, j, fixed, member):
@@ -852,7 +1017,7 @@ def _build_paths(run, j, fixed, member):
             d = np.exp(1j * leg.angle)
             cut = _truncate_unbounded(run, j, fixed, member, 0j, [
                 (-d, what + " (negative end)"), (d, what + " (positive end)")],
-                rate=entire)
+                trapezoid=entire)
         else:
             cut = ()
         path = _make_path(leg, index, cut, count)
@@ -934,15 +1099,20 @@ def _level_value(run, j, fixed, member, rel_tol):
                 else:
                     val = val * z ** int(rho.real)
             if innermost:
-                val = val * np.exp(_eval_collapsed(kernel_coeffs, z, node))
-                for i, (pc, v) in enumerate(zip(power_coeffs, run.power_v)):
-                    key = ("P", i + 1)
-                    pvals = _eval_collapsed(pc, z, node)
-                    if key in trackers:
-                        val = val * _tracked_power(
-                            pvals, trackers[key][leg_idx], node, taus, v)
-                    else:
-                        val = val * pvals ** int(v.real)
+                # past the double range the factors overflow; the check
+                # below reports that instead of a warning
+                with np.errstate(over="ignore", invalid="ignore"):
+                    val = val * np.exp(_eval_collapsed(kernel_coeffs, z,
+                                                       node))
+                    for i, (pc, v) in enumerate(zip(power_coeffs,
+                                                    run.power_v)):
+                        key = ("P", i + 1)
+                        pvals = _eval_collapsed(pc, z, node)
+                        if key in trackers:
+                            val = val * _tracked_power(
+                                pvals, trackers[key][leg_idx], node, taus, v)
+                        else:
+                            val = val * pvals ** int(v.real)
             else:
                 outer = {i: t[node] for i, t in fixed.items()}
                 outer[j] = z
@@ -954,6 +1124,10 @@ def _level_value(run, j, fixed, member, rel_tol):
                         run, j + 1, {i: t[chunk] for i, t in outer.items()},
                         outer_member[chunk], rel_tol * 0.5)
                 val = val * inner
+            if not np.isfinite(val).all():
+                raise QuadratureError(
+                    f"the integrand of variable {j + 1}, {path.describe()} "
+                    "is not finite in double precision")
             return val * path.dmap(node, taus)
 
         value, err, floor = adaptive_quadrature(
@@ -1080,7 +1254,8 @@ def integrate(spec, contour: ProductContour, tol: float = 1e-9):
     of (value, err_estimate) pairs is returned.  The members of a
     sequence are integrated in one lockstep run per polynomial support,
     each with the result it gets alone.  Raises DivergenceError when an
-    unbounded leg fails the decay check, AccuracyError when the
+    unbounded leg fails the decay check, QuadratureError when the
+    integrand is not finite in double precision, AccuracyError when the
     tolerance cannot be met (for any member of a sequence), and
     ValueError for structural problems (dimension mismatches, members
     that differ in more than their coefficients, missing branch data,

@@ -1,6 +1,7 @@
 import cmath
 import math
 import platform
+import random
 import subprocess
 import sys
 import time
@@ -10,8 +11,8 @@ import pytest
 from hypint.polynomials import SparsePolynomial
 from hypint.quadrature import (AccuracyError, AlphaMonomial, AlphaOne,
                                AlphaPowerProduct, Arc, DivergenceError,
-                               IntegrandSpec, Line, ProductContour, Ray,
-                               Segment,
+                               IntegrandSpec, Line, ProductContour,
+                               QuadratureError, Ray, Segment,
                                adaptive_quadrature, euler_integral_eval,
                                gg_eval, integrate, proper_integral)
 
@@ -294,6 +295,52 @@ class TestProperIntegral:
         assert inner_calls == [17] + [16 * 2 ** k
                                       for k in range(len(inner_calls) - 1)]
 
+    def test_two_dimensional_gaussian_cut_where_it_has_decayed(
+            self, monkeypatch):
+        # each Line is cut at the first scan radius from which the
+        # integrand stays negligible, so the outer trapezoid meets the
+        # target after two halvings: 2**6 intervals, not 2**7
+        from hypint import quadrature
+        level = quadrature._level_value
+        inner_calls = []
+
+        def spy_level(run, j, fixed, member, rel_tol):
+            if j == 1:
+                inner_calls.append(len(member))
+            return level(run, j, fixed, member, rel_tol)
+
+        monkeypatch.setattr(quadrature, "_level_value", spy_level)
+        c = ProductContour([[Line(0.0)], [Line(0.0)]])
+        value, _ = integrate(IntegrandSpec(self.ROTATED, AlphaOne()), c, 1e-8)
+        assert rel(value, self.rotated_value()) < 1e-8
+        assert inner_calls == [17, 16, 32]
+
+    def test_strongly_correlated_gaussian_plane(self):
+        # the inner slice at 0 decays like exp(-5 x^2) and the marginal only
+        # like exp(-0.198 x^2): the outer range must hold the marginal
+        P = SparsePolynomial(2, {(2, 0): -5, (1, 1): -9.8, (0, 2): -5})
+        c = ProductContour([[Line(0.0)], [Line(0.0)]])
+        value, _ = integrate(IntegrandSpec(P, AlphaOne()), c, 1e-8)
+        expected = math.pi / math.sqrt(0.99)
+        assert abs(value - expected) <= 1e-8 * expected
+
+    def test_strongly_correlated_gaussian_space(self):
+        # the same correlation seen from the outermost of three variables,
+        # whose inner slice is two-dimensional
+        P = SparsePolynomial(3, {(2, 0, 0): -5, (1, 1, 0): -9.8,
+                                 (0, 2, 0): -5, (0, 0, 2): -1})
+        c = ProductContour([[Line(0.0)]] * 3)
+        value, _ = integrate(IntegrandSpec(P, AlphaOne()), c, 1e-8)
+        expected = math.pi ** 1.5 / math.sqrt(0.99)
+        assert abs(value - expected) <= 1e-8 * expected
+
+    def test_marginal_without_decay_diverges(self):
+        # exp(-(x - y)^2): every slice decays, the marginal is sqrt(pi)
+        P = SparsePolynomial(2, {(2, 0): -1, (1, 1): 2, (0, 2): -1})
+        c = ProductContour([[Line(0.0)], [Line(0.0)]])
+        with pytest.raises(DivergenceError, match="inner variables"):
+            proper_integral(P, c)
+
     def test_inner_variable_without_decay_diverges(self):
         P = SparsePolynomial(2, {(2, 0): -1, (1, 1): 0.5})
         c = ProductContour([[Line(0.0)], [Line(0.0)]])
@@ -305,12 +352,52 @@ class TestProperIntegral:
         c = ProductContour([[Line(0.0)]] * 3)
         assert rel(proper_integral(P, c, 1e-5), math.pi ** 1.5) < 1e-5
 
+    @pytest.mark.parametrize("contour", [POSITIVE_RAY, REAL_LINE],
+                             ids=["ray", "line"])
+    def test_integrand_past_the_double_range(self, contour):
+        # exp(-t^2 + 60 t) peaks at e^900, past the largest double
+        P = SparsePolynomial(1, {(2,): -1, (1,): 60})
+        with pytest.raises(QuadratureError, match="not finite") as info:
+            integrate(IntegrandSpec(P, AlphaOne()), contour, 1e-8)
+        assert type(info.value) is QuadratureError
+
     def test_divergent_contour_rejected(self):
         with pytest.raises(DivergenceError):
             proper_integral(SparsePolynomial.zero(1), REAL_LINE)
         with pytest.raises(DivergenceError):
             # growing exponent along the positive ray
             proper_integral(SparsePolynomial(1, {(1,): 1}), POSITIVE_RAY)
+
+
+def correlated_gaussians(seed, count=60):
+    """exp(-(x - c)^T A (x - c)) with its peak at 1, A with eigenvalues
+    10^U(-1, 2) rotated by U(0, pi), c in U(-5, 5)^2; with the integral
+    pi / sqrt(det A) and a tolerance alternating 1e-8 and 1e-10."""
+    rng = random.Random(seed)
+    for k in range(count):
+        lam1, lam2 = (10 ** rng.uniform(-1, 2) for _ in range(2))
+        angle = rng.uniform(0, math.pi)
+        cx, cy = rng.uniform(-5, 5), rng.uniform(-5, 5)
+        c, s = math.cos(angle), math.sin(angle)
+        a11 = lam1 * c * c + lam2 * s * s
+        a22 = lam1 * s * s + lam2 * c * c
+        a12 = (lam1 - lam2) * c * s
+        P = SparsePolynomial(2, {
+            (2, 0): -a11, (1, 1): -2 * a12, (0, 2): -a22,
+            (1, 0): 2 * (a11 * cx + a12 * cy), (0, 1): 2 * (a12 * cx + a22 * cy),
+            (0, 0): -(a11 * cx * cx + 2 * a12 * cx * cy + a22 * cy * cy)})
+        yield P, math.pi / math.sqrt(lam1 * lam2), (1e-8, 1e-10)[k % 2]
+
+
+@pytest.mark.parametrize("seed", [3, 11])
+def test_correlated_gaussian_family(seed):
+    # the outer range must hold the marginal, wherever the inner slices
+    # peak: no result may miss its closed form by more than it claims
+    from hypint.quadrature import ABS_FLOOR
+    c = ProductContour([[Line(0.0)], [Line(0.0)]])
+    for P, expected, tol in correlated_gaussians(seed):
+        value, err = integrate(IntegrandSpec(P, AlphaOne()), c, tol)
+        assert abs(value - expected) <= max(tol * expected, err, ABS_FLOOR)
 
 
 class TestMonomialWeights:
