@@ -61,28 +61,27 @@ the origin of a Line, with the inner variables at representative
 points: from some radius on the integrand must stay below 1e-18 of its
 largest sampled magnitude, and Re P below -50, otherwise the integral is
 declared divergent.  The scan runs for all nodes, and for both ends of
-a Line, in one array pass.  A Line that takes the trapezoid rule is cut
-at the first radius from which the integrand stays that small, rounded
-up to eight significant bits so that its nodes are exact in binary.  At
-a level with inner variables each end of that cut is then checked: the
-inner slice's own peak there (the largest magnitude over the scan points
-of the inner variables, refined at the vertex of a parabola through the
-largest sample) must lie 1e-18 below the level's peak, or the end moves
-out one radius.  The range thus holds the marginal of a correlated
-integrand, whose mass lies where the slice through the representatives
-has long decayed; the inner peaks at the two ends also give the mean
-frequency of the marginal, which the trapezoid step must resolve.  Every
-other unbounded leg is cut two radii (a factor 1.58) further out and not
-checked: those legs take GK15, whose bisection spends its panels where
-the integrand matters, so the margin costs it little, while the
-trapezoid rule spends its points evenly over the whole range.  An
-integrand value that is not finite (past the double range) raises
-QuadratureError.  For multivalued factors
-(non-integer exponents) the argument of each factor is continued along
-each node's path by accumulating argument increments between consecutive
-sample points on a refined grid; quadrature nodes then pick up the
-winding number nearest to the tracked argument, which makes
-branch-corrected evaluation independent of the order in which the
+a Line, in one array pass.  Every Ray and Line, whichever rule then
+integrates it, is cut at the first radius from which the integrand
+stays that small, rounded up to eight significant bits so that the
+trapezoid nodes are exact in binary.  At a level with inner variables
+each end of that cut is then checked: the inner slice's own peak there
+(the largest magnitude over the scan points of the inner variables,
+refined at the vertex of a parabola through the largest sample) must
+lie 1e-18 below the level's peak, or the end moves out one radius.  The
+range thus holds the marginal of a correlated integrand, whose mass
+lies where the slice through the representatives has long decayed; on
+a Line the inner peaks at the two ends also give the mean frequency of
+the marginal, which the trapezoid step must resolve.  An integrand
+value that is not finite (past the double range, or a weight t^rho with
+Re rho < 0 next to a start just off 0) raises QuadratureError, and a
+weight t_j^(u_j - 1) with Re u_j <= 0 on a chain with a leg end at
+t_j = 0, where it is not integrable, raises ValueError.  For
+multivalued factors (non-integer exponents) the argument of each factor
+is continued along each node's path by accumulating argument increments
+between consecutive sample points on a refined grid; quadrature nodes
+then pick up the winding number nearest to the tracked argument, which
+makes branch-corrected evaluation independent of the order in which the
 adaptive rule visits the points.
 Power products with non-integer exponents are supported in one variable
 (their branch structure on higher-dimensional product contours is not
@@ -260,7 +259,7 @@ _GAUSS_IDX = np.arange(1, 15, 2)
 _NODE_TAU = np.dtype([("node", np.intp), ("tau", float)])
 
 
-def _gk15(f, node, a, b, batched):
+def _gk15(f, node, a, b):
     """Kronrod values and |Kronrod - Gauss| estimates of the panels
     [a_k, b_k] of integrals node_k, all evaluated in one call of ``f``."""
     a = np.asarray(a, dtype=float)
@@ -268,12 +267,9 @@ def _gk15(f, node, a, b, batched):
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
     x = mid[:, None] + half[:, None] * _XGK
-    if batched:
-        points = np.empty(x.size, dtype=_NODE_TAU)
-        points["node"] = np.repeat(node, _XGK.size)
-        points["tau"] = x.ravel()
-    else:
-        points = x.ravel()
+    points = np.empty(x.size, dtype=_NODE_TAU)
+    points["node"] = np.repeat(node, _XGK.size)
+    points["tau"] = x.ravel()
     fx = np.asarray(f(points), dtype=complex).reshape(x.shape)
     # weighted sums, not a matrix product: the complex product runs on
     # multithreaded BLAS, whose threads made 3-D integrals up to 3x slower
@@ -282,7 +278,7 @@ def _gk15(f, node, a, b, batched):
     return kron, np.abs(kron - gauss)
 
 
-def _row_sums(f, rows, a, b, s, weights, batched):
+def _row_sums(f, rows, a, b, s, weights):
     """Weighted sums of f and of |f| over the points a + (b - a) * s of
     integrals ``rows``: one row of points per integral, reduced row by row
     so an integral's sums do not depend on the others in the call; at
@@ -294,12 +290,9 @@ def _row_sums(f, rows, a, b, s, weights, batched):
     for lo in range(0, len(rows), per_call):
         group = rows[lo:lo + per_call]
         x = (a[group, None] + (b - a)[group, None] * s).ravel()
-        if batched:
-            points = np.empty(x.size, dtype=_NODE_TAU)
-            points["node"] = np.repeat(group, m)
-            points["tau"] = x
-        else:
-            points = x
+        points = np.empty(x.size, dtype=_NODE_TAU)
+        points["node"] = np.repeat(group, m)
+        points["tau"] = x
         fx = np.concatenate([
             np.asarray(f(points[k:k + _POINT_CAP]), dtype=complex).ravel()
             for k in range(0, x.size, _POINT_CAP)]).reshape(len(group), m)
@@ -310,7 +303,7 @@ def _row_sums(f, rows, a, b, s, weights, batched):
 
 
 def _trapezoid(f, a, b, rows, need, cap, rel_tol, abs_floor, what, failures,
-               batched, total, err, mass):
+               total, err, mass):
     """Lockstep trapezoid halving of integrals ``rows``; see
     adaptive_quadrature.  Fills their entries of ``total``, ``err`` and
     ``mass``."""
@@ -318,8 +311,7 @@ def _trapezoid(f, a, b, rows, need, cap, rel_tol, abs_floor, what, failures,
     n = 2 ** _TRAP_START
     weights = np.ones(n + 1)
     weights[[0, -1]] = 0.5
-    sums, mags = _row_sums(f, rows, a, b, np.arange(n + 1) / n, weights,
-                           batched)
+    sums, mags = _row_sums(f, rows, a, b, np.arange(n + 1) / n, weights)
     step = (b[rows] - a[rows]) / n
     total[rows] = step * sums
     mass[rows] = step * mags
@@ -335,8 +327,7 @@ def _trapezoid(f, a, b, rows, need, cap, rel_tol, abs_floor, what, failures,
                 failures[i] = error
             break
         n *= 2
-        sums, mags = _row_sums(f, rows, a, b, np.arange(1, n, 2) / n, 1.0,
-                               batched)
+        sums, mags = _row_sums(f, rows, a, b, np.arange(1, n, 2) / n, 1.0)
         step = (b[rows] - a[rows]) / n
         new = 0.5 * total[rows] + step * sums
         err[rows] = np.abs(new - total[rows])
@@ -353,13 +344,13 @@ def _trapezoid(f, a, b, rows, need, cap, rel_tol, abs_floor, what, failures,
 
 
 def _gauss_kronrod(f, a, b, rows, rel_tol, abs_floor, max_intervals, what,
-                   failures, batched, total_out, err_out, mass_out):
+                   failures, total_out, err_out, mass_out):
     """Lockstep GK15 bisection of integrals ``rows``; see
     adaptive_quadrature.  Fills their entries of the three arrays."""
     count = len(a)
     pieces = np.linspace(a[rows], b[rows], _START_PANELS + 1, axis=1)
     vals, errs = _gk15(f, np.repeat(rows, _START_PANELS),
-                       pieces[:, :-1].ravel(), pieces[:, 1:].ravel(), batched)
+                       pieces[:, :-1].ravel(), pieces[:, 1:].ravel())
     vals, errs = vals.reshape(len(rows), -1), errs.reshape(len(rows), -1)
     start_total = np.zeros(len(rows), dtype=complex)
     start_err = np.zeros(len(rows))
@@ -440,7 +431,7 @@ def _gauss_kronrod(f, a, b, rows, rel_tol, abs_floor, max_intervals, what,
         if not split:
             continue
         node, lo, mid, hi, _, _ = zip(*split)
-        v, e = _gk15(f, node + node, lo + mid, mid + hi, batched)
+        v, e = _gk15(f, node + node, lo + mid, mid + hi)
         v, e = v.tolist(), e.tolist()
         m = len(split)
         for k, (i, lo, mid, hi, val, neg_err) in enumerate(split):
@@ -460,12 +451,11 @@ def adaptive_quadrature(f, a, b, rel_tol, abs_floor, max_intervals=4096,
                         what="integral", failures=None, trapezoid=None):
     """Adaptive interval-halving with the embedded Gauss/Kronrod pair.
 
-    With scalar ``a`` and ``b``, ``f`` is evaluated on numpy arrays of
-    points and (value, err, roundoff floor) is returned.  With length-B
-    arrays, B independent integrals run in lockstep, and ``f`` receives
-    one array with fields ``node`` (which integral) and ``tau`` (the
-    point) holding all panels requested in the round; the three results
-    are then length-B arrays.  Each round every unconverged integral
+    The B integrals over [a_k, b_k] (``a`` and ``b`` length-B arrays) run
+    in lockstep: ``f`` receives one array with fields ``node`` (which
+    integral) and ``tau`` (the point) holding all panels requested in the
+    round, and the result is three length-B arrays: values, error
+    estimates and roundoff floors.  Each round every unconverged integral
     bisects its worst intervals, as many as it takes for their estimates
     to sum to the excess of its error over its target: at least one, no
     more than its budget of ``max_intervals`` has room for, and none
@@ -474,10 +464,10 @@ def adaptive_quadrature(f, a, b, rel_tol, abs_floor, max_intervals=4096,
     bisections it would follow alone.  Raises AccuracyError carrying the
     best estimate of the failing integral when its budget is exhausted,
     or its bisection depth: the errors of the intervals too short to
-    bisect exceed its target.  Batched,
-    with a dict ``failures``, that error is stored there under the
-    integral's index instead, and the other integrals run on; integrals
-    already in it are not refined, and their results mean nothing.
+    bisect exceed its target.  With a dict ``failures``, that error is
+    stored there under the integral's index instead, and the other
+    integrals run on; integrals already in it are not refined, and their
+    results mean nothing.
 
     ``trapezoid``, for integrands entire on the interval and decayed at
     both ends (a truncated Line), is the fewest intervals each integral
@@ -492,9 +482,8 @@ def adaptive_quadrature(f, a, b, rel_tol, abs_floor, max_intervals=4096,
     fails as above.  An integral that needs more intervals than that
     takes GK15, whose bisection resolves a narrow feature locally.
     """
-    batched = np.ndim(a) > 0
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    b = np.atleast_1d(np.asarray(b, dtype=float))
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
     count = len(a)
     rows = np.arange(count)
     if failures:
@@ -510,15 +499,11 @@ def adaptive_quadrature(f, a, b, rel_tol, abs_floor, max_intervals=4096,
     mass = np.zeros(count)
     if trap_rows.size:
         _trapezoid(f, a, b, trap_rows, need, cap, rel_tol, abs_floor, what,
-                   failures, batched, total, err, mass)
+                   failures, total, err, mass)
     if gk_rows.size:
         _gauss_kronrod(f, a, b, gk_rows.tolist(), rel_tol, abs_floor,
-                       max_intervals, what, failures, batched, total, err,
-                       mass)
-    floor = 5e-16 * mass
-    if batched:
-        return total, err, floor
-    return complex(total[0]), float(err[0]), float(floor[0])
+                       max_intervals, what, failures, total, err, mass)
+    return total, err, 5e-16 * mass
 
 
 # ----------------------------------------------------------------------
@@ -870,34 +855,30 @@ def _inner_peak(run, j, fixed, member, z):
     return peak[every, pick], at_peak.reshape(count, -1)[every, pick]
 
 
-def _truncate_unbounded(run, j, fixed, member, anchor, ends, trapezoid=False):
-    """For each node (its outer values in ``fixed``, its batch member in
-    ``member``) and each (direction, what) of ``ends``, the radius along
-    anchor + direction*r where the integrand has decayed for every
-    representative slice of the inner variables; one array pass, each
-    direction with its own peak and decay test.
+def _truncate_unbounded(run, j, fixed, member, anchor, ends):
+    """(cuts, step_bound): for each (direction, what) of ``ends``, one
+    radius per node (its outer values in ``fixed``, its batch member in
+    ``member``) along anchor + direction*r where the integrand has decayed
+    for every representative slice of the inner variables, and per node
+    the inverse of the largest trapezoid step the integrand allows; one
+    array pass, each direction with its own peak and decay test.
 
-    A leg that takes GK15 is cut two scan radii past the first radius
-    from which the integrand stays below MAGNITUDE_CUT of that peak, as
-    a margin for the inner slices between the representatives; GK15
-    bisects where the integrand matters, so the margin costs it little.
-    A ``trapezoid`` leg (a Line), whose rule spends its points evenly over
-    the range, is cut at that first radius.  At a level with inner
-    variables each of its ends is then checked against the inner slice's
-    own peak there (see _inner_peak), which must lie MAGNITUDE_CUT below
-    the level's peak: the larger of the scan's peak and every end value
-    seen so far.  An end that fails moves out one scan radius and is
-    checked again, so the range holds the marginal of a correlated
-    integrand, whose mass lies away from the inner representatives.  The
-    radii are then rounded up to eight significant bits.
+    Each end is cut at the first scan radius from which the integrand
+    stays below MAGNITUDE_CUT of that end's peak.  At a level with inner
+    variables each end is then checked against the inner slice's own
+    peak there (see _inner_peak), which must lie MAGNITUDE_CUT below the
+    level's peak: the larger of the scan's peak and every end value seen
+    so far.  An end that fails moves out one scan radius and is checked
+    again, so the range holds the marginal of a correlated integrand,
+    whose mass lies away from the inner representatives.  The radii are
+    then rounded up to eight significant bits.
 
-    For a ``trapezoid`` leg the list of radii is followed by each node's
-    inverse of the largest trapezoid step the rule allows (see
-    _TRAP_ALIAS): from the mean dP/dr between neighbouring radii, over
-    the gaps next to a sampled point of any of ``ends`` where the
-    integrand lies within MAGNITUDE_CUT of its largest sampled
-    magnitude, and at a level with inner variables from the mean slope
-    of Im P along the inner peaks between the two checked ends."""
+    The step bound (see _TRAP_ALIAS) comes from the mean dP/dr between
+    neighbouring radii, over the gaps next to a sampled point of any of
+    ``ends`` where the integrand lies within MAGNITUDE_CUT of its largest
+    sampled magnitude, and, where there are two ends at a level with
+    inner variables, from the mean slope of Im P along the inner peaks
+    between them."""
     radii = _SCAN_RADII
     count = len(member)
     z = np.concatenate([anchor + direction * radii for direction, _ in ends])
@@ -916,8 +897,7 @@ def _truncate_unbounded(run, j, fixed, member, anchor, ends, trapezoid=False):
         p, lm = _slice_log_mag(run, j, fixed_all, member, z)
         ok_decay &= p.real < DECAY_RE_P
         log_mag = np.maximum(log_mag, lm)
-        if trapezoid:
-            slices.append((p, lm))
+        slices.append((p, lm))
 
     index = []
     top = np.full(count, -np.inf)
@@ -938,21 +918,18 @@ def _truncate_unbounded(run, j, fixed, member, anchor, ends, trapezoid=False):
                 "the integral diverges on this contour"
             )
         # a range decayed from the origin on still starts one radius out
-        first = np.maximum(good.argmax(axis=1), 1)
-        index.append(first if trapezoid
-                     else np.minimum(first + 2, len(radii) - 1))
-    if not trapezoid:
-        return [radii[i] for i in index]
+        index.append(np.maximum(good.argmax(axis=1), 1))
     fastest = np.zeros(count)
     if j < run.n - 1:
         index, ridge = _check_ends(run, j, fixed, member, anchor, ends, index,
                                    top)
-        # Im P along the inner peaks from one end of the line to the other:
-        # its mean slope is the frequency of the marginal when the inner
-        # slices are Gaussian, which the slices at the representatives
-        # do not see
-        fastest = (np.abs((ridge[:, 1] - ridge[:, 0]).imag)
-                   / (_TRAP_ALIAS * (radii[index[0]] + radii[index[1]])))
+        if len(ends) == 2:
+            # Im P along the inner peaks from one end of the line to the
+            # other: its mean slope is the frequency of the marginal when
+            # the inner slices are Gaussian, which the slices at the
+            # representatives do not see
+            fastest = (np.abs((ridge[:, 1] - ridge[:, 0]).imag)
+                       / (_TRAP_ALIAS * (radii[index[0]] + radii[index[1]])))
     reach = max(int(i.max()) for i in index) + 1  # radii up to the farthest cut
     band = np.where(np.isfinite(top), top + _LOG_CUT, np.inf)
     shape = (count, len(ends), radii.size)
@@ -972,7 +949,7 @@ def _truncate_unbounded(run, j, fixed, member, anchor, ends, trapezoid=False):
     # no rounding of the nodes biases the sum
     mantissa, exponent = np.frexp([radii[i] for i in index])
     cuts = np.ldexp(np.ceil(np.ldexp(mantissa, 8)), exponent - 8)
-    return list(cuts) + [fastest]
+    return list(cuts), fastest
 
 
 def _check_ends(run, j, fixed, member, anchor, ends, index, top):
@@ -1010,20 +987,20 @@ def _build_paths(run, j, fixed, member):
     paths = []
     for index, leg in enumerate(run.contour.chains[j]):
         what = f"variable {j + 1}, leg {index + 1} ({type(leg).__name__})"
-        if isinstance(leg, Ray):
-            cut = _truncate_unbounded(run, j, fixed, member, complex(leg.start),
-                                      [(np.exp(1j * leg.angle), what)])
-        elif isinstance(leg, Line):
+        cut = ()
+        if isinstance(leg, (Ray, Line)):
             d = np.exp(1j * leg.angle)
-            cut = _truncate_unbounded(run, j, fixed, member, 0j, [
-                (-d, what + " (negative end)"), (d, what + " (positive end)")],
-                trapezoid=entire)
-        else:
-            cut = ()
+            if isinstance(leg, Ray):
+                anchor, ends = complex(leg.start), [(d, what)]
+            else:
+                anchor, ends = 0j, [(-d, what + " (negative end)"),
+                                    (d, what + " (positive end)")]
+            cut, step = _truncate_unbounded(run, j, fixed, member, anchor,
+                                            ends)
         path = _make_path(leg, index, cut, count)
         if entire and isinstance(leg, Line):
             # the fewest intervals whose step the scan allows
-            need = (cut[0] + cut[1]) * cut[2]
+            need = (cut[0] + cut[1]) * step
             path.trapezoid = np.where(need <= _TRAP_MAX, need, np.inf)
         paths.append(path)
     return paths
@@ -1090,18 +1067,29 @@ def _level_value(run, j, fixed, member, rel_tol):
         def f(x, path=path, leg_idx=leg_idx):
             node, taus = x["node"], x["tau"]
             z = path.map(node, taus)
-            val = np.ones_like(z, dtype=complex)
-            if rho is not None:
-                key = ("t", j + 1)
-                if key in trackers:
-                    val = val * _tracked_power(z, trackers[key][leg_idx],
-                                               node, taus, rho)
-                else:
-                    val = val * z ** int(rho.real)
-            if innermost:
-                # past the double range the factors overflow; the check
-                # below reports that instead of a warning
-                with np.errstate(over="ignore", invalid="ignore"):
+            if not innermost:
+                outer = {i: t[node] for i, t in fixed.items()}
+                outer[j] = z
+                outer_member = member[node]
+                inner = np.empty_like(z, dtype=complex)
+                for lo in range(0, z.size, _NODE_CAP):
+                    chunk = slice(lo, lo + _NODE_CAP)
+                    inner[chunk] = _level_value(
+                        run, j + 1, {i: t[chunk] for i, t in outer.items()},
+                        outer_member[chunk], rel_tol * 0.5)
+            # past the double range the factors overflow, and t^rho of a
+            # negative rho near 0 with them; the check below reports that
+            # instead of a warning
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                val = np.ones_like(z, dtype=complex)
+                if rho is not None:
+                    key = ("t", j + 1)
+                    if key in trackers:
+                        val = val * _tracked_power(z, trackers[key][leg_idx],
+                                                   node, taus, rho)
+                    else:
+                        val = val * z ** int(rho.real)
+                if innermost:
                     val = val * np.exp(_eval_collapsed(kernel_coeffs, z,
                                                        node))
                     for i, (pc, v) in enumerate(zip(power_coeffs,
@@ -1113,22 +1101,14 @@ def _level_value(run, j, fixed, member, rel_tol):
                                 pvals, trackers[key][leg_idx], node, taus, v)
                         else:
                             val = val * pvals ** int(v.real)
-            else:
-                outer = {i: t[node] for i, t in fixed.items()}
-                outer[j] = z
-                outer_member = member[node]
-                inner = np.empty_like(z, dtype=complex)
-                for lo in range(0, z.size, _NODE_CAP):
-                    chunk = slice(lo, lo + _NODE_CAP)
-                    inner[chunk] = _level_value(
-                        run, j + 1, {i: t[chunk] for i, t in outer.items()},
-                        outer_member[chunk], rel_tol * 0.5)
-                val = val * inner
+                else:
+                    val = val * inner
+                val = val * path.dmap(node, taus)
             if not np.isfinite(val).all():
                 raise QuadratureError(
                     f"the integrand of variable {j + 1}, {path.describe()} "
                     "is not finite in double precision")
-            return val * path.dmap(node, taus)
+            return val
 
         value, err, floor = adaptive_quadrature(
             f, np.zeros(count), np.ones(count), rel_tol,
@@ -1190,6 +1170,15 @@ def _check_batch(specs, contour):
             "non-integer power-product exponents are supported in one "
             "variable only"
         )
+    u = getattr(first.alpha, "u", ())
+    for j, (uj, chain) in enumerate(zip(u, contour.chains)):
+        if uj.real <= 0 and any(end == 0 for leg in chain
+                                for end in _leg_endpoints(leg)):
+            raise ValueError(
+                f"u[{j}] = {uj} has real part <= 0: the weight "
+                f"t{j + 1}^(u{j + 1} - 1) is not integrable at the leg "
+                f"endpoint t{j + 1} = 0"
+            )
     if n == 1:
         chain = contour.chains[0]
         ends = (_leg_endpoints(chain[0])[0], _leg_endpoints(chain[-1])[1])
@@ -1259,9 +1248,10 @@ def integrate(spec, contour: ProductContour, tol: float = 1e-9):
     tolerance cannot be met (for any member of a sequence), and
     ValueError for structural problems (dimension mismatches, members
     that differ in more than their coefficients, missing branch data,
-    and a power-product factor that vanishes at an end of a one-variable
-    chain under an exponent of real part <= -1, which is not integrable
-    there).
+    a power-product factor that vanishes at an end of a one-variable
+    chain under an exponent of real part <= -1, and a weight
+    t_j^(u_j - 1) with Re u_j <= 0 on a chain with a leg end at t_j = 0,
+    neither of which is integrable there).
 
     A member of a sequence whose own integral fails (interval budget or
     bisection depth at the outermost level, or the final tolerance test)

@@ -234,6 +234,19 @@ class TestEvalCommand:
             assert "vanishes at endpoint" in r.stderr
             assert "Warning" not in r.stderr
 
+    @pytest.mark.parametrize("u", [-0.5, 0.0])
+    def test_nonintegrable_weight_at_zero_is_input_error(self, tmp_path, u):
+        # t^(u - 1) on the positive ray from 0, with Re u <= 0
+        problems = Path(__file__).resolve().parent.parent / "problems"
+        data = json.loads((problems / "gamma_half.json").read_text())
+        data["u"] = [[u, 0.0]]
+        path = write_problem(tmp_path, data)
+        for command in ("eval", "verify"):
+            r = run_cli([command, path])
+            assert r.returncode == 2, r.stderr
+            assert "u[0]" in r.stderr and "not integrable" in r.stderr
+            assert "Warning" not in r.stderr
+
     def test_missing_contour_is_input_error(self, tmp_path):
         path = write_problem(tmp_path, gaussian_problem(contour=None))
         r = run_cli(["eval", path])

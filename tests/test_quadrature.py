@@ -27,10 +27,19 @@ def rel(a, b):
     return abs(a - b) / abs(b)
 
 
+def one_integral(f, a, b, *args, **kwargs):
+    """adaptive_quadrature of one integral over [a, b]: ``f`` takes plain
+    arrays of points, and the value, error and floor come back as scalars."""
+    import numpy as np
+    value, err, floor = adaptive_quadrature(
+        lambda x: f(x["tau"]), np.array([a]), np.array([b]), *args, **kwargs)
+    return complex(value[0]), float(err[0]), float(floor[0])
+
+
 class TestAdaptiveRule:
     def test_polynomial_is_exact(self):
-        value, err, _ = adaptive_quadrature(lambda x: x ** 5 - x, 0.0, 2.0,
-                                            1e-13, 1e-15)
+        value, err, _ = one_integral(lambda x: x ** 5 - x, 0.0, 2.0,
+                                     1e-13, 1e-15)
         assert value == pytest.approx(2 ** 6 / 6 - 2, abs=1e-13)
 
     def test_batch_matches_separate_runs(self):
@@ -52,7 +61,7 @@ class TestAdaptiveRule:
                 points.append(t.size)
                 return np.exp(-s * t) * np.sqrt(t)
 
-            value, err, _ = adaptive_quadrature(g, 0.0, 1.0, 1e-12, 1e-15)
+            value, err, _ = one_integral(g, 0.0, 1.0, 1e-12, 1e-15)
             assert seen[k] == sum(points)
             assert values[k] == pytest.approx(value, rel=1e-14)
             assert errs[k] == pytest.approx(err, rel=1e-6)
@@ -62,8 +71,8 @@ class TestAdaptiveRule:
         # a kink the estimator keeps refining at an absurd tolerance
         import numpy as np
         with pytest.raises(AccuracyError) as info:
-            adaptive_quadrature(lambda x: np.abs(x - 1 / 3) ** 0.1,
-                                0.0, 1.0, 1e-16, 0.0, max_intervals=32)
+            one_integral(lambda x: np.abs(x - 1 / 3) ** 0.1,
+                         0.0, 1.0, 1e-16, 0.0, max_intervals=32)
         assert abs(info.value.value) > 0
         assert info.value.err_estimate > 0
 
@@ -77,7 +86,7 @@ class TestAdaptiveRule:
             sizes.append(x.size)
             return np.cos(40.0 * x)
 
-        value, err, _ = adaptive_quadrature(f, 0.0, 1.0, 1e-12, 1e-15)
+        value, err, _ = one_integral(f, 0.0, 1.0, 1e-12, 1e-15)
         assert len(sizes) == 2
         assert sizes[1] // 30 > 1  # two panels of 15 points per bisection
         assert abs(value - math.sin(40.0) / 40.0) < 1e-15
@@ -94,7 +103,7 @@ class TestAdaptiveRule:
             return np.cos(200.0 * x)
 
         with pytest.raises(AccuracyError, match="after 12 intervals"):
-            adaptive_quadrature(f, 0.0, 1.0, 1e-12, 1e-15, max_intervals=12)
+            one_integral(f, 0.0, 1.0, 1e-12, 1e-15, max_intervals=12)
         assert sizes == [8 * 15, 4 * 30]
 
     # a jump at 100 + 1/sqrt(2): the interval holding it shrinks below
@@ -112,9 +121,9 @@ class TestAdaptiveRule:
         import numpy as np
         with pytest.raises(AccuracyError,
                            match=f"after {2 ** levels} trapezoid") as info:
-            adaptive_quadrature(lambda x: np.abs(x - 1 / 3) ** 0.1,
-                                0.0, 1.0, 1e-13, 1e-15, max_intervals=budget,
-                                trapezoid=0)
+            one_integral(lambda x: np.abs(x - 1 / 3) ** 0.1,
+                         0.0, 1.0, 1e-13, 1e-15, max_intervals=budget,
+                         trapezoid=0)
         assert abs(info.value.value - self.KINK) < close
         assert 0 < info.value.err_estimate < close
 
@@ -127,11 +136,11 @@ class TestAdaptiveRule:
             sizes.append(x.size)
             return np.exp(-200 * (x - 0.5) ** 2)
 
-        adaptive_quadrature(f, 0.0, 1.0, 1e-10, 1e-15, trapezoid=0)
+        one_integral(f, 0.0, 1.0, 1e-10, 1e-15, trapezoid=0)
         natural = sum(sizes) - 1
         sizes.clear()
-        value, _, _ = adaptive_quadrature(f, 0.0, 1.0, 1e-10, 1e-15,
-                                          trapezoid=300)
+        value, _, _ = one_integral(f, 0.0, 1.0, 1e-10, 1e-15,
+                                   trapezoid=300)
         assert natural < 300 and sum(sizes) - 1 == 512
         assert abs(value - math.sqrt(math.pi / 200)) < 1e-13
 
@@ -147,7 +156,7 @@ class TestAdaptiveRule:
         values, errs, floors = adaptive_quadrature(
             f, np.zeros(3), np.ones(3), 1e-12, 1e-15, trapezoid=needs)
         for k in range(3):
-            alone = adaptive_quadrature(
+            alone = one_integral(
                 lambda t: np.exp(-scales[k] * (t - 0.5) ** 2), 0.0, 1.0,
                 1e-12, 1e-15, trapezoid=0 if k == 0 else None)
             assert (values[k], errs[k], floors[k]) == alone
@@ -172,8 +181,8 @@ class TestAdaptiveRule:
 
     def test_bisection_depth_exhausted(self):
         with pytest.raises(AccuracyError, match="bisection depth exhausted"):
-            adaptive_quadrature(lambda x: (x > self.JUMP).astype(float),
-                                100.0, 101.0, 1e-16, 0.0)
+            one_integral(lambda x: (x > self.JUMP).astype(float),
+                         100.0, 101.0, 1e-16, 0.0)
 
     def test_bisection_depth_exhausted_in_a_batch(self):
         import numpy as np
@@ -191,7 +200,7 @@ class TestAdaptiveRule:
         assert list(failures) == [0]
         assert "bisection depth exhausted" in str(failures[0])
         for k in (1, 2):
-            value, err, _ = adaptive_quadrature(
+            value, err, _ = one_integral(
                 lambda t: np.exp(-scales[k] * t) * np.sqrt(t), 0.0, 1.0,
                 1e-16, 0.0)
             assert (values[k], errs[k]) == (value, err)
@@ -251,20 +260,21 @@ class TestProperIntegral:
                 inner_calls.append(len(member))
             return level(run, j, fixed, member, rel_tol)
 
-        def spy_gk15(f, node, a, b, batched):
+        def spy_gk15(f, node, a, b):
             if depth[0] == 0:
                 outer_rounds.append(len(a))
             depth[0] += 1
             try:
-                return gk15(f, node, a, b, batched)
+                return gk15(f, node, a, b)
             finally:
                 depth[0] -= 1
 
         monkeypatch.setattr(quadrature, "_level_value", spy_level)
         monkeypatch.setattr(quadrature, "_gk15", spy_gk15)
         c = ProductContour([self.SPLIT_LINE, self.SPLIT_LINE])
-        value, _ = integrate(IntegrandSpec(self.ROTATED, AlphaOne()), c, 1e-9)
-        assert rel(value, self.rotated_value()) < 1e-9
+        # at 1e-11 and above the outer legs converge on their starting panels
+        value, _ = integrate(IntegrandSpec(self.ROTATED, AlphaOne()), c, 1e-12)
+        assert rel(value, self.rotated_value()) < 1e-12
         # each of the two outer legs starts with one round
         assert len(outer_rounds) > 2  # a refinement round was needed
         assert len(inner_calls) == len(outer_rounds)
@@ -333,6 +343,37 @@ class TestProperIntegral:
         value, _ = integrate(IntegrandSpec(P, AlphaOne()), c, 1e-8)
         expected = math.pi ** 1.5 / math.sqrt(0.99)
         assert abs(value - expected) <= 1e-8 * expected
+
+    def test_correlated_gaussian_on_two_rays(self):
+        # exp(-5 (x - y)^2 - 0.05 (x + y)) on [0, inf)^2: the slices
+        # through the inner ray's representatives 0 and 1 decay near the
+        # origin, the marginal only like exp(-0.1 x); the reference is
+        # the 1-D integral of exp(-0.1 x) times the inner erfc factor
+        P = SparsePolynomial(2, {(2, 0): -5, (1, 1): 10, (0, 2): -5,
+                                 (1, 0): -0.05, (0, 1): -0.05})
+        c = ProductContour([[Ray(0, 0.0)], [Ray(0, 0.0)]])
+        tol, expected = 1e-8, 7.827637155215978
+        value, err = integrate(IntegrandSpec(P, AlphaOne()), c, tol)
+        assert abs(value - expected) <= max(tol * expected, err)
+
+    def test_ray_is_cut_where_a_line_end_is(self, monkeypatch):
+        # one cut rule for every unbounded leg: exp(-t^2) on the positive
+        # ray and on the line's positive end stops at the same radius
+        from hypint import quadrature
+        make_path = quadrature._make_path
+        cuts = []
+
+        def spy(leg, index, cut, count):
+            cuts.append([float(r[0]) for r in cut])
+            return make_path(leg, index, cut, count)
+
+        monkeypatch.setattr(quadrature, "_make_path", spy)
+        P = SparsePolynomial(1, {(2,): -1})
+        half_line = proper_integral(P, POSITIVE_RAY, 1e-10)
+        assert rel(half_line, SQRT_PI / 2) < 1e-10
+        assert rel(proper_integral(P, REAL_LINE, 1e-10), SQRT_PI) < 1e-10
+        (ray,), (_, line) = cuts
+        assert ray == line == 7.96875
 
     def test_marginal_without_decay_diverges(self):
         # exp(-(x - y)^2): every slice decays, the marginal is sqrt(pi)
@@ -433,6 +474,30 @@ class TestMonomialWeights:
                            {("t", 1): 0, ("t", 2): 0})
         assert rel(gg_eval(P, [1.5, 2.5], c, 1e-8),
                    math.gamma(1.5) * math.gamma(2.5)) < 1e-8
+
+    @pytest.mark.parametrize("u", [[1.5, -0.5], [1.5, 0.0]])
+    def test_nonintegrable_weight_at_zero_rejected(self, u):
+        # t2^(u2 - 1) with Re u2 <= 0 on a ray from 0, in two variables
+        P = SparsePolynomial(2, {(1, 0): -1, (0, 1): -1})
+        c = ProductContour([[Ray(0, 0)], [Ray(0, 0)]],
+                           {("t", 1): 0, ("t", 2): 0})
+        with pytest.raises(ValueError, match=r"u\[1\]"):
+            gg_eval(P, u, c, 1e-8)
+
+    @pytest.mark.parametrize("leg", [Ray(1e-250, 0.0), Segment(1e-250, 1)],
+                             ids=["ray", "segment"])
+    def test_weight_past_the_double_range(self, leg):
+        # t^-1.5 near a start at 1e-250 exceeds the largest double: a
+        # numeric error, reported without a floating-point warning
+        import warnings
+        contour = ProductContour([[leg]], {("t", 1): 0.0})
+        spec = IntegrandSpec(SparsePolynomial(1, {(1,): -1}),
+                             AlphaMonomial(-0.5))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(QuadratureError, match="not finite") as info:
+                integrate(spec, contour, 1e-9)
+        assert type(info.value) is QuadratureError
 
     def test_missing_branch_data_rejected(self):
         P = SparsePolynomial(1, {(1,): -1})
