@@ -3,8 +3,35 @@
 Evaluates integrals of exp(P(t)) * alpha(t) dt1..dtn for n <= 3, where
 alpha is 1, a monomial t^(u-1), or a product of polynomial powers
 P_1^v_1 .. P_k^v_k t^(u-1), over one parametric complex path chain per
-variable.  The driver is iterated one-dimensional adaptive integration,
-innermost variable first, with one of two rules per leg:
+variable.
+
+On a product of two or more chains that are each one Line, with an
+integrand entire in every variable, the integral is one tensor-product
+trapezoid in a Laplace frame.  On the lines' real parameters s
+(t_j = exp(i angle_j) s_j) the frame is s = x0 + L z: x0 maximises Re P,
+found by damped Newton from the best point of a coarse grid with the
+gradient and Hessian taken exactly from P's coefficients, and L is the
+inverse Cholesky factor of the Hessian of -Re P at x0, so that Re P falls
+like |z|^2 / 2 around the peak whatever the correlation of the
+variables.  P is re-expanded once per integrand as Q(z) = P(x0 + L z), so
+that its terms are small where the integrand matters.  One scan along
+each +-z axis cuts a box at the first scan radius from which the
+integrand has decayed, as for a leg below; each face of the box, sampled
+at the scan radii of the other axes, must then lie 1e-18 below the peak
+seen so far, or it moves out one radius.  The grid starts from 2**4
+intervals per axis and halves every axis together, evaluating only the
+new points, until two sums agree and the step resolves the slopes of Q
+that the scan found along each axis.  Besides the roundoff floor of the
+sums, the error estimate counts the rounding of P: eps times the sum of
+the magnitudes of P's terms at each node, weighted by |f|.  An
+integrand without a positive definite -Hessian at its peak (a
+degenerate peak such as exp(-x^4 - y^4), or a search that starts where
+-Re P is not convex), a Newton run that does not converge, a box that
+does not close within the scan radii, and a grid that would pass its
+budget of 120**3 points take the driver below instead.
+
+Everything else goes through iterated one-dimensional adaptive
+integration, innermost variable first, with one of two rules per leg:
 
 - On a Line leg whose integrand is entire in the leg's variable (every
   factor that varies with it is exp(P), t_j^k or P_i^k with an integer
@@ -51,9 +78,12 @@ only in their polynomial coefficients, and every node of every level
 carries the index of the batch member whose coefficients it reads.  A
 batch of finite-difference stencil points thus runs in one lockstep
 pass, each member with the bisections, truncation radii, error
-estimates and values it gets alone.  Members whose polynomial supports
-differ (an exactly zero coefficient drops its monomial) run in separate
-passes; a single spec is a batch of one.
+estimates and values it gets alone.  On a product of Lines each member
+has its own frame, box and halvings, and the grids of all members run
+in one lockstep trapezoid; members that leave the frame run together on
+the iterated levels.  Members whose polynomial supports differ (an
+exactly zero coefficient drops its monomial) run in separate passes; a
+single spec is a batch of one.
 
 Unbounded legs are truncated, per node, on a scan of 122 radii (0, then
 1e-4 to 1e8 at ten a decade) out from a Ray's start or, both ways, from
@@ -89,6 +119,7 @@ modeled); integer powers work in any dimension.
 """
 from __future__ import annotations
 
+import cmath
 import heapq
 import math
 from dataclasses import dataclass
@@ -278,43 +309,101 @@ def _gk15(f, node, a, b):
     return kron, np.abs(kron - gauss)
 
 
+def _cartesian(axes):
+    """The tensor product of the 1-D arrays ``axes`` as an n x N array,
+    one row of coordinates per axis, the last axis running fastest."""
+    n = len(axes)
+    out = np.empty([n] + [len(a) for a in axes])
+    for k, a in enumerate(axes):
+        out[k] = a.reshape([-1 if i == k else 1 for i in range(n)])
+    return out.reshape(n, -1)
+
+
+def _grid(m, dim, halving):
+    """The points, as fractions of the box (dim x N, a vector in one
+    dimension), and the tensor trapezoid weights of the grid of m
+    intervals per axis (1.0 where all are one): all of them, or with
+    ``halving`` only those that the grid of m / 2 lacks, in blocks whose
+    index is odd on axis k and even on the axes before it."""
+    if dim == 1:
+        if halving:
+            return np.arange(1, m, 2) / m, 1.0
+        weights = np.ones(m + 1)
+        weights[[0, -1]] = 0.5
+        return np.arange(m + 1) / m, weights
+    axis = np.arange(m + 1) / m
+    ends = np.ones(m + 1)
+    ends[[0, -1]] = 0.5
+    every, even, odd = slice(None), slice(0, None, 2), slice(1, None, 2)
+    blocks = ([(even,) * k + (odd,) + (every,) * (dim - k - 1)
+               for k in range(dim)] if halving else [(every,) * dim])
+    points = np.concatenate([_cartesian([axis[b] for b in block])
+                             for block in blocks], axis=1)
+    weights = np.concatenate([_cartesian([ends[b] for b in block]).prod(axis=0)
+                              for block in blocks])
+    return points, weights
+
+
 def _row_sums(f, rows, a, b, s, weights):
     """Weighted sums of f and of |f| over the points a + (b - a) * s of
-    integrals ``rows``: one row of points per integral, reduced row by row
+    integrals ``rows``, and of |f| times the rounding f reports (None if
+    it reports none): one row of points per integral, reduced row by row
     so an integral's sums do not depend on the others in the call; at
-    most _POINT_CAP points go to ``f`` at a time."""
-    m = s.size
+    most _POINT_CAP points go to ``f`` at a time.  ``f`` returns the
+    values, or (values, rounding) with the relative rounding error of
+    each value."""
+    m = s.shape[-1]
     per_call = max(1, _POINT_CAP // m)
     sums = np.empty(len(rows), dtype=complex)
     mags = np.empty(len(rows))
+    noise = None
+    node_tau = _NODE_TAU if s.ndim == 1 else np.dtype(
+        [("node", np.intp), ("tau", float, s.shape[:-1])])
     for lo in range(0, len(rows), per_call):
         group = rows[lo:lo + per_call]
-        x = (a[group, None] + (b - a)[group, None] * s).ravel()
-        points = np.empty(x.size, dtype=_NODE_TAU)
+        points = np.empty(len(group) * m, dtype=node_tau)
         points["node"] = np.repeat(group, m)
-        points["tau"] = x
-        fx = np.concatenate([
-            np.asarray(f(points[k:k + _POINT_CAP]), dtype=complex).ravel()
-            for k in range(0, x.size, _POINT_CAP)]).reshape(len(group), m)
+        if s.ndim == 1:
+            points["tau"] = (a[group, None] + (b - a)[group, None] * s).ravel()
+        else:  # axis by axis, so that numpy's loops run along the points
+            for k, sk in enumerate(s):
+                points["tau"][:, k] = (a[group, k, None]
+                                       + (b - a)[group, k, None] * sk).ravel()
+        parts = [f(points[k:k + _POINT_CAP])
+                 for k in range(0, len(points), _POINT_CAP)]
+        rounding = None
+        if isinstance(parts[0], tuple):
+            parts, rounding = zip(*parts)
+        fx = np.concatenate([np.asarray(p, dtype=complex).ravel()
+                             for p in parts]).reshape(len(group), m)
         fx *= weights
         sums[lo:lo + len(group)] = fx.sum(axis=1)
-        mags[lo:lo + len(group)] = np.abs(fx).sum(axis=1)
-    return sums, mags
+        fx = np.abs(fx)
+        mags[lo:lo + len(group)] = fx.sum(axis=1)
+        if rounding is not None:
+            if noise is None:
+                noise = np.empty(len(rows))
+            fx *= np.concatenate(rounding).reshape(len(group), m)
+            noise[lo:lo + len(group)] = fx.sum(axis=1)
+    return sums, mags, noise
 
 
 def _trapezoid(f, a, b, rows, need, cap, rel_tol, abs_floor, what, failures,
-               total, err, mass):
+               total, err, mass, noise):
     """Lockstep trapezoid halving of integrals ``rows``; see
-    adaptive_quadrature.  Fills their entries of ``total``, ``err`` and
-    ``mass``."""
+    adaptive_quadrature.  Fills their entries of ``total``, ``err``,
+    ``mass`` and, where f reports its rounding, ``noise``."""
     start = rows
+    dim = 1 if a.ndim == 1 else a.shape[1]
+    volume = b - a if dim == 1 else (b - a).prod(axis=1)
+    shrink = 0.5 ** dim  # the cell of a halved grid
     n = 2 ** _TRAP_START
-    weights = np.ones(n + 1)
-    weights[[0, -1]] = 0.5
-    sums, mags = _row_sums(f, rows, a, b, np.arange(n + 1) / n, weights)
-    step = (b[rows] - a[rows]) / n
+    sums, mags, rounding = _row_sums(f, rows, a, b, *_grid(n, dim, False))
+    step = volume[rows] / n ** dim
     total[rows] = step * sums
     mass[rows] = step * mags
+    if rounding is not None:
+        noise[rows] = step * rounding
     while rows.size:
         if n >= cap:
             for i in rows.tolist():
@@ -327,20 +416,38 @@ def _trapezoid(f, a, b, rows, need, cap, rel_tol, abs_floor, what, failures,
                 failures[i] = error
             break
         n *= 2
-        sums, mags = _row_sums(f, rows, a, b, np.arange(1, n, 2) / n, 1.0)
-        step = (b[rows] - a[rows]) / n
-        new = 0.5 * total[rows] + step * sums
+        sums, mags, rounding = _row_sums(f, rows, a, b, *_grid(n, dim, True))
+        step = volume[rows] / n ** dim
+        new = shrink * total[rows] + step * sums
         err[rows] = np.abs(new - total[rows])
         total[rows] = new
-        mass[rows] = 0.5 * mass[rows] + step * mags
+        mass[rows] = shrink * mass[rows] + step * mags
+        floor = 5e-16 * mass[rows]
+        if rounding is not None:
+            noise[rows] = shrink * noise[rows] + step * rounding
+            floor = floor + noise[rows]
         # the target of the GK15 driver, from the same three floors
         target = np.maximum(np.maximum(abs_floor, rel_tol * np.abs(new)),
-                            5e-16 * mass[rows])
+                            floor)
         # a nan difference runs on
         rows = rows[~((err[rows] <= target) & (n >= need[rows]))]
     # two sums that agree to below the roundoff of the sum itself do not
-    # bound its error: that roundoff does
-    err[start] = np.maximum(err[start], 5e-16 * mass[start])
+    # bound its error: that roundoff does, and the rounding of f itself
+    # comes on top
+    err[start] = np.maximum(err[start], 5e-16 * mass[start]) + noise[start]
+
+
+def _trapezoid_cap(max_intervals, dim):
+    """The most intervals per axis a trapezoid grid may reach: the largest
+    power of two whose grid has no more points than ``max_intervals``
+    GK15 panels."""
+    points = 15 * max_intervals
+    side = round(points ** (1.0 / dim))  # the most points per axis
+    while side ** dim > points:
+        side -= 1
+    while (side + 1) ** dim <= points:
+        side += 1
+    return 2 ** ((side - 1).bit_length() - 1)
 
 
 def _gauss_kronrod(f, a, b, rows, rel_tol, abs_floor, max_intervals, what,
@@ -481,29 +588,55 @@ def adaptive_quadrature(f, a, b, rel_tol, abs_floor, max_intervals=4096,
     not outnumber those of ``max_intervals`` GK15 panels; past it, it
     fails as above.  An integral that needs more intervals than that
     takes GK15, whose bisection resolves a narrow feature locally.
+
+    With B x n arrays ``a`` and ``b`` the integrals are over n-dimensional
+    boxes, one column per axis, and ``tau`` holds n coordinates per
+    point.  They take the trapezoid rule on the tensor grid, ``trapezoid``
+    being required: every axis is halved together, a halving evaluates
+    only the points the coarser grid lacks, the budget counts the points
+    of the whole grid, and an integral that needs more intervals than the
+    budget fails at it, there being no GK15 for a box.  A Line leg is the
+    one-dimensional case.
+
+    ``f`` may return (values, rounding), the relative rounding error of
+    each value; the trapezoid's sum of |f| times it over the last grid is
+    added to its target, its error estimate and its roundoff floor.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     count = len(a)
+    dim = 1 if a.ndim == 1 else a.shape[1]
     rows = np.arange(count)
     if failures:
         rows = np.setdiff1d(rows, list(failures))
     gk_rows, trap_rows = rows, rows[:0]
     if trapezoid is not None:
         need = np.broadcast_to(np.asarray(trapezoid, dtype=float), (count,))
-        cap = 2 ** ((15 * max_intervals - 1).bit_length() - 1)
+        cap = _trapezoid_cap(max_intervals, dim)
         fits = need[rows] <= cap  # false for a nan need too
+        if dim > 1:
+            for i in rows[~fits].tolist():
+                error = AccuracyError(
+                    f"{what} needs more than {cap} trapezoid intervals per "
+                    "axis", complex("nan"), math.inf)
+                if failures is None:
+                    raise error
+                failures[i] = error
+            rows, fits = rows[fits], fits[fits]
         trap_rows, gk_rows = rows[fits], rows[~fits]
+    elif dim > 1:
+        raise ValueError("an n-dimensional box takes the trapezoid rule only")
     total = np.zeros(count, dtype=complex)
     err = np.zeros(count)
     mass = np.zeros(count)
+    noise = np.zeros(count)
     if trap_rows.size:
         _trapezoid(f, a, b, trap_rows, need, cap, rel_tol, abs_floor, what,
-                   failures, total, err, mass)
+                   failures, total, err, mass, noise)
     if gk_rows.size:
         _gauss_kronrod(f, a, b, gk_rows.tolist(), rel_tol, abs_floor,
                        max_intervals, what, failures, total, err, mass)
-    return total, err, 5e-16 * mass
+    return total, err, 5e-16 * mass + noise
 
 
 # ----------------------------------------------------------------------
@@ -909,16 +1042,13 @@ def _truncate_unbounded(run, j, fixed, member, anchor, ends):
         top = np.maximum(top, peak)
         peak[~finite.any(axis=1)] = 0.0
         small = mag < peak[:, None] + _LOG_CUT
-        # good[:, i]: decayed at every radius from i outwards
-        good = np.logical_and.accumulate((ok_decay[:, part] & small)[:, ::-1],
-                                         axis=1)[:, ::-1]
-        if not good.any(axis=1).all():
+        first = _first_decayed(ok_decay[:, part] & small)
+        if first is None:
             raise DivergenceError(
                 f"no decay of Re P below {DECAY_RE_P} along {what}; "
                 "the integral diverges on this contour"
             )
-        # a range decayed from the origin on still starts one radius out
-        index.append(np.maximum(good.argmax(axis=1), 1))
+        index.append(first)
     fastest = np.zeros(count)
     if j < run.n - 1:
         index, ridge = _check_ends(run, j, fixed, member, anchor, ends, index,
@@ -934,22 +1064,48 @@ def _truncate_unbounded(run, j, fixed, member, anchor, ends):
     band = np.where(np.isfinite(top), top + _LOG_CUT, np.inf)
     shape = (count, len(ends), radii.size)
     for p, lm in slices:
-        with np.errstate(invalid="ignore"):  # inf - inf far out
-            change = np.diff(p.reshape(shape)[:, :, :reach], axis=2)
-        r = np.maximum(np.abs(change.imag) * _GAP_ALIAS[:reach - 1],
-                       np.abs(change.real) * _GAP_STEEP[:reach - 1])
-        seen = (lm.reshape(shape)[:, :, :reach] >= band[:, None, None])
-        # every gap next to such a point: a peak narrower than the
-        # spacing of the radii lies in one of them, and the slope at a
-        # sampled peak alone is zero
-        r[~(seen[:, :, 1:] | seen[:, :, :-1])] = 0.0
+        r = _step_rates(p.reshape(shape), lm.reshape(shape),
+                        band[:, None, None], reach)
         fastest = np.maximum(fastest, r.max(axis=(1, 2)))
-    # eight significant bits, rounded up, keep the trapezoid nodes
-    # -r0 + (r0 + r1) k / n of a line at angle 0 exact in binary, so that
-    # no rounding of the nodes biases the sum
-    mantissa, exponent = np.frexp([radii[i] for i in index])
-    cuts = np.ldexp(np.ceil(np.ldexp(mantissa, 8)), exponent - 8)
-    return list(cuts), fastest
+    return list(_eight_bits([radii[i] for i in index])), fastest
+
+
+def _first_decayed(decayed):
+    """Per run of scan radii (the last axis), the first index from which
+    every radius is decayed, and at least 1, since a range decayed from
+    the origin on still starts one radius out; None if a run never
+    decays."""
+    # good[..., i]: decayed at every radius from i outwards
+    good = np.logical_and.accumulate(decayed[..., ::-1], axis=-1)[..., ::-1]
+    if not good.any(axis=-1).all():
+        return None
+    return np.maximum(good.argmax(axis=-1), 1)
+
+
+def _step_rates(p, lm, band, reach):
+    """Per gap between the first ``reach`` scan radii of each run (the
+    last axis), the trapezoid rate the mean dP/dr across it asks for (see
+    _TRAP_ALIAS), where a point next to the gap has its log magnitude
+    ``lm`` at or above ``band``, and 0 elsewhere."""
+    with np.errstate(invalid="ignore"):  # inf - inf far out
+        change = np.diff(p[..., :reach], axis=-1)
+    r = np.maximum(np.abs(change.imag) * _GAP_ALIAS[:reach - 1],
+                   np.abs(change.real) * _GAP_STEEP[:reach - 1])
+    seen = lm[..., :reach] >= band
+    # every gap next to such a point: a peak narrower than the spacing of
+    # the radii lies in one of them, and the slope at a sampled peak
+    # alone is zero
+    r[~(seen[..., 1:] | seen[..., :-1])] = 0.0
+    return r
+
+
+def _eight_bits(r):
+    """Radii rounded up to eight significant bits, which keep the
+    trapezoid nodes -r0 + (r0 + r1) k / n of a line at angle 0, and the
+    nodes of a box, exact in binary, so that no rounding of the nodes
+    biases the sum."""
+    mantissa, exponent = np.frexp(r)
+    return np.ldexp(np.ceil(np.ldexp(mantissa, 8)), exponent - 8)
 
 
 def _check_ends(run, j, fixed, member, anchor, ends, index, top):
@@ -1134,6 +1290,351 @@ def _level_value(run, j, fixed, member, rel_tol):
     return total
 
 
+# ----------------------------------------------------------------------
+# products of Lines: one tensor trapezoid in a Laplace frame
+
+
+def _frame_applies(run):
+    """Whether the run goes on one grid: an integrand entire in every
+    variable on a product of two or more chains that are each one Line."""
+    return (run.n >= 2
+            and all(len(chain) == 1 and isinstance(chain[0], Line)
+                    for chain in run.contour.chains)
+            and all(run.entire_along(j) for j in range(run.n)))
+
+
+def _monomials(exps, cols):
+    """prod_j cols[j]**e[j] for each exponent tuple e of ``exps`` (None for
+    the constant), at the points whose coordinates are the arrays
+    ``cols``."""
+    powers = [[None, col] for col in cols]
+    out = []
+    for e in exps:
+        mono = None
+        for j, k in enumerate(e):
+            if k:
+                p = powers[j]
+                while len(p) <= k:
+                    p.append(p[-1] * cols[j])
+                mono = p[k] if mono is None else mono * p[k]
+        out.append(mono)
+    return out
+
+
+def _combine(monos, coef, size):
+    """sum_T coef[T] * monos[T], skipping zero coefficients, as an array of
+    ``size`` points."""
+    total = np.zeros(size)
+    for mono, c in zip(monos, coef):
+        if c:
+            total = total + (c if mono is None else c * mono)
+    return total
+
+
+def _poly_at(exps, coef, cols):
+    """A polynomial, as lists of exponent tuples and coefficients, at the
+    points whose coordinates are the arrays ``cols``."""
+    return _combine(_monomials(exps, cols), coef, len(cols[0]))
+
+
+def _cholesky(a):
+    """The lower triangular C with C C^T = a, or None unless a is
+    positive definite (lists; n is at most 3)."""
+    n = len(a)
+    c = [[0.0] * n for _ in range(n)]
+    for j in range(n):
+        pivot = a[j][j] - sum(c[j][k] ** 2 for k in range(j))
+        if not pivot > 0:
+            return None
+        c[j][j] = math.sqrt(pivot)
+        for i in range(j + 1, n):
+            c[i][j] = (a[i][j] - sum(c[i][k] * c[j][k] for k in range(j))) \
+                / c[j][j]
+    return c
+
+
+def _cholesky_solve(c, g):
+    """x with C C^T x = g."""
+    n = len(g)
+    y = [0.0] * n
+    for i in range(n):
+        y[i] = (g[i] - sum(c[i][k] * y[k] for k in range(i))) / c[i][i]
+    x = [0.0] * n
+    for i in reversed(range(n)):
+        x[i] = (y[i] - sum(c[k][i] * x[k] for k in range(i + 1, n))) / c[i][i]
+    return x
+
+
+def _peak(exps, coef, n):
+    """(x0, C): the maximum of Re P over the real parameters, by damped
+    Newton from the best point of a coarse grid, and the Cholesky factor
+    C C^T of the Hessian of -Re P there; None where an iterate's
+    -Hessian is not positive definite or Newton does not converge."""
+    # on each axis 0 and +-10**k for k = -4..8, every tenth scan radius
+    axis = np.concatenate((-_SCAN_RADII[:0:-10], [0.0], _SCAN_RADII[1::10]))
+    grid = _cartesian([axis] * n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        re_p = _poly_at(exps, [c.real for c in coef], grid)
+    re_p[np.isnan(re_p)] = -np.inf
+    best = int(re_p.argmax())
+    if not np.isfinite(re_p[best]):
+        return None
+    s = grid[:, best].tolist()
+    units = [tuple(int(i == k) for i in range(n)) for k in range(n)]
+    identity = [list(map(float, unit)) for unit in units]
+
+    def taylor(x):
+        """Re P, its gradient and the Hessian of -Re P at x, from the
+        expansion of P about x."""
+        q = dict(zip(*_expand(exps, coef, x, identity)))
+        curv = [[-q.get(tuple(map(sum, zip(a, b))), 0.0).real * (1 + (a == b))
+                 for b in units] for a in units]
+        return (q.get((0,) * n, 0.0).real, [q.get(a, 0.0).real for a in units],
+                curv)
+
+    value, grad, curv = taylor(s)
+    for _ in range(64):
+        chol = _cholesky(curv)
+        if chol is None:
+            return None
+        step = _cholesky_solve(chol, grad)
+        gain = sum(g * d for g, d in zip(grad, step))  # twice the model's rise
+        if not gain > 1e-12:
+            return (s, chol) if gain >= 0 else None
+        t = 1.0
+        while True:
+            trial = [x + t * d for x, d in zip(s, step)]
+            rise = taylor(trial)
+            if rise[0] >= value:
+                break
+            t *= 0.5
+            if t < 1e-10:
+                return None
+        s, (value, grad, curv) = trial, rise
+    return None
+
+
+def _expand(exps, coef, x0, L):
+    """Q(z) = P(x0 + L z) as (exponents, coefficients): the exponents of
+    the products of the nonzero terms of the forms x0_j + sum_k L_jk z_k,
+    with the coefficients they sum to."""
+    n = len(x0)
+    # an exponent tuple e as the number sum_k e_k base**k: multiplying
+    # two monomials adds their numbers, and no exponent reaches base
+    base = max(map(sum, exps)) + 1
+    unit = [base ** k for k in range(n)]
+
+    def times(p, q):
+        out = {}
+        for e1, c1 in p.items():
+            for e2, c2 in q.items():
+                out[e1 + e2] = out.get(e1 + e2, 0.0) + c1 * c2
+        return out
+
+    forms = []
+    for j in range(n):
+        linear = {e: c for e, c in zip([0] + unit, [x0[j]] + L[j]) if c}
+        powers = [{0: 1.0}]
+        for _ in range(max(e[j] for e in exps)):
+            powers.append(times(powers[-1], linear))
+        forms.append(powers)
+    q = {}
+    for e, c in zip(exps, coef):
+        term = {0: c}
+        for j, k in enumerate(e):
+            if k:
+                term = times(term, forms[j][k])
+        for key, value in term.items():
+            q[key] = q.get(key, 0.0) + value
+    keys = sorted(q)
+    return ([tuple(key // u % base for u in unit) for key in keys],
+            [q[key] for key in keys])
+
+
+def _along(poly, contour):
+    """poly(d * s) as (exponents, coefficients), d_j = exp(i angle_j) the
+    direction of the Line of variable j and s real."""
+    angles = [chain[0].angle for chain in contour.chains]
+    return list(poly.terms), [
+        c * cmath.exp(1j * sum(a * k for a, k in zip(angles, e)))
+        for e, c in poly.terms.items()]
+
+
+class _Frame:
+    """The Laplace frame of one batch member.
+
+    On the real parameters s of the Lines (t_j = d_j s_j, d_j the Line's
+    direction) the frame is s = x0 + L z, where x0 maximises Re P and
+    L^-T L^-1 is the Hessian of -Re P there, so Re P falls like |z|^2 / 2
+    around it.  It holds Q(z) = P(x0 + L z) re-expanded once, so that its
+    terms are small where the integrand matters, the terms of P along s
+    for its rounding, the power-product factors along s, and ``jac``: the
+    orientations, the Jacobian d_j det L and the phase d_j^rho_j of the
+    weights t_j^rho_j.  ``lo``, ``hi`` and ``need``, the box in z and the
+    fewest intervals its axes take, come from the scan in _laplace_frame.
+    """
+
+    def __init__(self, spec, contour, rho, p, x0, chol):
+        n = len(x0)
+        chains = contour.chains
+        angles = [chain[0].angle for chain in chains]
+
+        self.n, self.rho, self.x0 = n, rho, x0
+        # L = (C^T)^-1, upper triangular
+        self.L = L = [[0.0] * n for _ in range(n)]
+        for i in range(n):
+            L[i][i] = 1.0 / chol[i][i]
+            for j in range(i + 1, n):
+                L[i][j] = -sum(L[i][k] * chol[j][k]
+                               for k in range(i, j)) / chol[j][j]
+        exps, coef = _expand(*p, x0, L)
+        self.q = exps, np.array(coef)
+        self.p_abs = (p[0], [abs(c) for c in p[1]])
+        self.powers = [(*_along(poly, contour), int(v.real)) for poly, v in zip(
+            getattr(spec.alpha, "polys", ()), getattr(spec.alpha, "v", ()))]
+        orientation = math.prod(chain[0].orientation for chain in chains)
+        self.jac = (orientation * math.prod(L[i][i] for i in range(n))
+                    * cmath.exp(1j * sum(a * (1 + r)
+                                         for a, r in zip(angles, rho))))
+
+    def terms(self, z, need_s=False):
+        """Re Q, Im Q, the weight t^rho * prod P_i^v_i (without the phase
+        in ``jac``) and, where asked for or needed for the weight, the
+        coordinates of s, at the points z (n x N)."""
+        monos = _monomials(self.q[0], z)
+        re_q = _combine(monos, self.q[1].real, z.shape[1])
+        im_q = _combine(monos, self.q[1].imag, z.shape[1])
+        weight, s = 1.0, None
+        if need_s or any(self.rho) or self.powers:
+            s = []
+            for x0, row in zip(self.x0, self.L):
+                sj = x0
+                for lk, col in zip(row, z):
+                    if lk:
+                        sj = sj + lk * col
+                s.append(sj)
+            for sj, r in zip(s, self.rho):
+                if r:
+                    weight = weight * sj ** r
+            for exps, coef, v in self.powers:
+                weight = weight * _poly_at(exps, coef, s) ** v
+        return re_q, im_q, weight, s
+
+    def log_mag(self, z):
+        """Q and log |f| at the points z (n x N)."""
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            re_q, im_q, weight, _ = self.terms(z)
+            return re_q + 1j * im_q, re_q + np.log(np.abs(weight))
+
+    def values(self, z):
+        """The integrand at the points z (n x N) and its relative rounding:
+        that of P, eps times the sum of the magnitudes of P's terms."""
+        re_q, im_q, weight, s = self.terms(z, need_s=True)
+        with np.errstate(over="ignore", invalid="ignore"):
+            mag = np.exp(re_q)
+            val = np.empty(len(mag), dtype=complex)
+            val.real = mag * np.cos(im_q)
+            val.imag = mag * np.sin(im_q)
+            val *= weight * self.jac
+        rounding = _poly_at(*self.p_abs, [np.abs(sj) for sj in s])
+        return val, np.finfo(float).eps * rounding
+
+
+def _laplace_frame(spec, contour, rho):
+    """The frame of one member, with its box and resolution, or None where
+    it takes the nested levels: no peak with a positive definite
+    -Hessian, or a box that does not close within the scan radii."""
+    n = len(contour.chains)
+    p = _along(spec.P, contour)
+    found = _peak(*p, n)
+    if found is None:
+        return None
+    frame = _Frame(spec, contour, rho, p, *found)
+
+    # one scan out along each +-z axis, cut where the integrand has
+    # decayed as _truncate_unbounded cuts a leg
+    radii = _SCAN_RADII
+    z = np.zeros((n, n, 2, radii.size))  # coordinate, axis, side, radius
+    for k in range(n):
+        z[k, k, 0], z[k, k, 1] = -radii, radii
+    q, lm = frame.log_mag(z.reshape(n, -1))
+    q, lm = q.reshape(n, 2, -1), lm.reshape(n, 2, -1)
+    finite = np.isfinite(lm)
+    if not finite.any():
+        return None
+    top = lm[finite].max()
+    with np.errstate(invalid="ignore"):
+        index = _first_decayed((q.real < DECAY_RE_P) & (lm < top + _LOG_CUT))
+    if index is None:
+        return None
+
+    # every face of the box, sampled at the scan radii of the other axes,
+    # must lie MAGNITUDE_CUT below the peak seen so far, or it moves out
+    # one radius, as _check_ends moves the end of a leg
+    peak = top
+    while True:
+        lines = [np.concatenate((-radii[index[i, 0]:0:-1],
+                                 radii[:index[i, 1] + 1])) for i in range(n)]
+        faces = []
+        for k in range(n):
+            for side in (0, 1):
+                axes = list(lines)
+                axes[k] = (-1.0, 1.0)[side] * radii[index[k, side:side + 1]]
+                faces.append(_cartesian(axes))
+        lm_faces = frame.log_mag(np.concatenate(faces, axis=1))[1]
+        if np.isnan(lm_faces).any():
+            return None
+        sizes = [face.shape[1] for face in faces]
+        highest = np.maximum.reduceat(lm_faces, np.cumsum([0] + sizes[:-1]))
+        peak = max(peak, highest.max())
+        out = ~(highest < peak + _LOG_CUT).reshape(n, 2)
+        if not out.any():
+            break
+        if (index[out] == radii.size - 1).any():
+            return None
+        index[out] += 1
+    cut = _eight_bits(radii[index])
+    frame.lo, frame.hi = -cut[:, 0], cut[:, 1]
+
+    # the step must resolve the slopes of Q along each axis where the
+    # integrand lies within MAGNITUDE_CUT of the peak, out to the cut
+    rate = _step_rates(q, lm, top + _LOG_CUT, int(index.max()) + 1)
+    frame.need = float(((cut[:, 0] + cut[:, 1]) * rate.max(axis=(1, 2))).max())
+    return frame
+
+
+def _grid_values(frames, tol):
+    """(values, errs, floors, failures) of the members with ``frames`` on
+    one tensor trapezoid in z each, in one adaptive_quadrature call; a
+    member in ``failures`` needs more points than the grid's budget."""
+    n = frames[0].n
+
+    def f(x):
+        node, z = x["node"], x["tau"]
+        val = np.empty(len(z), dtype=complex)
+        rounding = np.empty(len(z))
+        # the points of each member are contiguous
+        starts = [0] + (np.flatnonzero(node[1:] != node[:-1]) + 1).tolist()
+        for lo, hi in zip(starts, starts[1:] + [len(z)]):
+            val[lo:hi], rounding[lo:hi] = frames[node[lo]].values(
+                np.ascontiguousarray(z[lo:hi].T))
+        if not np.isfinite(val).all():
+            raise QuadratureError(
+                f"the integrand on the product of {n} lines is not finite "
+                "in double precision")
+        return val, rounding
+
+    failures = {}
+    # the grid may hold as many points as the nested levels evaluate in
+    # the starting round of three variables, _NODE_CAP cubed
+    values, errs, floors = adaptive_quadrature(
+        f, [fr.lo for fr in frames], [fr.hi for fr in frames], tol * 0.5,
+        ABS_FLOOR, max_intervals=_NODE_CAP ** 3 // 15,
+        what=f"the product of {n} lines", failures=failures,
+        trapezoid=[fr.need for fr in frames])
+    return values, errs, floors, failures
+
+
 def _shape(spec):
     """What the members of a batch must share."""
     alpha = spec.alpha
@@ -1198,26 +1699,52 @@ def _integrate_batch(specs, contour, tol):
     (value, err) pair or its AccuracyError, and the failure that happened
     first (None if every spec succeeds).
 
-    A member whose outermost integral fails, or whose result misses the
-    tolerance, gets the error it raises alone, and the others run on.
-    Any other failure (an inner level's, a divergence, missing branch
-    data) raises for the whole batch.
+    On a product of Lines whose integrand is entire in every variable,
+    each member with a Laplace frame goes on one tensor trapezoid; the
+    others, and those whose grid runs past its budget, take the nested
+    levels.  A member whose outermost integral fails, or whose result
+    misses the tolerance, gets the error it raises alone, and the others
+    run on.  Any other failure (an inner level's, a divergence, missing
+    branch data) raises for the whole batch.
     """
     run = _Run(specs, contour)
-    try:
-        values = _level_value(run, 0, {}, np.arange(len(specs)), tol * 0.5)
-    except (QuadratureError, ValueError):
-        if run.failures:  # failed first, so it is what the batch raises
-            raise next(iter(run.failures.values())) from None
-        raise
+    count = len(specs)
+    outcome = [None] * count  # per member: value, err and roundoff floor
+    nested = list(range(count))
+    if _frame_applies(run):
+        rho = [int(r.real) if r is not None else 0
+               for r in map(run.monomial_exponent, range(run.n))]
+        frames = [_laplace_frame(spec, contour, rho) for spec in specs]
+        on_grid = [k for k, frame in enumerate(frames) if frame is not None]
+        if on_grid:
+            values, errs, floors, failed = _grid_values(
+                [frames[k] for k in on_grid], tol)
+            for i, k in enumerate(on_grid):
+                if i not in failed:
+                    outcome[k] = values[i], float(errs[i]), float(floors[i])
+            nested = [k for k in range(count) if outcome[k] is None]
+            if nested:
+                run = _Run([specs[k] for k in nested], contour)
+    failures = {}
+    if nested:
+        try:
+            values = _level_value(run, 0, {}, np.arange(len(nested)),
+                                  tol * 0.5)
+        except (QuadratureError, ValueError):
+            if run.failures:  # failed first, so it is what the batch raises
+                raise next(iter(run.failures.values())) from None
+            raise
+        for i, (k, value) in enumerate(zip(nested, values)):
+            err = (float(run.outer_err[i])
+                   + float(run.inner_rel[i]) * abs(value))
+            outcome[k] = value, err, float(run.outer_floor[i])
+        failures = {nested[i]: error for i, error in run.failures.items()}
     results = []
     misses = []
-    for k, value in enumerate(values):
-        if k in run.failures:
-            results.append(run.failures[k])
+    for k, (value, err, floor) in enumerate(outcome):
+        if k in failures:
+            results.append(failures[k])
             continue
-        err = float(run.outer_err[k]) + float(run.inner_rel[k]) * abs(value)
-        floor = float(run.outer_floor[k])
         # saturation at the double-precision roundoff floor of a cancelling
         # integrand counts as converged: the honest error estimate is returned
         acceptable = (err <= tol * abs(value) or abs(value) <= ABS_FLOOR
@@ -1230,12 +1757,20 @@ def _integrate_batch(specs, contour, tol):
             f"value {value:.6e}", value, err,
         ))
         misses.append(results[-1])
-    first = next(iter(run.failures.values()), misses[0] if misses else None)
+    first = next(iter(failures.values()), misses[0] if misses else None)
     return results, first
 
 
 def integrate(spec, contour: ProductContour, tol: float = 1e-9):
     """Integrate exp(P) * alpha over the product contour.
+
+    On a product of two or more Lines, with an integrand entire in every
+    variable, the integral is one tensor-product trapezoid in the Laplace
+    frame x = x0 + L z of the peak of Re P (see the module docstring); its
+    error estimate also counts the rounding of P, eps times the sum of the
+    magnitudes of P's terms at each node weighted by |f|.  An integrand
+    without that frame, and every other one, goes through the iterated
+    one-dimensional levels.
 
     ``spec`` is one IntegrandSpec, for which (value, err_estimate) is
     returned, or a sequence of specs that differ only in their polynomial

@@ -179,6 +179,63 @@ class TestAdaptiveRule:
             assert abs(values[i] - math.sqrt(math.pi / 200)) < 1e-13
             assert errs[i] < 1e-13
 
+    @staticmethod
+    def gaussian_box(x):
+        import numpy as np
+        z = x["tau"]
+        return np.exp(-z[:, 0] ** 2 - z[:, 1] ** 2)
+
+    def test_box_takes_the_tensor_trapezoid(self):
+        # exp(-x^2 - y^2) on [-6, 6] x [-7, 7]: both axes halve together,
+        # and each halving evaluates only the points the coarser grid lacks
+        import numpy as np
+        sizes = []
+
+        def f(x):
+            sizes.append(len(x))
+            return self.gaussian_box(x)
+
+        value, err, floor = adaptive_quadrature(
+            f, np.array([[-6.0, -7.0]]), np.array([[6.0, 7.0]]), 1e-12, 1e-15,
+            trapezoid=0)
+        assert abs(value[0] - math.pi) <= err[0] < 1e-12 * math.pi
+        assert sizes == [17 ** 2, 33 ** 2 - 17 ** 2, 65 ** 2 - 33 ** 2]
+        assert floor[0] == pytest.approx(5e-16 * math.pi)
+
+    def test_box_counts_the_rounding_of_its_integrand(self):
+        # an integrand that reports a relative rounding of 1e-10 gets it,
+        # weighted by its magnitude, on top of its estimate and floor
+        import numpy as np
+        value, err, floor = adaptive_quadrature(
+            lambda x: (self.gaussian_box(x), np.full(len(x), 1e-10)),
+            np.array([[-6.0, -7.0]]), np.array([[6.0, 7.0]]), 1e-12, 1e-15,
+            trapezoid=0)
+        assert abs(value[0] - math.pi) < 1e-14
+        assert err[0] == pytest.approx(1e-10 * math.pi, rel=1e-4)
+        assert floor[0] == pytest.approx(1e-10 * math.pi, rel=1e-4)
+
+    def test_box_past_its_budget_fails_at_once(self):
+        # a box has no GK15 to fall back on: (2**k + 1)**2 points may not
+        # outnumber 15 * 4096, so 128 intervals per axis is its budget
+        import numpy as np
+        calls = []
+
+        def f(x):
+            calls.append(set(x["node"].tolist()))
+            return self.gaussian_box(x)
+
+        failures = {}
+        values, errs, _ = adaptive_quadrature(
+            f, np.array([[-6.0, -7.0]] * 2), np.array([[6.0, 7.0]] * 2),
+            1e-12, 1e-15, failures=failures, trapezoid=[0, 200])
+        assert list(failures) == [1]
+        assert "more than 128 trapezoid intervals" in str(failures[1])
+        assert all(nodes == {0} for nodes in calls)
+        assert abs(values[0] - math.pi) <= errs[0]
+        with pytest.raises(ValueError, match="trapezoid rule only"):
+            adaptive_quadrature(f, np.array([[-6.0, -7.0]]),
+                                np.array([[6.0, 7.0]]), 1e-12, 1e-15)
+
     def test_bisection_depth_exhausted(self):
         with pytest.raises(AccuracyError, match="bisection depth exhausted"):
             one_integral(lambda x: (x > self.JUMP).astype(float),
@@ -282,32 +339,42 @@ class TestProperIntegral:
 
     def test_two_dimensional_gaussian_one_inner_call_per_outer_halving(
             self, monkeypatch):
-        # on two Lines the trapezoid rule runs: its starting points, then
-        # the new midpoints of each halving, go to one inner-level call
+        # on a Line over two rays the outer trapezoid rule runs: its
+        # starting points, then the new midpoints of each halving, go to
+        # one inner-level call, and no GK15 panel is evaluated outside it
         from hypint import quadrature
-        level = quadrature._level_value
+        level, gk15 = quadrature._level_value, quadrature._gk15
+        depth = [0]
         inner_calls = []
-        gk15_calls = []
+        outer_gk15_calls = []
 
         def spy_level(run, j, fixed, member, rel_tol):
             if j == 1:
                 inner_calls.append(len(member))
-            return level(run, j, fixed, member, rel_tol)
+            depth[0] += j > 0
+            try:
+                return level(run, j, fixed, member, rel_tol)
+            finally:
+                depth[0] -= j > 0
+
+        def spy_gk15(*args):
+            if depth[0] == 0:
+                outer_gk15_calls.append(args)
+            return gk15(*args)
 
         monkeypatch.setattr(quadrature, "_level_value", spy_level)
-        monkeypatch.setattr(quadrature, "_gk15",
-                            lambda *args: gk15_calls.append(args))
-        c = ProductContour([[Line(0.0)], [Line(0.0)]])
+        monkeypatch.setattr(quadrature, "_gk15", spy_gk15)
+        c = ProductContour([[Line(0.0)], self.SPLIT_LINE])
         value, _ = integrate(IntegrandSpec(self.ROTATED, AlphaOne()), c, 1e-8)
         assert rel(value, self.rotated_value()) < 1e-8
-        assert gk15_calls == []
+        assert outer_gk15_calls == []
         assert len(inner_calls) > 2  # more than one halving was needed
         assert inner_calls == [17] + [16 * 2 ** k
                                       for k in range(len(inner_calls) - 1)]
 
     def test_two_dimensional_gaussian_cut_where_it_has_decayed(
             self, monkeypatch):
-        # each Line is cut at the first scan radius from which the
+        # the outer Line is cut at the first scan radius from which the
         # integrand stays negligible, so the outer trapezoid meets the
         # target after two halvings: 2**6 intervals, not 2**7
         from hypint import quadrature
@@ -320,10 +387,40 @@ class TestProperIntegral:
             return level(run, j, fixed, member, rel_tol)
 
         monkeypatch.setattr(quadrature, "_level_value", spy_level)
-        c = ProductContour([[Line(0.0)], [Line(0.0)]])
+        c = ProductContour([[Line(0.0)], self.SPLIT_LINE])
         value, _ = integrate(IntegrandSpec(self.ROTATED, AlphaOne()), c, 1e-8)
         assert rel(value, self.rotated_value()) < 1e-8
         assert inner_calls == [17, 16, 32]
+
+    def test_two_lines_take_one_grid(self, monkeypatch):
+        # on two Lines the integrand goes on one tensor trapezoid in the
+        # Laplace frame: one adaptive_quadrature call, no nested level,
+        # and 65 x 65 points
+        from hypint import quadrature
+        level, adaptive = quadrature._level_value, quadrature.adaptive_quadrature
+        levels = []
+        grids = []
+
+        def spy_level(run, j, fixed, member, rel_tol):
+            levels.append(j)
+            return level(run, j, fixed, member, rel_tol)
+
+        def spy_adaptive(f, a, b, *args, **kwargs):
+            grids.append(0)
+
+            def counted(x):
+                grids[-1] += len(x)
+                return f(x)
+            return adaptive(counted, a, b, *args, **kwargs)
+
+        monkeypatch.setattr(quadrature, "_level_value", spy_level)
+        monkeypatch.setattr(quadrature, "adaptive_quadrature", spy_adaptive)
+        c = ProductContour([[Line(0.0)], [Line(0.0)]])
+        value, err = integrate(IntegrandSpec(self.ROTATED, AlphaOne()), c,
+                               1e-8)
+        assert abs(value - self.rotated_value()) <= err <= 1e-8 * abs(value)
+        assert not [j for j in levels if j >= 1]
+        assert grids == [65 ** 2]
 
     def test_strongly_correlated_gaussian_plane(self):
         # the inner slice at 0 decays like exp(-5 x^2) and the marginal only
@@ -439,6 +536,135 @@ def test_correlated_gaussian_family(seed):
     for P, expected, tol in correlated_gaussians(seed):
         value, err = integrate(IntegrandSpec(P, AlphaOne()), c, tol)
         assert abs(value - expected) <= max(tol * expected, err, ABS_FLOOR)
+
+
+class TestLaplaceFrame:
+    """Calibration of the tensor trapezoid on two Lines: the real error
+    stays within the reported estimate, which counts the rounding of P,
+    on cases that cancel, that are nearly singular, or that leave the
+    frame for the nested levels."""
+
+    PLANE = ProductContour([[Line(0.0)], [Line(0.0)]])
+
+    @staticmethod
+    def cancelling(theta):
+        """exp(-(x - c)^T A (x - c) + i w^T x), A = R(theta) diag(0.38,
+        150.6) R(theta)^T: a value near 1e-97 from terms of P near 1e4,
+        and its closed form pi / sqrt(det A) exp(i w^T c - w^T A^-1 w / 4)."""
+        import mpmath
+        c, w = (12.34, -5.71), (18.29, 8.25)
+        co, si = math.cos(theta), math.sin(theta)
+        a11 = 0.38 * co * co + 150.6 * si * si
+        a22 = 0.38 * si * si + 150.6 * co * co
+        a12 = (0.38 - 150.6) * co * si
+        P = SparsePolynomial(2, {
+            (2, 0): -a11, (1, 1): -2 * a12, (0, 2): -a22,
+            (1, 0): 2 * (a11 * c[0] + a12 * c[1]) + 1j * w[0],
+            (0, 1): 2 * (a12 * c[0] + a22 * c[1]) + 1j * w[1],
+            (0, 0): -(a11 * c[0] ** 2 + 2 * a12 * c[0] * c[1]
+                      + a22 * c[1] ** 2)})
+        with mpmath.workdps(40):
+            A = mpmath.matrix([[a11, a12], [a12, a22]])
+            W, C = mpmath.matrix(w), mpmath.matrix(c)
+            exact = mpmath.pi / mpmath.sqrt(mpmath.det(A)) * mpmath.exp(
+                1j * (W.T * C)[0] - (W.T * A ** -1 * W)[0] / 4)
+        return P, complex(exact)
+
+    @pytest.mark.parametrize("theta", [0.3, 0.7, 1.2, 2.5])
+    def test_cancelling_gaussian(self, theta):
+        P, exact = self.cancelling(theta)
+        value, err = integrate(IntegrandSpec(P, AlphaOne()), self.PLANE, 1e-10)
+        assert abs(value - exact) <= err
+
+    def test_two_line_ridge(self):
+        # exp(-4.0001 x^2 + 8 x y - 4 y^2): eigenvalues 8 and 5e-5, so the
+        # terms of P reach 1e5 along the ridge; the closed form needs the
+        # coefficient as the double it is
+        import mpmath
+        P = SparsePolynomial(2, {(2, 0): -4.0001, (1, 1): 8, (0, 2): -4})
+        with mpmath.workdps(40):
+            exact = float(mpmath.pi / mpmath.sqrt(4 * mpmath.mpf(4.0001) - 16))
+        tol = 1e-8
+        value, err = integrate(IntegrandSpec(P, AlphaOne()), self.PLANE, tol)
+        assert abs(value - exact) <= err
+        assert abs(value - exact) <= tol * exact
+
+    @pytest.mark.parametrize("a, b, c", [(5.0, 1e-5, 0.0), (6.351, 1e-5, 0.012)])
+    def test_long_ridge(self, a, b, c):
+        # exp(-a (x - y)^2 - b (x + y)^2 - c y): a ridge of width 0.3 along
+        # x = y, reaching hundreds out, where nested levels cut along the
+        # axes lose its tail
+        P = SparsePolynomial(2, {(2, 0): -(a + b), (1, 1): 2 * (a - b),
+                                 (0, 2): -(a + b), (0, 1): -c})
+        # A = [[a + b, b - a], [b - a, a + b]], det A = 4 a b, and the
+        # integral of exp(-x^T A x + w^T x) is pi / sqrt(det A)
+        # exp(w^T A^-1 w / 4) with w = (0, -c)
+        exact = math.pi / math.sqrt(4 * a * b) * math.exp(
+            c * c * (a + b) / (16 * a * b))
+        tol = 1e-8
+        value, err = integrate(IntegrandSpec(P, AlphaOne()), self.PLANE, tol)
+        assert abs(value - exact) <= max(tol * exact, err)
+
+    @pytest.mark.parametrize("tol", [1e-8, 1e-10])
+    def test_two_peaks(self, tol):
+        # exp(-(x^2 - 4)^2 - y^2) peaks at (+-2, 0)
+        import mpmath
+        P = SparsePolynomial(2, {(4, 0): -1, (2, 0): 8, (0, 0): -16,
+                                 (0, 2): -1})
+        with mpmath.workdps(30):
+            exact = float(mpmath.sqrt(mpmath.pi) * mpmath.quad(
+                lambda x: mpmath.exp(-(x * x - 4) ** 2),
+                [-mpmath.inf, -2, 0, 2, mpmath.inf]))
+        value, err = integrate(IntegrandSpec(P, AlphaOne()), self.PLANE, tol)
+        assert abs(value - exact) <= max(tol * exact, err)
+
+    def test_singular_hessian_nests(self, monkeypatch):
+        # exp(-x^4 - y^4) has no positive definite -Hessian at its peak,
+        # so the nested levels integrate it
+        from hypint import quadrature
+        level = quadrature._level_value
+        levels = []
+
+        def spy(run, j, fixed, member, rel_tol):
+            levels.append(j)
+            return level(run, j, fixed, member, rel_tol)
+
+        monkeypatch.setattr(quadrature, "_level_value", spy)
+        P = SparsePolynomial(2, {(4, 0): -1, (0, 4): -1})
+        tol, exact = 1e-10, (2 * math.gamma(1.25)) ** 2
+        value, err = integrate(IntegrandSpec(P, AlphaOne()), self.PLANE, tol)
+        assert abs(value - exact) <= max(tol * exact, err)
+        assert 1 in levels
+
+    def test_batch_mixes_the_frame_and_the_nested_levels(self, monkeypatch):
+        # exp(-(x^2 - a)^2 - y^2): a = -1 peaks at the origin and takes the
+        # grid; a = 4 starts its search where -Hessian is not positive
+        # definite and nests; each member gets what it gets alone
+        import mpmath
+        from hypint import quadrature
+        level = quadrature._level_value
+        nested = []
+
+        def spy(run, j, fixed, member, rel_tol):
+            if j == 0:
+                nested.append(len(member))
+            return level(run, j, fixed, member, rel_tol)
+
+        monkeypatch.setattr(quadrature, "_level_value", spy)
+        specs = [IntegrandSpec(SparsePolynomial(2, {
+            (4, 0): -1, (2, 0): 2 * a, (0, 0): -a * a, (0, 2): -1}),
+            AlphaOne()) for a in (4.0, -1.0)]
+        tol = 1e-10
+        batch = integrate(specs, self.PLANE, tol)
+        assert nested == [1]
+        assert _bits(batch) == _bits([integrate(s, self.PLANE, tol)
+                                      for s in specs])
+        for a, (value, err) in zip((4.0, -1.0), batch):
+            with mpmath.workdps(30):
+                exact = float(mpmath.sqrt(mpmath.pi) * mpmath.quad(
+                    lambda x: mpmath.exp(-(x * x - a) ** 2),
+                    [-mpmath.inf, -2, 0, 2, mpmath.inf]))
+            assert abs(value - exact) <= max(tol * exact, err)
 
 
 class TestMonomialWeights:
@@ -828,7 +1054,8 @@ class TestBatchedIntegrands:
             return level(run, j, fixed, member, rel_tol)
 
         monkeypatch.setattr(quadrature, "_level_value", spy)
-        contour = ProductContour([[Line(0.0)], [Line(0.0)]])
+        # a Line over two rays nests: two Lines would take one grid
+        contour = ProductContour([[Line(0.0)], TestProperIntegral.SPLIT_LINE])
         specs = [IntegrandSpec(SparsePolynomial(2, {
             (2, 0): -1.0 + d, (1, 1): 0.2, (0, 2): -1.4,
             (1, 0): 0.1 + 0.2j, (0, 1): -0.3j}), AlphaOne())
