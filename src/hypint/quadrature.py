@@ -6,29 +6,33 @@ P_1^v_1 .. P_k^v_k t^(u-1), over one parametric complex path chain per
 variable.
 
 On a product of two or more chains that are each one Line, with an
-integrand entire in every variable, the integral is one tensor-product
-trapezoid in a Laplace frame.  On the lines' real parameters s
-(t_j = exp(i angle_j) s_j) the frame is s = x0 + L z: x0 maximises Re P,
-found by damped Newton from the best point of a coarse grid with the
-gradient and Hessian taken exactly from P's coefficients, and L is the
-inverse Cholesky factor of the Hessian of -Re P at x0, so that Re P falls
-like |z|^2 / 2 around the peak whatever the correlation of the
-variables.  P is re-expanded once per integrand as Q(z) = P(x0 + L z), so
-that its terms are small where the integrand matters.  One scan along
-each +-z axis cuts a box at the first scan radius from which the
-integrand has decayed, as for a leg below; each face of the box, sampled
-at the scan radii of the other axes, must then lie 1e-18 below the peak
-seen so far, or it moves out one radius.  The grid starts from 2**4
-intervals per axis and halves every axis together, evaluating only the
-new points, until two sums agree and the step resolves the slopes of Q
-that the scan found along each axis.  Besides the roundoff floor of the
-sums, the error estimate counts the rounding of P: eps times the sum of
-the magnitudes of P's terms at each node, weighted by |f|.  An
-integrand without a positive definite -Hessian at its peak (a
-degenerate peak such as exp(-x^4 - y^4), or a search that starts where
--Re P is not convex), a Newton run that does not converge, a box that
-does not close within the scan radii, and a grid that would pass its
-budget of 120**3 points take the driver below instead.
+integrand entire in every variable and P of total degree at most 2, the
+integral is one tensor-product trapezoid in a Laplace frame.  On the
+lines' real parameters s (t_j = exp(i angle_j) s_j) P is quadratic, so
+where the Hessian of -Re P is positive definite Re P is concave and has
+one peak x0, found with one linear solve, and L is the inverse
+transpose of the Cholesky factor of that Hessian: in the frame
+s = x0 + L z, Re P falls like |z|^2 / 2 around the peak whatever the
+correlation of the variables.  P is carried over exactly as the
+quadratic Q(z) = P(x0 + L z), whose terms are small where the integrand
+matters.  One scan along each +-z axis cuts a box at the first scan
+radius from which the integrand has decayed, as for a leg below; each
+face of the box, sampled at the scan radii of the other axes, must then
+lie 1e-18 below the peak seen so far, or it moves out one radius, which
+holds the peaks that weights t^rho and P_i^v shift.  The grid starts
+from 2**4 intervals per axis and halves every axis together, evaluating
+only the new points, until two sums agree and the step resolves the
+slopes of Q that the scan found along each axis.  Besides the roundoff
+floor of the sums, the error estimate counts the rounding of P: eps
+times the sum of the magnitudes of P's terms at each node, weighted by
+|f|.  P of higher degree, whose Re P may peak more than once off the
+axes of any one frame (exp(-x^4 - y^4), two peaks such as
+exp(-0.01 (x^2 - 100)^2 - (y - x)^2)), a Hessian of -Re P that is not
+positive definite past the rounding of its entries, a box that does not
+close within the scan radii, and a grid whose budget of 120**3 points
+has no room for two halvings past the resolution the scan asks for take
+the driver below instead; so does a grid that reaches that budget
+without converging.
 
 Everything else goes through iterated one-dimensional adaptive
 integration, innermost variable first, with one of two rules per leg:
@@ -165,6 +169,10 @@ _TRAP_STEEP = 16.0
 # a node whose scan asks for more trapezoid intervals than this takes
 # GK15, whose bisection spends its points near the narrow feature
 _TRAP_MAX = 2 ** 10
+# the tensor grid of a product of Lines may hold as many points as the
+# nested levels evaluate in the starting round of three variables,
+# _NODE_CAP cubed, counted in GK15 panels of 15 points
+_GRID_PANELS = _NODE_CAP ** 3 // 15
 
 # glibc serves blocks above its mmap threshold (128 KiB by default) from
 # fresh pages, and returns the top of its heap to the system whenever
@@ -1296,11 +1304,13 @@ def _level_value(run, j, fixed, member, rel_tol):
 
 def _frame_applies(run):
     """Whether the run goes on one grid: an integrand entire in every
-    variable on a product of two or more chains that are each one Line."""
+    variable on a product of two or more chains that are each one Line,
+    with P of total degree at most 2, so that Re P has at most one peak."""
     return (run.n >= 2
             and all(len(chain) == 1 and isinstance(chain[0], Line)
                     for chain in run.contour.chains)
-            and all(run.entire_along(j) for j in range(run.n)))
+            and all(run.entire_along(j) for j in range(run.n))
+            and max(map(sum, run.kernel), default=0) <= 2)
 
 
 def _monomials(exps, cols):
@@ -1337,118 +1347,21 @@ def _poly_at(exps, coef, cols):
     return _combine(_monomials(exps, cols), coef, len(cols[0]))
 
 
-def _cholesky(a):
-    """The lower triangular C with C C^T = a, or None unless a is
-    positive definite (lists; n is at most 3)."""
-    n = len(a)
-    c = [[0.0] * n for _ in range(n)]
-    for j in range(n):
-        pivot = a[j][j] - sum(c[j][k] ** 2 for k in range(j))
-        if not pivot > 0:
-            return None
-        c[j][j] = math.sqrt(pivot)
-        for i in range(j + 1, n):
-            c[i][j] = (a[i][j] - sum(c[i][k] * c[j][k] for k in range(j))) \
-                / c[j][j]
-    return c
-
-
-def _cholesky_solve(c, g):
-    """x with C C^T x = g."""
-    n = len(g)
-    y = [0.0] * n
-    for i in range(n):
-        y[i] = (g[i] - sum(c[i][k] * y[k] for k in range(i))) / c[i][i]
-    x = [0.0] * n
-    for i in reversed(range(n)):
-        x[i] = (y[i] - sum(c[k][i] * x[k] for k in range(i + 1, n))) / c[i][i]
-    return x
-
-
-def _peak(exps, coef, n):
-    """(x0, C): the maximum of Re P over the real parameters, by damped
-    Newton from the best point of a coarse grid, and the Cholesky factor
-    C C^T of the Hessian of -Re P there; None where an iterate's
-    -Hessian is not positive definite or Newton does not converge."""
-    # on each axis 0 and +-10**k for k = -4..8, every tenth scan radius
-    axis = np.concatenate((-_SCAN_RADII[:0:-10], [0.0], _SCAN_RADII[1::10]))
-    grid = _cartesian([axis] * n)
-    with np.errstate(over="ignore", invalid="ignore"):
-        re_p = _poly_at(exps, [c.real for c in coef], grid)
-    re_p[np.isnan(re_p)] = -np.inf
-    best = int(re_p.argmax())
-    if not np.isfinite(re_p[best]):
-        return None
-    s = grid[:, best].tolist()
-    units = [tuple(int(i == k) for i in range(n)) for k in range(n)]
-    identity = [list(map(float, unit)) for unit in units]
-
-    def taylor(x):
-        """Re P, its gradient and the Hessian of -Re P at x, from the
-        expansion of P about x."""
-        q = dict(zip(*_expand(exps, coef, x, identity)))
-        curv = [[-q.get(tuple(map(sum, zip(a, b))), 0.0).real * (1 + (a == b))
-                 for b in units] for a in units]
-        return (q.get((0,) * n, 0.0).real, [q.get(a, 0.0).real for a in units],
-                curv)
-
-    value, grad, curv = taylor(s)
-    for _ in range(64):
-        chol = _cholesky(curv)
-        if chol is None:
-            return None
-        step = _cholesky_solve(chol, grad)
-        gain = sum(g * d for g, d in zip(grad, step))  # twice the model's rise
-        if not gain > 1e-12:
-            return (s, chol) if gain >= 0 else None
-        t = 1.0
-        while True:
-            trial = [x + t * d for x, d in zip(s, step)]
-            rise = taylor(trial)
-            if rise[0] >= value:
-                break
-            t *= 0.5
-            if t < 1e-10:
-                return None
-        s, (value, grad, curv) = trial, rise
-    return None
-
-
-def _expand(exps, coef, x0, L):
-    """Q(z) = P(x0 + L z) as (exponents, coefficients): the exponents of
-    the products of the nonzero terms of the forms x0_j + sum_k L_jk z_k,
-    with the coefficients they sum to."""
-    n = len(x0)
-    # an exponent tuple e as the number sum_k e_k base**k: multiplying
-    # two monomials adds their numbers, and no exponent reaches base
-    base = max(map(sum, exps)) + 1
-    unit = [base ** k for k in range(n)]
-
-    def times(p, q):
-        out = {}
-        for e1, c1 in p.items():
-            for e2, c2 in q.items():
-                out[e1 + e2] = out.get(e1 + e2, 0.0) + c1 * c2
-        return out
-
-    forms = []
-    for j in range(n):
-        linear = {e: c for e, c in zip([0] + unit, [x0[j]] + L[j]) if c}
-        powers = [{0: 1.0}]
-        for _ in range(max(e[j] for e in exps)):
-            powers.append(times(powers[-1], linear))
-        forms.append(powers)
-    q = {}
-    for e, c in zip(exps, coef):
-        term = {0: c}
-        for j, k in enumerate(e):
-            if k:
-                term = times(term, forms[j][k])
-        for key, value in term.items():
-            q[key] = q.get(key, 0.0) + value
-    keys = sorted(q)
-    return ([tuple(key // u % base for u in unit) for key in keys],
-            [q[key] for key in keys])
+def _quadratic(exps, coef, n):
+    """P = c + g.s + s.H s / 2, for P of total degree at most 2 given as
+    exponent tuples and coefficients, as (c, g, H)."""
+    c, g, h = 0j, np.zeros(n, dtype=complex), np.zeros((n, n), dtype=complex)
+    for e, a in zip(exps, coef):
+        axes = [j for j, k in enumerate(e) for _ in range(k)]
+        if len(axes) == 2:
+            j, k = axes
+            h[j, k] += a
+            h[k, j] += a
+        elif axes:
+            g[axes[0]] += a
+        else:
+            c += a
+    return c, g, h
 
 
 def _along(poly, contour):
@@ -1464,36 +1377,41 @@ class _Frame:
     """The Laplace frame of one batch member.
 
     On the real parameters s of the Lines (t_j = d_j s_j, d_j the Line's
-    direction) the frame is s = x0 + L z, where x0 maximises Re P and
-    L^-T L^-1 is the Hessian of -Re P there, so Re P falls like |z|^2 / 2
-    around it.  It holds Q(z) = P(x0 + L z) re-expanded once, so that its
-    terms are small where the integrand matters, the terms of P along s
-    for its rounding, the power-product factors along s, and ``jac``: the
-    orientations, the Jacobian d_j det L and the phase d_j^rho_j of the
-    weights t_j^rho_j.  ``lo``, ``hi`` and ``need``, the box in z and the
-    fewest intervals its axes take, come from the scan in _laplace_frame.
+    direction) P = c + g.s + s.H s / 2 is quadratic, and the frame is
+    s = x0 + L z, where x0 maximises Re P, its one peak, and L = C^-T for
+    the Cholesky factor C C^T of -Re H, so Re P falls like |z|^2 / 2
+    around x0.  It holds Q(z) = P(x0 + L z), whose terms are small where
+    the integrand matters, the terms of P along s for its rounding, the
+    power-product factors along s, and ``jac``: the orientations, the
+    Jacobian d_j det L and the phase d_j^rho_j of the weights t_j^rho_j.
+    ``lo``, ``hi`` and ``need``, the box in z and the fewest intervals its
+    axes take, come from the scan in _laplace_frame.
     """
 
-    def __init__(self, spec, contour, rho, p, x0, chol):
-        n = len(x0)
-        chains = contour.chains
-        angles = [chain[0].angle for chain in chains]
-
-        self.n, self.rho, self.x0 = n, rho, x0
-        # L = (C^T)^-1, upper triangular
-        self.L = L = [[0.0] * n for _ in range(n)]
-        for i in range(n):
-            L[i][i] = 1.0 / chol[i][i]
-            for j in range(i + 1, n):
-                L[i][j] = -sum(L[i][k] * chol[j][k]
-                               for k in range(i, j)) / chol[j][j]
-        exps, coef = _expand(*p, x0, L)
+    def __init__(self, spec, contour, rho, p, taylor, chol):
+        n = len(contour.chains)
+        c, g, h = taylor
+        x0 = np.linalg.solve(-h.real, g.real)  # where grad Re P vanishes
+        L = np.linalg.inv(chol).T
+        # Q(z) = P(x0) + (g + H x0).L z + z.(L^T H L) z / 2
+        slope = L.T @ (g + h @ x0)
+        curv = L.T @ h @ L
+        units = [tuple(int(i == k) for i in range(n)) for k in range(n)]
+        exps = [(0,) * n] + units + [
+            tuple(map(sum, zip(units[j], units[k])))
+            for j in range(n) for k in range(j, n)]
+        coef = [c + g @ x0 + x0 @ h @ x0 / 2] + slope.tolist() + [
+            curv[j, k] * (0.5 if j == k else 1.0)
+            for j in range(n) for k in range(j, n)]
+        self.n, self.rho = n, rho
+        self.x0, self.L = x0.tolist(), L.tolist()
         self.q = exps, np.array(coef)
-        self.p_abs = (p[0], [abs(c) for c in p[1]])
+        self.p_abs = (p[0], [abs(a) for a in p[1]])
         self.powers = [(*_along(poly, contour), int(v.real)) for poly, v in zip(
             getattr(spec.alpha, "polys", ()), getattr(spec.alpha, "v", ()))]
-        orientation = math.prod(chain[0].orientation for chain in chains)
-        self.jac = (orientation * math.prod(L[i][i] for i in range(n))
+        angles = [chain[0].angle for chain in contour.chains]
+        orientation = math.prod(chain[0].orientation for chain in contour.chains)
+        self.jac = (orientation / float(np.prod(np.diag(chol)))
                     * cmath.exp(1j * sum(a * (1 + r)
                                          for a, r in zip(angles, rho))))
 
@@ -1542,14 +1460,21 @@ class _Frame:
 
 def _laplace_frame(spec, contour, rho):
     """The frame of one member, with its box and resolution, or None where
-    it takes the nested levels: no peak with a positive definite
-    -Hessian, or a box that does not close within the scan radii."""
+    it takes the nested levels: a Hessian of -Re P that is not positive
+    definite, a box that does not close within the scan radii, or a grid
+    whose budget has no room for two halvings past the resolution the
+    scan asks for."""
     n = len(contour.chains)
     p = _along(spec.P, contour)
-    found = _peak(*p, n)
-    if found is None:
+    taylor = _quadratic(*p, n)
+    curv = -taylor[2].real
+    # positive definite past the rounding of its entries, by the rank
+    # tolerance of numpy's matrix_rank: exp(-(x - y)^2) has a zero
+    # eigenvalue that rounds to +-4e-16
+    eig = np.linalg.eigvalsh(curv)
+    if not eig[0] > n * np.finfo(float).eps * eig[-1]:
         return None
-    frame = _Frame(spec, contour, rho, p, *found)
+    frame = _Frame(spec, contour, rho, p, taylor, np.linalg.cholesky(curv))
 
     # one scan out along each +-z axis, cut where the integrand has
     # decayed as _truncate_unbounded cuts a leg
@@ -1600,6 +1525,11 @@ def _laplace_frame(spec, contour, rho):
     # integrand lies within MAGNITUDE_CUT of the peak, out to the cut
     rate = _step_rates(q, lm, top + _LOG_CUT, int(index.max()) + 1)
     frame.need = float(((cut[:, 0] + cut[:, 1]) * rate.max(axis=(1, 2))).max())
+    # the sums are accurate one halving past that resolution and agree
+    # with the next one; a member whose budget does not reach that far
+    # takes the nested levels before any point of its grid is evaluated
+    if not 4 * frame.need <= _trapezoid_cap(_GRID_PANELS, n):
+        return None
     return frame
 
 
@@ -1625,11 +1555,9 @@ def _grid_values(frames, tol):
         return val, rounding
 
     failures = {}
-    # the grid may hold as many points as the nested levels evaluate in
-    # the starting round of three variables, _NODE_CAP cubed
     values, errs, floors = adaptive_quadrature(
         f, [fr.lo for fr in frames], [fr.hi for fr in frames], tol * 0.5,
-        ABS_FLOOR, max_intervals=_NODE_CAP ** 3 // 15,
+        ABS_FLOOR, max_intervals=_GRID_PANELS,
         what=f"the product of {n} lines", failures=failures,
         trapezoid=[fr.need for fr in frames])
     return values, errs, floors, failures
@@ -1765,11 +1693,13 @@ def integrate(spec, contour: ProductContour, tol: float = 1e-9):
     """Integrate exp(P) * alpha over the product contour.
 
     On a product of two or more Lines, with an integrand entire in every
-    variable, the integral is one tensor-product trapezoid in the Laplace
-    frame x = x0 + L z of the peak of Re P (see the module docstring); its
-    error estimate also counts the rounding of P, eps times the sum of the
-    magnitudes of P's terms at each node weighted by |f|.  An integrand
-    without that frame, and every other one, goes through the iterated
+    variable and P of total degree at most 2 whose real part is strictly
+    concave, the integral is one tensor-product trapezoid in the Laplace
+    frame x = x0 + L z of the one peak of Re P (see the module
+    docstring); its error estimate also counts the rounding of P, eps
+    times the sum of the magnitudes of P's terms at each node weighted by
+    |f|.  An integrand without that frame, or whose grid would not fit
+    its budget, and every other one, goes through the iterated
     one-dimensional levels.
 
     ``spec`` is one IntegrandSpec, for which (value, err_estimate) is

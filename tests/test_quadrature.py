@@ -505,6 +505,10 @@ class TestProperIntegral:
         with pytest.raises(DivergenceError):
             # growing exponent along the positive ray
             proper_integral(SparsePolynomial(1, {(1,): 1}), POSITIVE_RAY)
+        with pytest.raises(DivergenceError):
+            # no peak on two lines for a frame to centre on
+            proper_integral(SparsePolynomial.zero(2),
+                            ProductContour([[Line(0.0)]] * 2))
 
 
 def correlated_gaussians(seed, count=60):
@@ -618,9 +622,24 @@ class TestLaplaceFrame:
         value, err = integrate(IntegrandSpec(P, AlphaOne()), self.PLANE, tol)
         assert abs(value - exact) <= max(tol * exact, err)
 
+    @pytest.mark.parametrize("tol", [1e-8, 1e-10])
+    def test_two_peak_ridge(self, tol):
+        # exp(-0.01 (x^2 - 100)^2 - (y - x)^2) peaks at (-10, -10) and
+        # (10, 10), off the axes of either peak's frame: P of degree 4
+        # nests, and both peaks count
+        import mpmath
+        P = SparsePolynomial(2, {(4, 0): -0.01, (2, 0): 1, (0, 0): -100,
+                                 (1, 1): 2, (0, 2): -1})
+        with mpmath.workdps(30):
+            exact = float(mpmath.sqrt(mpmath.pi) * mpmath.quad(
+                lambda x: mpmath.exp(-(x * x - 100) ** 2 / 100),
+                [-mpmath.inf, -10, 0, 10, mpmath.inf]))
+        value, err = integrate(IntegrandSpec(P, AlphaOne()), self.PLANE, tol)
+        assert abs(value - exact) <= max(tol * exact, err)
+
     def test_singular_hessian_nests(self, monkeypatch):
-        # exp(-x^4 - y^4) has no positive definite -Hessian at its peak,
-        # so the nested levels integrate it
+        # exp(-x^4 - y^4): P of degree 4, with no positive definite
+        # -Hessian at its peak, takes the nested levels
         from hypint import quadrature
         level = quadrature._level_value
         levels = []
@@ -637,10 +656,10 @@ class TestLaplaceFrame:
         assert 1 in levels
 
     def test_batch_mixes_the_frame_and_the_nested_levels(self, monkeypatch):
-        # exp(-(x^2 - a)^2 - y^2): a = -1 peaks at the origin and takes the
-        # grid; a = 4 starts its search where -Hessian is not positive
-        # definite and nests; each member gets what it gets alone
-        import mpmath
+        # exp(-(1 - i c) x^2 - y^2): c = 0.1 takes the grid; c = 5 turns so
+        # fast out to its cut that the grid's budget has no room for two
+        # halvings past the resolution it needs, so it nests; each member
+        # gets what it gets alone
         from hypint import quadrature
         level = quadrature._level_value
         nested = []
@@ -651,20 +670,35 @@ class TestLaplaceFrame:
             return level(run, j, fixed, member, rel_tol)
 
         monkeypatch.setattr(quadrature, "_level_value", spy)
+        chirps = (5.0, 0.1)
         specs = [IntegrandSpec(SparsePolynomial(2, {
-            (4, 0): -1, (2, 0): 2 * a, (0, 0): -a * a, (0, 2): -1}),
-            AlphaOne()) for a in (4.0, -1.0)]
+            (2, 0): -(1 - 1j * c), (0, 2): -1}), AlphaOne()) for c in chirps]
         tol = 1e-10
         batch = integrate(specs, self.PLANE, tol)
         assert nested == [1]
         assert _bits(batch) == _bits([integrate(s, self.PLANE, tol)
                                       for s in specs])
-        for a, (value, err) in zip((4.0, -1.0), batch):
-            with mpmath.workdps(30):
-                exact = float(mpmath.sqrt(mpmath.pi) * mpmath.quad(
-                    lambda x: mpmath.exp(-(x * x - a) ** 2),
-                    [-mpmath.inf, -2, 0, 2, mpmath.inf]))
-            assert abs(value - exact) <= max(tol * exact, err)
+        for c, (value, err) in zip(chirps, batch):
+            exact = math.pi / cmath.sqrt(1 - 1j * c)
+            assert abs(value - exact) <= max(tol * abs(exact), err)
+
+    def test_grid_past_its_budget_is_not_evaluated(self, monkeypatch):
+        # exp(-x^2 - y^2 - z^2 + 5 i x): its scan asks for 28 intervals per
+        # axis, and the 64 that the budget allows in three variables leave
+        # room for one halving past 32 only, so it nests without
+        # evaluating a grid
+        from hypint import quadrature
+
+        def no_grid(frames, tol):
+            raise AssertionError("a grid was evaluated")
+
+        monkeypatch.setattr(quadrature, "_grid_values", no_grid)
+        P = SparsePolynomial(3, {(2, 0, 0): -1, (0, 2, 0): -1, (0, 0, 2): -1,
+                                 (1, 0, 0): 5j})
+        tol, exact = 1e-9, math.pi ** 1.5 * math.exp(-25 / 4)
+        value, err = integrate(IntegrandSpec(P, AlphaOne()),
+                               ProductContour([[Line(0.0)]] * 3), tol)
+        assert abs(value - exact) <= max(tol * exact, err)
 
 
 class TestMonomialWeights:
