@@ -1303,13 +1303,15 @@ def _level_value(run, j, fixed, member, rel_tol):
 
 
 def _frame_applies(run):
-    """Whether the run goes on one grid: an integrand entire in every
-    variable on a product of two or more chains that are each one Line,
-    with P of total degree at most 2, so that Re P has at most one peak."""
+    """Whether the run goes on one grid: exp(P) alone, with no weight t^rho
+    or P_i^v, on a product of two or more chains that are each one Line,
+    with P of total degree at most 2, so that Re P has at most one peak
+    and it lies at the centre of the frame."""
     return (run.n >= 2
             and all(len(chain) == 1 and isinstance(chain[0], Line)
                     for chain in run.contour.chains)
-            and all(run.entire_along(j) for j in range(run.n))
+            and not run.powers
+            and all(run.monomial_exponent(j) is None for j in range(run.n))
             and max(map(sum, run.kernel), default=0) <= 2)
 
 
@@ -1381,14 +1383,13 @@ class _Frame:
     s = x0 + L z, where x0 maximises Re P, its one peak, and L = C^-T for
     the Cholesky factor C C^T of -Re H, so Re P falls like |z|^2 / 2
     around x0.  It holds Q(z) = P(x0 + L z), whose terms are small where
-    the integrand matters, the terms of P along s for its rounding, the
-    power-product factors along s, and ``jac``: the orientations, the
-    Jacobian d_j det L and the phase d_j^rho_j of the weights t_j^rho_j.
-    ``lo``, ``hi`` and ``need``, the box in z and the fewest intervals its
-    axes take, come from the scan in _laplace_frame.
+    the integrand matters, the terms of P along s for its rounding, and
+    ``jac``: the orientations and the Jacobian d_j det L.  ``lo``, ``hi``
+    and ``need``, the box in z and the fewest intervals its axes take,
+    come from the scan in _laplace_frame.
     """
 
-    def __init__(self, spec, contour, rho, p, taylor, chol):
+    def __init__(self, contour, p, taylor, chol):
         n = len(contour.chains)
         c, g, h = taylor
         x0 = np.linalg.solve(-h.real, g.real)  # where grad Re P vanishes
@@ -1403,62 +1404,42 @@ class _Frame:
         coef = [c + g @ x0 + x0 @ h @ x0 / 2] + slope.tolist() + [
             curv[j, k] * (0.5 if j == k else 1.0)
             for j in range(n) for k in range(j, n)]
-        self.n, self.rho = n, rho
+        self.n = n
         self.x0, self.L = x0.tolist(), L.tolist()
         self.q = exps, np.array(coef)
         self.p_abs = (p[0], [abs(a) for a in p[1]])
-        self.powers = [(*_along(poly, contour), int(v.real)) for poly, v in zip(
-            getattr(spec.alpha, "polys", ()), getattr(spec.alpha, "v", ()))]
-        angles = [chain[0].angle for chain in contour.chains]
         orientation = math.prod(chain[0].orientation for chain in contour.chains)
         self.jac = (orientation / float(np.prod(np.diag(chol)))
-                    * cmath.exp(1j * sum(a * (1 + r)
-                                         for a, r in zip(angles, rho))))
+                    * cmath.exp(1j * sum(chain[0].angle
+                                         for chain in contour.chains)))
 
-    def terms(self, z, need_s=False):
-        """Re Q, Im Q, the weight t^rho * prod P_i^v_i (without the phase
-        in ``jac``) and, where asked for or needed for the weight, the
-        coordinates of s, at the points z (n x N)."""
+    def terms(self, z):
+        """Re Q and Im Q at the points z (n x N); Re Q is log |f|."""
         monos = _monomials(self.q[0], z)
-        re_q = _combine(monos, self.q[1].real, z.shape[1])
-        im_q = _combine(monos, self.q[1].imag, z.shape[1])
-        weight, s = 1.0, None
-        if need_s or any(self.rho) or self.powers:
-            s = []
-            for x0, row in zip(self.x0, self.L):
-                sj = x0
-                for lk, col in zip(row, z):
-                    if lk:
-                        sj = sj + lk * col
-                s.append(sj)
-            for sj, r in zip(s, self.rho):
-                if r:
-                    weight = weight * sj ** r
-            for exps, coef, v in self.powers:
-                weight = weight * _poly_at(exps, coef, s) ** v
-        return re_q, im_q, weight, s
-
-    def log_mag(self, z):
-        """Q and log |f| at the points z (n x N)."""
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            re_q, im_q, weight, _ = self.terms(z)
-            return re_q + 1j * im_q, re_q + np.log(np.abs(weight))
+        return (_combine(monos, self.q[1].real, z.shape[1]),
+                _combine(monos, self.q[1].imag, z.shape[1]))
 
     def values(self, z):
         """The integrand at the points z (n x N) and its relative rounding:
         that of P, eps times the sum of the magnitudes of P's terms."""
-        re_q, im_q, weight, s = self.terms(z, need_s=True)
+        re_q, im_q = self.terms(z)
         with np.errstate(over="ignore", invalid="ignore"):
             mag = np.exp(re_q)
             val = np.empty(len(mag), dtype=complex)
             val.real = mag * np.cos(im_q)
             val.imag = mag * np.sin(im_q)
-            val *= weight * self.jac
-        rounding = _poly_at(*self.p_abs, [np.abs(sj) for sj in s])
-        return val, np.finfo(float).eps * rounding
+            val *= self.jac
+        s = []
+        for x0, row in zip(self.x0, self.L):
+            sj = x0
+            for lk, col in zip(row, z):
+                if lk:
+                    sj = sj + lk * col
+            s.append(np.abs(sj))
+        return val, np.finfo(float).eps * _poly_at(*self.p_abs, s)
 
 
-def _laplace_frame(spec, contour, rho):
+def _laplace_frame(spec, contour):
     """The frame of one member, with its box and resolution, or None where
     it takes the nested levels: a Hessian of -Re P that is not positive
     definite, a box that does not close within the scan radii, or a grid
@@ -1474,15 +1455,19 @@ def _laplace_frame(spec, contour, rho):
     eig = np.linalg.eigvalsh(curv)
     if not eig[0] > n * np.finfo(float).eps * eig[-1]:
         return None
-    frame = _Frame(spec, contour, rho, p, taylor, np.linalg.cholesky(curv))
+    frame = _Frame(contour, p, taylor, np.linalg.cholesky(curv))
 
     # one scan out along each +-z axis, cut where the integrand has
-    # decayed as _truncate_unbounded cuts a leg
+    # decayed as _truncate_unbounded cuts a leg.  Re Q falls like |z|^2 / 2
+    # from its peak at z = 0, so it is smaller still off the axes, and the
+    # box holds every point above MAGNITUDE_CUT of the peak.
     radii = _SCAN_RADII
     z = np.zeros((n, n, 2, radii.size))  # coordinate, axis, side, radius
     for k in range(n):
         z[k, k, 0], z[k, k, 1] = -radii, radii
-    q, lm = frame.log_mag(z.reshape(n, -1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        lm, im_q = frame.terms(z.reshape(n, -1))
+        q = lm + 1j * im_q
     q, lm = q.reshape(n, 2, -1), lm.reshape(n, 2, -1)
     finite = np.isfinite(lm)
     if not finite.any():
@@ -1492,32 +1477,6 @@ def _laplace_frame(spec, contour, rho):
         index = _first_decayed((q.real < DECAY_RE_P) & (lm < top + _LOG_CUT))
     if index is None:
         return None
-
-    # every face of the box, sampled at the scan radii of the other axes,
-    # must lie MAGNITUDE_CUT below the peak seen so far, or it moves out
-    # one radius, as _check_ends moves the end of a leg
-    peak = top
-    while True:
-        lines = [np.concatenate((-radii[index[i, 0]:0:-1],
-                                 radii[:index[i, 1] + 1])) for i in range(n)]
-        faces = []
-        for k in range(n):
-            for side in (0, 1):
-                axes = list(lines)
-                axes[k] = (-1.0, 1.0)[side] * radii[index[k, side:side + 1]]
-                faces.append(_cartesian(axes))
-        lm_faces = frame.log_mag(np.concatenate(faces, axis=1))[1]
-        if np.isnan(lm_faces).any():
-            return None
-        sizes = [face.shape[1] for face in faces]
-        highest = np.maximum.reduceat(lm_faces, np.cumsum([0] + sizes[:-1]))
-        peak = max(peak, highest.max())
-        out = ~(highest < peak + _LOG_CUT).reshape(n, 2)
-        if not out.any():
-            break
-        if (index[out] == radii.size - 1).any():
-            return None
-        index[out] += 1
     cut = _eight_bits(radii[index])
     frame.lo, frame.hi = -cut[:, 0], cut[:, 1]
 
@@ -1640,9 +1599,7 @@ def _integrate_batch(specs, contour, tol):
     outcome = [None] * count  # per member: value, err and roundoff floor
     nested = list(range(count))
     if _frame_applies(run):
-        rho = [int(r.real) if r is not None else 0
-               for r in map(run.monomial_exponent, range(run.n))]
-        frames = [_laplace_frame(spec, contour, rho) for spec in specs]
+        frames = [_laplace_frame(spec, contour) for spec in specs]
         on_grid = [k for k, frame in enumerate(frames) if frame is not None]
         if on_grid:
             values, errs, floors, failed = _grid_values(
