@@ -328,17 +328,10 @@ def _cartesian(axes):
 
 
 def _grid(m, dim, halving):
-    """The points, as fractions of the box (dim x N, a vector in one
-    dimension), and the tensor trapezoid weights of the grid of m
-    intervals per axis (1.0 where all are one): all of them, or with
-    ``halving`` only those that the grid of m / 2 lacks, in blocks whose
-    index is odd on axis k and even on the axes before it."""
-    if dim == 1:
-        if halving:
-            return np.arange(1, m, 2) / m, 1.0
-        weights = np.ones(m + 1)
-        weights[[0, -1]] = 0.5
-        return np.arange(m + 1) / m, weights
+    """The points, as fractions of the box (dim x N), and the tensor
+    trapezoid weights of the grid of m intervals per axis: all of them,
+    or with ``halving`` only those that the grid of m / 2 lacks, in blocks
+    whose index is odd on axis k and even on the axes before it."""
     axis = np.arange(m + 1) / m
     ends = np.ones(m + 1)
     ends[[0, -1]] = 0.5
@@ -360,23 +353,23 @@ def _row_sums(f, rows, a, b, s, weights):
     most _POINT_CAP points go to ``f`` at a time.  ``f`` returns the
     values, or (values, rounding) with the relative rounding error of
     each value."""
-    m = s.shape[-1]
+    dim, m = s.shape
     per_call = max(1, _POINT_CAP // m)
     sums = np.empty(len(rows), dtype=complex)
     mags = np.empty(len(rows))
     noise = None
-    node_tau = _NODE_TAU if s.ndim == 1 else np.dtype(
-        [("node", np.intp), ("tau", float, s.shape[:-1])])
+    # one coordinate per point is a plain float field, as GK15 hands it on
+    node_tau = _NODE_TAU if dim == 1 else np.dtype(
+        [("node", np.intp), ("tau", float, (dim,))])
     for lo in range(0, len(rows), per_call):
         group = rows[lo:lo + per_call]
         points = np.empty(len(group) * m, dtype=node_tau)
         points["node"] = np.repeat(group, m)
-        if s.ndim == 1:
-            points["tau"] = (a[group, None] + (b - a)[group, None] * s).ravel()
-        else:  # axis by axis, so that numpy's loops run along the points
-            for k, sk in enumerate(s):
-                points["tau"][:, k] = (a[group, k, None]
-                                       + (b - a)[group, k, None] * sk).ravel()
+        # axis by axis, so that numpy's loops run along the points
+        tau = points["tau"].reshape(len(points), dim)
+        for k, sk in enumerate(s):
+            tau[:, k] = (a[group, k, None]
+                         + (b - a)[group, k, None] * sk).ravel()
         parts = [f(points[k:k + _POINT_CAP])
                  for k in range(0, len(points), _POINT_CAP)]
         rounding = None
@@ -402,8 +395,9 @@ def _trapezoid(f, a, b, rows, need, cap, rel_tol, abs_floor, what, failures,
     adaptive_quadrature.  Fills their entries of ``total``, ``err``,
     ``mass`` and, where f reports its rounding, ``noise``."""
     start = rows
-    dim = 1 if a.ndim == 1 else a.shape[1]
-    volume = b - a if dim == 1 else (b - a).prod(axis=1)
+    a, b = a.reshape(len(a), -1), b.reshape(len(b), -1)  # one column per axis
+    dim = a.shape[1]
+    volume = (b - a).prod(axis=1)
     shrink = 0.5 ** dim  # the cell of a halved grid
     n = 2 ** _TRAP_START
     sums, mags, rounding = _row_sums(f, rows, a, b, *_grid(n, dim, False))
