@@ -645,8 +645,12 @@ def adaptive_quadrature(f, a, b, rel_tol, abs_floor, max_intervals=4096,
 # leg parametrization
 
 class _Path:
-    """A leg mapped onto tau in [0, 1] for each outer node, orientation
-    already applied; ``map`` and ``dmap`` take (node, tau) arrays."""
+    """A leg mapped onto tau in [0, 1] for each outer node, in the leg's
+    declared direction (start to end, or along its angle), whatever its
+    orientation; ``dmap`` carries the orientation as its sign, so a
+    reversed leg gives the negated integral of the forward one and keeps
+    its own start, with any endpoint singularity there, at tau = 0.
+    ``map`` and ``dmap`` take (node, tau) arrays."""
 
     def __init__(self, leg, index, map_fn, dmap_fn):
         self.leg = leg
@@ -663,41 +667,34 @@ class _Path:
 def _segment_path(leg, index, z0, z1, count):
     z0 = np.broadcast_to(np.asarray(z0, dtype=complex), (count,))
     d = np.broadcast_to(np.asarray(z1 - z0, dtype=complex), (count,))
+    dz = d if leg.orientation == 1 else -d
     return _Path(leg, index, lambda node, t: z0[node] + d[node] * t,
-                 lambda node, t: d[node])
+                 lambda node, t: dz[node])
 
 
 def _make_path(leg, index, cut, count):
     """cut: (R,) for a ray, (Rneg, Rpos) for a line, ignored otherwise;
     each radius is a length-``count`` array, one per outer node."""
     if isinstance(leg, Segment):
-        z0, z1 = (leg.start, leg.end) if leg.orientation == 1 else (leg.end, leg.start)
-        return _segment_path(leg, index, complex(z0), complex(z1), count)
+        return _segment_path(leg, index, complex(leg.start), complex(leg.end),
+                             count)
     if isinstance(leg, Ray):
-        direction = np.exp(1j * leg.angle)
-        far = complex(leg.start) + direction * cut[0]
-        if leg.orientation == 1:
-            return _segment_path(leg, index, complex(leg.start), far, count)
-        return _segment_path(leg, index, far, complex(leg.start), count)
+        far = complex(leg.start) + np.exp(1j * leg.angle) * cut[0]
+        return _segment_path(leg, index, complex(leg.start), far, count)
     if isinstance(leg, Line):
         direction = np.exp(1j * leg.angle)
-        z0 = -direction * cut[0]
-        z1 = direction * cut[1]
-        if leg.orientation == 1:
-            return _segment_path(leg, index, z0, z1, count)
-        return _segment_path(leg, index, z1, z0, count)
+        return _segment_path(leg, index, -direction * cut[0],
+                             direction * cut[1], count)
     # Arc
-    th0, th1 = leg.angle_start, leg.angle_end
-    if leg.orientation == -1:
-        th0, th1 = th1, th0
-    span = th1 - th0
+    th0, span = leg.angle_start, leg.angle_end - leg.angle_start
     c, r = complex(leg.center), leg.radius
+    scale = 1j * r * span if leg.orientation == 1 else -(1j * r * span)
 
     def zmap(node, t):
         return c + r * np.exp(1j * (th0 + span * t))
 
     def dmap(node, t):
-        return 1j * r * span * np.exp(1j * (th0 + span * t))
+        return scale * np.exp(1j * (th0 + span * t))
 
     return _Path(leg, index, zmap, dmap)
 
@@ -746,10 +743,12 @@ class _BranchTracker:
             )
         first = np.nonzero(np.r_[True, node[1:] != node[:-1]])[0]
         last = np.r_[first[1:] - 1, node.size - 1]
+        if path.leg.orientation == -1:  # traversed from tau = 1 to 0
+            first, last = last, first
         start = pr[first] + TWO_PI * np.round((start_args - pr[first]) / TWO_PI)
         cont = np.r_[0.0, np.cumsum(steps)]
         # only the nearest winding number is read off these arguments, so
-        # a flat cumsum restarted at each node's first point is precise enough
+        # a flat cumsum restarted at each node's start is precise enough
         self.cont = cont - cont[first][node] + start[node]
         self.keys = 2.0 * node + taus
         self.end_args = self.cont[last]

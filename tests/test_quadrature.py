@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import time
+from dataclasses import astuple, replace
 
 import pytest
 
@@ -700,6 +701,57 @@ class TestLaplaceFrame:
                                ProductContour([[Line(0.0)]] * 3), tol)
         assert abs(value - exact) <= max(tol * exact, err)
 
+    @pytest.fixture
+    def no_grid(self, monkeypatch):
+        from hypint import quadrature
+
+        def no_grid(frames, tol):
+            raise AssertionError("a grid was evaluated")
+
+        monkeypatch.setattr(quadrature, "_grid_values", no_grid)
+
+    GAUSSIAN = SparsePolynomial(2, {(2, 0): -1, (0, 2): -1})
+
+    def test_monomial_weight_nests(self, no_grid):
+        # x^2 exp(-x^2 - y^2) over the plane is pi / 2: a weight t^rho
+        # takes the nested levels
+        tol, exact = 1e-10, math.pi / 2
+        value, err = integrate(IntegrandSpec(self.GAUSSIAN,
+                                             AlphaMonomial((3, 1))),
+                               self.PLANE, tol)
+        assert abs(value - exact) <= max(tol * exact, err)
+
+    def test_power_product_weight_nests(self, no_grid):
+        # (1 + x + y)^2 exp(-x^2 - y^2) over the plane is 2 pi: a factor
+        # P_i^v takes the nested levels
+        tol, exact = 1e-10, 2 * math.pi
+        factor = SparsePolynomial(2, {(0, 0): 1, (1, 0): 1, (0, 1): 1})
+        value, err = integrate(
+            IntegrandSpec(self.GAUSSIAN,
+                          AlphaPowerProduct([factor], [2], (1, 1))),
+            self.PLANE, tol)
+        assert abs(value - exact) <= max(tol * exact, err)
+
+    def test_unit_monomial_takes_the_grid(self, monkeypatch):
+        # t^(u - 1) with u = 1 is no weight: the grid, bit for bit as for
+        # exp(P) alone
+        from hypint import quadrature
+        grid = quadrature._grid_values
+        calls = []
+
+        def spy(frames, tol):
+            calls.append(len(frames))
+            return grid(frames, tol)
+
+        monkeypatch.setattr(quadrature, "_grid_values", spy)
+        P = SparsePolynomial(2, {(2, 0): -1.2, (1, 1): 0.4, (0, 2): -0.9,
+                                 (1, 0): 0.3 + 0.2j})
+        ones = [integrate(IntegrandSpec(P, alpha), self.PLANE, 1e-10)
+                for alpha in (AlphaOne(), AlphaMonomial((1, 1)))]
+        assert calls == [1, 1]
+        assert _bits(ones[:1]) == _bits(ones[1:])
+
+
 
 class TestMonomialWeights:
     def test_gamma_half(self):
@@ -826,6 +878,44 @@ class TestContourProperties:
         spec = IntegrandSpec(SparsePolynomial.zero(1), AlphaMonomial(0.0))
         value, _ = integrate(spec, circle, 1e-9)
         assert abs(value + 2j * math.pi) < 1e-9
+
+    @pytest.mark.parametrize("leg, exact", [
+        (Ray(0, 0.0, orientation=-1), SQRT_PI),
+        (Segment(0, 1, orientation=-1), SQRT_PI * math.erf(1))],
+        ids=["ray", "segment"])
+    def test_reversed_leg_keeps_its_singular_start(self, leg, exact):
+        # t^(-1/2) e^(-t) from infinity, or from 1, to the singular 0:
+        # -Gamma(1/2) and -gamma(1/2, 1), bit for bit the negated forward
+        # leg, whose GK15 nodes never round onto 0
+        P = SparsePolynomial(1, {(1,): -1})
+        tol = 1e-10
+        forward = type(leg)(*astuple(leg)[:-1])
+        value, err = integrate(IntegrandSpec(P, AlphaMonomial(0.5)),
+                               ProductContour([[leg]], {("t", 1): 0.0}), tol)
+        assert abs(value + exact) <= max(tol * exact, err)
+        assert _bits([(-value, err)]) == _bits([integrate(
+            IntegrandSpec(P, AlphaMonomial(0.5)),
+            ProductContour([[forward]], {("t", 1): 0.0}), tol)])
+
+    @pytest.mark.parametrize("leg, u", [(Line(0.2), 3),
+                                        (Ray(0.5, 0.4), 1.3 + 0.2j),
+                                        (Arc(0, 1.5, 0.1, 1.3), 1.3 + 0.2j)],
+                             ids=["line", "ray", "arc"])
+    def test_reversed_leg_negates_bit_for_bit(self, leg, u):
+        # the path of a reversed leg is the forward one; only the sign of
+        # its derivative changes, and the branch of t^(0.3 + 0.2i) is
+        # continued from the reversed leg's own start
+        P = SparsePolynomial(1, {(2,): -1, (1,): 0.3j})
+        spec = IntegrandSpec(P, AlphaMonomial(u))
+        branch = {("t", 1): 0.0}
+        forward = integrate(spec, ProductContour([[leg]], branch), 1e-10)
+        reversed_leg = replace(leg, orientation=-1)
+        if isinstance(leg, Arc):
+            # the argument at the end of the forward arc starts the reversed one
+            branch = {("t", 1): leg.angle_end}
+        value, err = integrate(spec, ProductContour([[reversed_leg]], branch),
+                               1e-10)
+        assert _bits([(-value, err)]) == _bits([forward])
 
     def test_splitting_a_segment_preserves_value(self):
         P = SparsePolynomial(1, {(0,): 1, (1,): -1})
