@@ -210,20 +210,24 @@ def main(argv=None) -> int:
         description="Differential systems, series expansions and contour "
                     "quadrature for exponential-of-polynomial integrals.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-        ("system", "emit the generated differential operators"),
-        ("series", "expand the base-indexed coefficient series"),
-        ("eval", "evaluate the integral by contour quadrature"),
-        ("verify", "check the system against quadrature by finite differences"),
+    flags = {
+        "--order": dict(type=int, help="series truncation order override"),
+        "--base": dict(type=str, help="comma-separated base member indices"),
+        "--tol": dict(type=float, help="quadrature tolerance override"),
+    }
+    # each command takes only the flags it reads, so a stray one exits 2
+    for name, help_text, own in [
+        ("system", "emit the generated differential operators", ()),
+        ("series", "expand the base-indexed coefficient series",
+         ("--order", "--base")),
+        ("eval", "evaluate the integral by contour quadrature", ("--tol",)),
+        ("verify", "check the system against quadrature by finite differences",
+         ("--tol",)),
     ]:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("problem", help="problem JSON file")
-        p.add_argument("--order", type=int, default=None,
-                       help="series truncation order override")
-        p.add_argument("--tol", type=float, default=None,
-                       help="quadrature tolerance override")
-        p.add_argument("--base", type=str, default=None,
-                       help="comma-separated base member indices")
+        for flag in own:
+            p.add_argument(flag, **flags[flag])
         p.add_argument("--out", type=str, default=None,
                        help="write the report JSON to this file as well")
     args = parser.parse_args(argv)

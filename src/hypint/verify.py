@@ -48,6 +48,15 @@ from .series import GammaSeries, evaluate_series
 
 DEFAULT_STEP_SCALE = 1e-4
 DEFAULT_RESIDUAL_TOL = 1e-3
+# root continuation: the largest coefficient step of the homotopy, in the
+# max norm, and the |P'| below which two roots are taken to collide
+ROOT_MAX_STEP = 0.05
+ROOT_MIN_DERIVATIVE = 1e-8
+# how far check_root_theorems sweeps the perturbed coefficient out and back
+ROOT_SWEEP_SPAN = 0.3
+# series_vs_oracle compares only points whose series tail estimate lies
+# below this, relative to the value
+ORACLE_TAIL_TOL = 1e-8
 
 
 def _takes_batches(fn):
@@ -519,12 +528,9 @@ class RootContinuation:
     germ of the multi-valued root function).
     """
 
-    def __init__(self, center_coeffs: Mapping, x0: complex,
-                 max_step: float = 0.05, min_derivative: float = 1e-8):
+    def __init__(self, center_coeffs: Mapping, x0: complex):
         self.center = {int(e if isinstance(e, int) else e[0]): complex(c)
                        for e, c in center_coeffs.items()}
-        self.max_step = max_step
-        self.min_derivative = min_derivative
         self.x0 = self._newton(self.center, complex(x0))
 
     @staticmethod
@@ -540,10 +546,10 @@ class RootContinuation:
     def _newton(self, coeffs, x):
         for _ in range(60):
             p, dp = self._eval(coeffs, x)
-            if abs(dp) < self.min_derivative:
+            if abs(dp) < ROOT_MIN_DERIVATIVE:
                 raise ValueError(
                     f"root collision: |P'| = {abs(dp):.3e} below "
-                    f"{self.min_derivative} near x = {x}"
+                    f"{ROOT_MIN_DERIVATIVE} near x = {x}"
                 )
             step = p / dp
             x = x - step
@@ -559,7 +565,7 @@ class RootContinuation:
         keys = sorted(set(self.center) | set(target))
         deltas = {e: target.get(e, 0) - self.center.get(e, 0) for e in keys}
         spread = max(abs(d) for d in deltas.values()) if deltas else 0.0
-        steps = max(1, math.ceil(spread / self.max_step))
+        steps = max(1, math.ceil(spread / ROOT_MAX_STEP))
         x = self.x0
         for s in range(1, steps + 1):
             frac = s / steps
@@ -570,17 +576,16 @@ class RootContinuation:
 
 
 def check_root_theorems(P0: SparsePolynomial, y0, gamma: Callable | None = None,
-                        omega: int | None = None, span: float = 0.3,
+                        omega: int | None = None,
                         x0_guess: complex | None = None, h: float = 1e-3,
-                        tol: float = DEFAULT_RESIDUAL_TOL,
-                        max_step: float = 0.05):
+                        tol: float = DEFAULT_RESIDUAL_TOL):
     """Constant-term mixed-derivative relations on functions of a root.
 
     Builds x(c) for the equation sum c_e t^e = 0 (the constant c_0
     absorbs -y0) by Newton continuation from the center, then checks
     D[c0]^(|w|-1) D[cw] = D[c1]^w on x(c), on gamma(x(c)) and on
-    gamma(x(c)) / P'(x(c)).  A continuation sweep over ``span`` in the
-    perturbed coefficient confirms the root returns to its germ.
+    gamma(x(c)) / P'(x(c)).  A continuation sweep over ROOT_SWEEP_SPAN in
+    the perturbed coefficient confirms the root returns to its germ.
 
     Returns (reports, continuation) so callers can reuse the root
     function.
@@ -603,7 +608,7 @@ def check_root_theorems(P0: SparsePolynomial, y0, gamma: Callable | None = None,
         roots = np.roots([center_coeffs.get(e, 0)
                           for e in range(degree, -1, -1)])
         x0_guess = complex(min(roots, key=lambda r: abs(r - guess)))
-    cont = RootContinuation(center_coeffs, x0_guess, max_step=max_step)
+    cont = RootContinuation(center_coeffs, x0_guess)
 
     support = sorted(set(center_coeffs) | {0, 1, omega})
     exponents = ExponentSet(1, support)
@@ -642,16 +647,16 @@ def check_root_theorems(P0: SparsePolynomial, y0, gamma: Callable | None = None,
 
     # continuation sanity: sweep the perturbed coefficient out and back
     swept = dict(center_coeffs)
-    swept[omega] = center_coeffs.get(omega, 0) + span
+    swept[omega] = center_coeffs.get(omega, 0) + ROOT_SWEEP_SPAN
     x_out = cont.root_at(swept)
     x_back = cont.root_at(center_coeffs)
     drift = abs(x_back - cont.x0)
     reports.append(ResidualReport(
-        label=f"continuation[c{omega} +/- {span}]",
+        label=f"continuation[c{omega} +/- {ROOT_SWEEP_SPAN}]",
         operator="newton-homotopy",
         center={str(CoeffVar(1, (e,))): complex(c)
                 for e, c in center_coeffs.items()},
-        step=max_step, residual=float(drift),
+        step=ROOT_MAX_STEP, residual=float(drift),
         relative=float(drift / max(1.0, abs(cont.x0))),
         tol=1e-10, passed=drift <= 1e-10 * max(1.0, abs(cont.x0)),
         note=f"root at swept point: {x_out}",
@@ -723,15 +728,14 @@ class SeriesOracleReport:
 def series_vs_oracle(series: GammaSeries, contour: ProductContour,
                      points: Sequence, u=None,
                      center: SparsePolynomial | None = None,
-                     quad_tol: float = 1e-12,
-                     tail_tol: float = 1e-8) -> SeriesOracleReport:
+                     quad_tol: float = 1e-12) -> SeriesOracleReport:
     """Fit the single contour constant at the first usable point, then
     report the deviation from quadrature at the remaining points.
 
-    Points whose series tail estimate exceeds ``tail_tol`` (relative to
-    the value), or whose series value or tail is not finite, are outside
-    the expansion's usable region and are skipped with a notice rather
-    than compared.
+    Points whose series tail estimate exceeds ORACLE_TAIL_TOL (relative
+    to the value), or whose series value or tail is not finite, are
+    outside the expansion's usable region and are skipped with a notice
+    rather than compared.
     """
     layout = series.layout
     n = layout.exponents.dimension
@@ -745,7 +749,7 @@ def series_vs_oracle(series: GammaSeries, contour: ProductContour,
             skipped.append((dict(point), float(tail),
                             "series value or tail estimate not finite"))
             continue
-        if tail > tail_tol * max(1.0, abs(value)):
+        if tail > ORACLE_TAIL_TOL * max(1.0, abs(value)):
             skipped.append((dict(point), float(tail),
                             "tail estimate beyond the usable region"))
             continue

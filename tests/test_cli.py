@@ -432,6 +432,20 @@ class TestInputErrors:
         r = run_cli(["eval", str(tmp_path / "nope.json")])
         assert r.returncode == 2
 
+    @pytest.mark.parametrize("command, flag, value", [
+        ("system", "--tol", "1e-3"), ("system", "--order", "3"),
+        ("series", "--tol", "1e-3"), ("eval", "--order", "3"),
+        ("eval", "--base", "0"), ("verify", "--order", "3")])
+    def test_flag_the_command_does_not_read(self, tmp_path, capsys, command,
+                                            flag, value):
+        # each command takes only the flags it reads: a stray one is an
+        # input error that names it, not an override silently ignored
+        path = write_problem(tmp_path, gaussian_problem())
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, path, flag, value])
+        assert exit_info.value.code == 2
+        assert flag in capsys.readouterr().err
+
     def test_empty_contour_rejected(self, tmp_path):
         data = gaussian_problem(contour=[])
         path = write_problem(tmp_path, data)
