@@ -5,34 +5,33 @@ alpha is 1, a monomial t^(u-1), or a product of polynomial powers
 P_1^v_1 .. P_k^v_k t^(u-1), over one parametric complex path chain per
 variable.
 
-On a product of two or more chains that are each one Line, with an
-integrand entire in every variable and P of total degree at most 2, the
-integral is one tensor-product trapezoid in a Laplace frame.  On the
-lines' real parameters s (t_j = exp(i angle_j) s_j) P is quadratic, so
-where the Hessian of -Re P is positive definite Re P is concave and has
-one peak x0, found with one linear solve, and L is the inverse
-transpose of the Cholesky factor of that Hessian: in the frame
+On a product of two or more chains that are each one Line, with the
+integrand exp(P) alone (no weight t^rho or P_i^v) and P of total degree
+at most 2, the integral is one tensor-product trapezoid in a Laplace
+frame.  On the lines' real parameters s (t_j = exp(i angle_j) s_j) P is
+quadratic, so where the Hessian of -Re P is positive definite Re P is
+concave and has one peak x0, found with one linear solve, and L is the
+inverse transpose of the Cholesky factor of that Hessian: in the frame
 s = x0 + L z, Re P falls like |z|^2 / 2 around the peak whatever the
 correlation of the variables.  P is carried over exactly as the
 quadratic Q(z) = P(x0 + L z), whose terms are small where the integrand
 matters.  One scan along each +-z axis cuts a box at the first scan
-radius from which the integrand has decayed, as for a leg below; each
-face of the box, sampled at the scan radii of the other axes, must then
-lie 1e-18 below the peak seen so far, or it moves out one radius, which
-holds the peaks that weights t^rho and P_i^v shift.  The grid starts
-from 2**4 intervals per axis and halves every axis together, evaluating
-only the new points, until two sums agree and the step resolves the
-slopes of Q that the scan found along each axis.  Besides the roundoff
-floor of the sums, the error estimate counts the rounding of P: eps
-times the sum of the magnitudes of P's terms at each node, weighted by
-|f|.  P of higher degree, whose Re P may peak more than once off the
-axes of any one frame (exp(-x^4 - y^4), two peaks such as
-exp(-0.01 (x^2 - 100)^2 - (y - x)^2)), a Hessian of -Re P that is not
-positive definite past the rounding of its entries, a box that does not
-close within the scan radii, and a grid whose budget of 120**3 points
-has no room for two halvings past the resolution the scan asks for take
-the driver below instead; so does a grid that reaches that budget
-without converging.
+radius from which the integrand has decayed, as for a leg below; since
+Re Q falls off the axes as fast as along them, the box holds every
+point where the integrand lies within 1e-18 of its peak.  The grid
+starts from 2**4 intervals per axis and halves every axis together,
+evaluating only the new points, until two sums agree and the step
+resolves the slopes of Q that the scan found along each axis.  Besides
+the roundoff floor of the sums, the error estimate counts the rounding
+of P: eps times the sum of the magnitudes of P's terms at each node,
+weighted by |f|.  A weighted integrand, P of higher degree, whose Re P
+may peak more than once off the axes of any one frame (exp(-x^4 - y^4),
+two peaks such as exp(-0.01 (x^2 - 100)^2 - (y - x)^2)), a Hessian of
+-Re P that is not positive definite past the rounding of its entries, a
+box that does not close within the scan radii, and a grid whose budget
+of 120**3 points has no room for two halvings past the resolution the
+scan asks for take the driver below instead; so does a grid that
+reaches that budget without converging.
 
 Everything else goes through iterated one-dimensional adaptive
 integration, innermost variable first, with one of two rules per leg:
@@ -55,7 +54,12 @@ integration, innermost variable first, with one of two rules per leg:
   every subinterval carries its own error estimate and the bisection
   resolves endpoint and near-singular behaviour locally.
 
-The rule depends only on the integrand and the leg.  The contours
+The rule depends only on the integrand and the leg.  Every leg is
+mapped onto [0, 1] from its declared start (a Segment's start, a Ray's
+start, a Line's negative end, an Arc's first angle), and its orientation
+is the sign of the path's derivative: a reversed leg gives the forward
+integral negated, and a singular start stays at 0, where no GK15 node
+lies.  The contours
 (Segment, Ray, Arc, Line, ProductContour) and the errors
 (QuadratureError, DivergenceError, AccuracyError) are defined in
 hypint.contours, which loads no numpy, and re-exported here; this
@@ -1579,10 +1583,9 @@ def _integrate_batch(specs, contour, tol):
     (value, err) pair or its AccuracyError, and the failure that happened
     first (None if every spec succeeds).
 
-    On a product of Lines whose integrand is entire in every variable,
-    each member with a Laplace frame goes on one tensor trapezoid; the
-    others, and those whose grid runs past its budget, take the nested
-    levels.  A member whose outermost integral fails, or whose result
+    On a product of Lines whose integrand is exp(P) alone, each member
+    with a Laplace frame goes on one tensor trapezoid; the others, and
+    those whose grid runs past its budget, take the nested levels.  A member whose outermost integral fails, or whose result
     misses the tolerance, gets the error it raises alone, and the others
     run on.  Any other failure (an inner level's, a divergence, missing
     branch data) raises for the whole batch.
@@ -1642,15 +1645,15 @@ def _integrate_batch(specs, contour, tol):
 def integrate(spec, contour: ProductContour, tol: float = 1e-9):
     """Integrate exp(P) * alpha over the product contour.
 
-    On a product of two or more Lines, with an integrand entire in every
-    variable and P of total degree at most 2 whose real part is strictly
+    On a product of two or more Lines, with the integrand exp(P) alone
+    and P of total degree at most 2 whose real part is strictly
     concave, the integral is one tensor-product trapezoid in the Laplace
     frame x = x0 + L z of the one peak of Re P (see the module
     docstring); its error estimate also counts the rounding of P, eps
     times the sum of the magnitudes of P's terms at each node weighted by
-    |f|.  An integrand without that frame, or whose grid would not fit
-    its budget, and every other one, goes through the iterated
-    one-dimensional levels.
+    |f|.  A weighted integrand, one without that frame or whose grid
+    would not fit its budget, and every other one, goes through the
+    iterated one-dimensional levels.
 
     ``spec`` is one IntegrandSpec, for which (value, err_estimate) is
     returned, or a sequence of specs that differ only in their polynomial
