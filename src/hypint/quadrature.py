@@ -1470,8 +1470,7 @@ def _laplace_frame(spec, contour):
     if not finite.any():
         return None
     top = lm[finite].max()
-    with np.errstate(invalid="ignore"):
-        index = _first_decayed((q.real < DECAY_RE_P) & (lm < top + _LOG_CUT))
+    index = _first_decayed(lm < min(DECAY_RE_P, top + _LOG_CUT))
     if index is None:
         return None
     cut = _eight_bits(radii[index])

@@ -5,7 +5,7 @@ import random
 import subprocess
 import sys
 import time
-from dataclasses import astuple, replace
+from dataclasses import replace
 
 import pytest
 
@@ -752,7 +752,6 @@ class TestLaplaceFrame:
         assert _bits(ones[:1]) == _bits(ones[1:])
 
 
-
 class TestMonomialWeights:
     def test_gamma_half(self):
         P = SparsePolynomial(1, {(1,): -1})
@@ -889,7 +888,7 @@ class TestContourProperties:
         # leg, whose GK15 nodes never round onto 0
         P = SparsePolynomial(1, {(1,): -1})
         tol = 1e-10
-        forward = type(leg)(*astuple(leg)[:-1])
+        forward = replace(leg, orientation=1)
         value, err = integrate(IntegrandSpec(P, AlphaMonomial(0.5)),
                                ProductContour([[leg]], {("t", 1): 0.0}), tol)
         assert abs(value + exact) <= max(tol * exact, err)
@@ -903,8 +902,8 @@ class TestContourProperties:
                              ids=["line", "ray", "arc"])
     def test_reversed_leg_negates_bit_for_bit(self, leg, u):
         # the path of a reversed leg is the forward one; only the sign of
-        # its derivative changes, and the branch of t^(0.3 + 0.2i) is
-        # continued from the reversed leg's own start
+        # its derivative changes, and on the Ray and the Arc the branch of
+        # t^(0.3 + 0.2i) is continued from the reversed leg's own start
         P = SparsePolynomial(1, {(2,): -1, (1,): 0.3j})
         spec = IntegrandSpec(P, AlphaMonomial(u))
         branch = {("t", 1): 0.0}
