@@ -55,11 +55,11 @@ integration, innermost variable first, with one of two rules per leg:
   resolves endpoint and near-singular behaviour locally.
 
 The rule depends only on the integrand and the leg.  Every leg is
-mapped onto [0, 1] from its declared start (a Segment's start, a Ray's
-start, a Line's negative end, an Arc's first angle), and its orientation
-is the sign of the path's derivative: a reversed leg gives the forward
-integral negated, and a singular start stays at 0, where no GK15 node
-lies.  The contours
+mapped onto [0, 1] whatever its orientation, which is the sign of the
+path's derivative: a Ray from its start, a Line from its negative end,
+and a Segment or an Arc from its end nearer t = 0, where t^(u-1) may be
+singular and no GK15 node lies (on a tie, from its declared start).  A
+reversed leg gives the forward integral negated.  The contours
 (Segment, Ray, Arc, Line, ProductContour) and the errors
 (QuadratureError, DivergenceError, AccuracyError) are defined in
 hypint.contours, which loads no numpy, and re-exported here; this
@@ -649,18 +649,18 @@ def adaptive_quadrature(f, a, b, rel_tol, abs_floor, max_intervals=4096,
 # leg parametrization
 
 class _Path:
-    """A leg mapped onto tau in [0, 1] for each outer node, in the leg's
-    declared direction (start to end, or along its angle), whatever its
-    orientation; ``dmap`` carries the orientation as its sign, so a
-    reversed leg gives the negated integral of the forward one and keeps
-    its own start, with any endpoint singularity there, at tau = 0.
+    """A leg mapped onto tau in [0, 1] for each outer node.  ``sign`` is
+    +1 when the leg is traversed from tau = 0 to 1 and -1 when from 1 to
+    0; ``dmap`` carries it, so the integral over [0, 1] is the leg's.
     ``map`` and ``dmap`` take (node, tau) arrays."""
 
-    def __init__(self, leg, index, map_fn, dmap_fn):
+    def __init__(self, leg, index, sign, map_fn, dmap_fn):
         self.leg = leg
         self.index = index
+        self.sign = sign
         self.map = map_fn
-        self.dmap = dmap_fn
+        self.dmap = dmap_fn if sign == 1 else (lambda node, t:
+                                               -dmap_fn(node, t))
         # per node, the fewest trapezoid intervals (None: GK15 leg)
         self.trapezoid = None
 
@@ -668,39 +668,48 @@ class _Path:
         return f"leg {self.index + 1} ({type(self.leg).__name__})"
 
 
-def _segment_path(leg, index, z0, z1, count):
+def _segment_path(leg, index, sign, z0, z1, count):
     z0 = np.broadcast_to(np.asarray(z0, dtype=complex), (count,))
     d = np.broadcast_to(np.asarray(z1 - z0, dtype=complex), (count,))
-    dz = d if leg.orientation == 1 else -d
-    return _Path(leg, index, lambda node, t: z0[node] + d[node] * t,
-                 lambda node, t: dz[node])
+    return _Path(leg, index, sign, lambda node, t: z0[node] + d[node] * t,
+                 lambda node, t: d[node])
 
 
 def _make_path(leg, index, cut, count):
     """cut: (R,) for a ray, (Rneg, Rpos) for a line, ignored otherwise;
-    each radius is a length-``count`` array, one per outer node."""
-    if isinstance(leg, Segment):
-        return _segment_path(leg, index, complex(leg.start), complex(leg.end),
-                             count)
+    each radius is a length-``count`` array, one per outer node.  tau = 0,
+    where no GK15 node lies, is a Ray's start, a Line's negative end, and
+    the end of a Segment or an Arc nearer the singular 0 of t^(u-1) (on a
+    tie, the declared start)."""
     if isinstance(leg, Ray):
         far = complex(leg.start) + np.exp(1j * leg.angle) * cut[0]
-        return _segment_path(leg, index, complex(leg.start), far, count)
+        return _segment_path(leg, index, leg.orientation, complex(leg.start),
+                             far, count)
     if isinstance(leg, Line):
         direction = np.exp(1j * leg.angle)
-        return _segment_path(leg, index, -direction * cut[0],
+        return _segment_path(leg, index, leg.orientation, -direction * cut[0],
                              direction * cut[1], count)
-    # Arc
-    th0, span = leg.angle_start, leg.angle_end - leg.angle_start
+    if isinstance(leg, Segment):
+        z0, z1, sign = complex(leg.start), complex(leg.end), leg.orientation
+        if abs(z1) < abs(z0):
+            z0, z1, sign = z1, z0, -sign
+        return _segment_path(leg, index, sign, z0, z1, count)
+    # Arc: |c + r e^(i theta)|^2 = |c|^2 + r^2 + 2 r Re(conj(c) e^(i theta)),
+    # exactly tied when the arc is centred at 0
+    th0, th1, sign = leg.angle_start, leg.angle_end, leg.orientation
     c, r = complex(leg.center), leg.radius
-    scale = 1j * r * span if leg.orientation == 1 else -(1j * r * span)
+    if ((c.conjugate() * cmath.exp(1j * th1)).real
+            < (c.conjugate() * cmath.exp(1j * th0)).real):
+        th0, th1, sign = th1, th0, -sign
+    span = th1 - th0
 
     def zmap(node, t):
         return c + r * np.exp(1j * (th0 + span * t))
 
     def dmap(node, t):
-        return scale * np.exp(1j * (th0 + span * t))
+        return 1j * r * span * np.exp(1j * (th0 + span * t))
 
-    return _Path(leg, index, zmap, dmap)
+    return _Path(leg, index, sign, zmap, dmap)
 
 
 # ----------------------------------------------------------------------
@@ -747,7 +756,7 @@ class _BranchTracker:
             )
         first = np.nonzero(np.r_[True, node[1:] != node[:-1]])[0]
         last = np.r_[first[1:] - 1, node.size - 1]
-        if path.leg.orientation == -1:  # traversed from tau = 1 to 0
+        if path.sign == -1:  # traversed from tau = 1 to 0
             first, last = last, first
         start = pr[first] + TWO_PI * np.round((start_args - pr[first]) / TWO_PI)
         cont = np.r_[0.0, np.cumsum(steps)]
@@ -1584,9 +1593,9 @@ def _integrate_batch(specs, contour, tol):
 
     On a product of Lines whose integrand is exp(P) alone, each member
     with a Laplace frame goes on one tensor trapezoid; the others, and
-    those whose grid runs past its budget, take the nested levels.  A member whose outermost integral fails, or whose result
-    misses the tolerance, gets the error it raises alone, and the others
-    run on.  Any other failure (an inner level's, a divergence, missing
+    those whose grid runs past its budget, take the nested levels.  A
+    member whose outermost integral fails, or whose result misses the
+    tolerance, gets the error it raises alone, and the others run on.  Any other failure (an inner level's, a divergence, missing
     branch data) raises for the whole batch.
     """
     run = _Run(specs, contour)

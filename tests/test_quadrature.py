@@ -879,38 +879,43 @@ class TestContourProperties:
         assert abs(value + 2j * math.pi) < 1e-9
 
     @pytest.mark.parametrize("leg, exact", [
-        (Ray(0, 0.0, orientation=-1), SQRT_PI),
-        (Segment(0, 1, orientation=-1), SQRT_PI * math.erf(1))],
-        ids=["ray", "segment"])
+        (Ray(0, 0.0, orientation=-1), -SQRT_PI),
+        (Segment(0, 1, orientation=-1), -SQRT_PI * math.erf(1)),
+        (Segment(1, 0, orientation=-1), SQRT_PI * math.erf(1))],
+        ids=["ray", "segment", "segment-declared-from-1"])
     def test_reversed_leg_keeps_its_singular_start(self, leg, exact):
-        # t^(-1/2) e^(-t) from infinity, or from 1, to the singular 0:
-        # -Gamma(1/2) and -gamma(1/2, 1), bit for bit the negated forward
-        # leg, whose GK15 nodes never round onto 0
+        # t^(-1/2) e^(-t) on a leg with an end at the singular 0, which is
+        # mapped to tau = 0 whichever way the leg runs, so no GK15 node
+        # rounds onto it: -Gamma(1/2) and -/+gamma(1/2, 1), bit for bit
+        # the negated forward leg (for Segment(1, 0), one that ends at 0)
         P = SparsePolynomial(1, {(1,): -1})
         tol = 1e-10
+        spec = IntegrandSpec(P, AlphaMonomial(0.5))
+        value, err = integrate(spec, ProductContour([[leg]], {("t", 1): 0.0}),
+                               tol)
+        assert abs(value - exact) <= max(tol * abs(exact), err)
         forward = replace(leg, orientation=1)
-        value, err = integrate(IntegrandSpec(P, AlphaMonomial(0.5)),
-                               ProductContour([[leg]], {("t", 1): 0.0}), tol)
-        assert abs(value + exact) <= max(tol * exact, err)
         assert _bits([(-value, err)]) == _bits([integrate(
-            IntegrandSpec(P, AlphaMonomial(0.5)),
-            ProductContour([[forward]], {("t", 1): 0.0}), tol)])
+            spec, ProductContour([[forward]], {("t", 1): 0.0}), tol)])
 
     @pytest.mark.parametrize("leg, u", [(Line(0.2), 3),
                                         (Ray(0.5, 0.4), 1.3 + 0.2j),
-                                        (Arc(0, 1.5, 0.1, 1.3), 1.3 + 0.2j)],
-                             ids=["line", "ray", "arc"])
+                                        (Arc(0, 1.5, 0.1, 1.3), 1.3 + 0.2j),
+                                        (Arc(0.5, 0.5, 0.0, math.pi), 0.5)],
+                             ids=["line", "ray", "arc", "arc-to-0"])
     def test_reversed_leg_negates_bit_for_bit(self, leg, u):
         # the path of a reversed leg is the forward one; only the sign of
-        # its derivative changes, and on the Ray and the Arc the branch of
-        # t^(0.3 + 0.2i) is continued from the reversed leg's own start
+        # its derivative changes, and on the Ray and the Arcs the branch of
+        # t^(u - 1) is continued from the reversed leg's own start.  The
+        # last Arc ends at the singular 0, tau = 0 in both orientations
         P = SparsePolynomial(1, {(2,): -1, (1,): 0.3j})
         spec = IntegrandSpec(P, AlphaMonomial(u))
         branch = {("t", 1): 0.0}
         forward = integrate(spec, ProductContour([[leg]], branch), 1e-10)
         reversed_leg = replace(leg, orientation=-1)
         if isinstance(leg, Arc):
-            # the argument at the end of the forward arc starts the reversed one
+            # the argument at the end of the forward arc starts the reversed
+            # one (it is pi/2 into 0, in the winding of angle_end = pi)
             branch = {("t", 1): leg.angle_end}
         value, err = integrate(spec, ProductContour([[reversed_leg]], branch),
                                1e-10)
