@@ -34,7 +34,7 @@ scan asks for take the driver below instead; so does a grid that
 reaches that budget without converging.
 
 Everything else goes through iterated one-dimensional adaptive
-integration, innermost variable first, with one of two rules per leg:
+integration, innermost variable first, with one of three rules per leg:
 
 - On a Line leg whose integrand is entire in the leg's variable (every
   factor that varies with it is exp(P), t_j^k or P_i^k with an integer
@@ -47,19 +47,34 @@ integration, innermost variable first, with one of two rules per leg:
   truncation scan found where the integrand matters, so that neither a
   peak narrower than the scan's spacing nor an oscillation aliased onto
   both grids gives two sums that agree on a wrong value.  A node that
-  would need more than 2**10 intervals takes the rule below.
+  would need more than 2**10 intervals takes GK15 below.
+- On a Ray from t_j = 0 under a weight t_j^rho with rho = u_j - 1 not an
+  integer, every other factor that varies with t_j being entire, the
+  same trapezoid halving after the exp-sinh map t = e^(i angle)
+  exp((pi/2) sinh x) (Takahasi and Mori 1974; Mori and Sugihara 2001),
+  which turns the t^rho end into a double-exponentially decaying tail.
+  x runs from x_min, where the weight's mass below t, about
+  |e^P(0)| t^(Re u) / Re u, lies 1e-18 below the integrand's peak per
+  unit log t (or from the last scan radius below that band, where that
+  lies farther out), to asinh((2/pi) log R) at the cut radius R below.
+  arg t is constant on the ray, so it takes no branch tracker, and
+  t^rho dt = exp(u (log t)) d(log t) is one exponential where t
+  underflows.  The step resolves the scan's slopes of P times dt/dx; a
+  node that would need more intervals than the trapezoid's budget takes
+  GK15 in x.
 - On every other leg (rays and segments, whose ends may carry t^(u-1)
   or a zero of a factor, arcs, and integrands with poles or branch
   points), interval halving with an embedded Gauss7/Kronrod15 pair, so
   every subinterval carries its own error estimate and the bisection
   resolves endpoint and near-singular behaviour locally.
 
-The rule depends only on the integrand and the leg.  Every leg is
-mapped onto [0, 1] whatever its orientation, which is the sign of the
-path's derivative: a Ray from its start, a Line from its negative end,
-and a Segment or an Arc from its end nearer t = 0, where t^(u-1) may be
-singular and no GK15 node lies (on a tie, from its declared start).  A
-reversed leg gives the forward integral negated.  The contours
+The rule depends only on the integrand and the leg.  Every leg but an
+exp-sinh Ray, which runs over x, is mapped onto [0, 1] whatever its
+orientation, which is the sign of the path's derivative: a Ray from its
+start, a Line from its negative end, and a Segment or an Arc from its
+end nearer t = 0, where t^(u-1) may be singular and no GK15 node lies
+(on a tie, from its declared start; an Arc end within rounding of 0 is
+0).  A reversed leg gives the forward integral negated.  The contours
 (Segment, Ray, Arc, Line, ProductContour) and the errors
 (QuadratureError, DivergenceError, AccuracyError) are defined in
 hypint.contours, which loads no numpy, and re-exported here; this
@@ -142,6 +157,7 @@ from .contours import (AccuracyError, Arc, DivergenceError, Leg, Line,
 from .polynomials import SparsePolynomial
 
 TWO_PI = 2.0 * math.pi
+_HALF_PI = 0.5 * math.pi
 
 DECAY_RE_P = -50.0          # required exponent decay on unbounded legs
 MAGNITUDE_CUT = 1e-18       # truncation threshold relative to on-leg max
@@ -583,13 +599,14 @@ def adaptive_quadrature(f, a, b, rel_tol, abs_floor, max_intervals=4096,
     results mean nothing.
 
     ``trapezoid``, for integrands entire on the interval and decayed at
-    both ends (a truncated Line), is the fewest intervals each integral
-    must be resolved with (a number, or one per integral).  Those
-    integrals take the trapezoid rule instead, from 2**4 + 1 points,
-    halving the step until two successive sums agree to the same target
-    and that many intervals are reached; each halving evaluates only the
-    new midpoints of the unconverged integrals, and the error reported is
-    the last difference, or the roundoff floor where that is larger.
+    both ends (a truncated Line, or a Ray from 0 under the exp-sinh
+    map), is the fewest intervals each integral must be resolved with (a
+    number, or one per integral).  Those integrals take the trapezoid
+    rule instead, from 2**4 + 1 points, halving the step until two
+    successive sums agree to the same target and that many intervals are
+    reached; each halving evaluates only the new midpoints of the
+    unconverged integrals, and the error reported is the last
+    difference, or the roundoff floor where that is larger.
     Its budget is the largest power of two of intervals whose points do
     not outnumber those of ``max_intervals`` GK15 panels; past it, it
     fails as above.  An integral that needs more intervals than that
@@ -649,9 +666,10 @@ def adaptive_quadrature(f, a, b, rel_tol, abs_floor, max_intervals=4096,
 # leg parametrization
 
 class _Path:
-    """A leg mapped onto tau in [0, 1] for each outer node.  ``sign`` is
-    +1 when the leg is traversed from tau = 0 to 1 and -1 when from 1 to
-    0; ``dmap`` carries it, so the integral over [0, 1] is the leg's.
+    """A leg mapped onto tau in [0, 1] for each outer node, or onto the
+    per-node ``interval`` (a, b) where one is set.  ``sign`` is +1 when
+    the leg is traversed from tau = a to b and -1 when from b to a;
+    ``dmap`` carries it, so the integral over the parameter is the leg's.
     ``map`` and ``dmap`` take (node, tau) arrays."""
 
     def __init__(self, leg, index, sign, map_fn, dmap_fn):
@@ -663,6 +681,9 @@ class _Path:
                                                -dmap_fn(node, t))
         # per node, the fewest trapezoid intervals (None: GK15 leg)
         self.trapezoid = None
+        self.interval = None
+        # log |t| at (node, tau) on a leg that exp-sinh maps (None elsewhere)
+        self.log_abs = None
 
     def describe(self):
         return f"leg {self.index + 1} ({type(self.leg).__name__})"
@@ -675,13 +696,39 @@ def _segment_path(leg, index, sign, z0, z1, count):
                  lambda node, t: d[node])
 
 
+def _exp_sinh_path(leg, index, lo, hi):
+    """A Ray from 0 under exp-sinh: t = exp(i angle) exp((pi/2) sinh x) on
+    the interval x in [lo, hi], one per node.  ``log_abs`` gives
+    L = log |t| = (pi/2) sinh x and ``dmap`` the real dL/dx: arg t is
+    constant along the ray, so dt = t dL, and the weight and the Jacobian
+    fold into one exponential exp(u (L + i arg t)) where t itself
+    underflows.  The rule's points are x itself, not an affine image of
+    [0, 1], whose rounding the map would amplify by dL/dx far out."""
+    direction = cmath.exp(1j * leg.angle)
+
+    def log_abs(node, x):
+        return _HALF_PI * np.sinh(x)
+
+    path = _Path(leg, index, leg.orientation,
+                 lambda node, x: direction * np.exp(log_abs(node, x)),
+                 lambda node, x: _HALF_PI * np.cosh(x))
+    path.interval = lo, hi
+    path.log_abs = log_abs
+    return path
+
+
 def _make_path(leg, index, cut, count):
-    """cut: (R,) for a ray, (Rneg, Rpos) for a line, ignored otherwise;
-    each radius is a length-``count`` array, one per outer node.  tau = 0,
+    """cut: (R,) for a ray, (x_min, x_max) for a ray from 0 that exp-sinh
+    maps (see _exp_sinh_path), (Rneg, Rpos) for a line, ignored otherwise;
+    each entry is a length-``count`` array, one per outer node.  tau = 0,
     where no GK15 node lies, is a Ray's start, a Line's negative end, and
     the end of a Segment or an Arc nearer the singular 0 of t^(u-1) (on a
-    tie, the declared start)."""
+    tie, the declared start).  An Arc runs from that end z0 as
+    z0 + r e^(i theta0) expm1(i span tau), so that a z0 within rounding of
+    0 is 0 and the path starts on the singular point itself."""
     if isinstance(leg, Ray):
+        if len(cut) == 2:
+            return _exp_sinh_path(leg, index, *cut)
         far = complex(leg.start) + np.exp(1j * leg.angle) * cut[0]
         return _segment_path(leg, index, leg.orientation, complex(leg.start),
                              far, count)
@@ -702,9 +749,16 @@ def _make_path(leg, index, cut, count):
             < (c.conjugate() * cmath.exp(1j * th0)).real):
         th0, th1, sign = th1, th0, -sign
     span = th1 - th0
+    turn = r * cmath.exp(1j * th0)
+    z0 = c + turn
+    # the rounded start of an arc that ends at 0 (6.1e-17i for centre 0.5,
+    # radius 0.5 and theta0 = pi) would cut off the piece of a singular
+    # weight between it and 0
+    if abs(z0) <= 4 * np.finfo(float).eps * (abs(c) + r):
+        z0 = 0j
 
     def zmap(node, t):
-        return c + r * np.exp(1j * (th0 + span * t))
+        return z0 + turn * np.expm1(1j * span * t)
 
     def dmap(node, t):
         return 1j * r * span * np.exp(1j * (th0 + span * t))
@@ -858,13 +912,14 @@ class _Run:
         rho = self.u[j] - 1.0
         return None if rho == 0 else rho
 
-    def entire_along(self, j):
+    def entire_along(self, j, weight=True):
         """Whether every factor that varies with variable j is entire in
-        it: exp(P), t_j^k and P_i^k with integers k >= 0."""
+        it: exp(P), t_j^k and P_i^k with integers k >= 0; without
+        ``weight``, the weight t_j^rho is left out."""
         def entire(exponent):
             return _is_int(exponent) and exponent.real >= 0
         rho = self.monomial_exponent(j)
-        return (rho is None or entire(rho)) and all(
+        return (not weight or rho is None or entire(rho)) and all(
             entire(v) or not any(e[j] for e in poly)
             for poly, v in zip(self.powers, self.power_v))
 
@@ -898,6 +953,9 @@ _SCAN_RADII = np.concatenate([[0.0], np.geomspace(1e-4, 1e8, 121)])
 _GAP_ALIAS = 1.0 / (_TRAP_ALIAS * np.diff(_SCAN_RADII))
 _GAP_STEEP = 1.0 / (_TRAP_STEEP * np.diff(_SCAN_RADII))
 _LOG_CUT = math.log(MAGNITUDE_CUT)
+# per gap, dt/dx = t sqrt((pi/2)^2 + (log t)^2) of the exp-sinh map
+# t = exp((pi/2) sinh x) at the gap's outer radius, where it is largest
+_GAP_DTDX = _SCAN_RADII[1:] * np.hypot(_HALF_PI, np.log(_SCAN_RADII[1:]))
 
 
 def _monomial_log(run, axis, z):
@@ -1002,7 +1060,7 @@ def _inner_peak(run, j, fixed, member, z):
     return peak[every, pick], at_peak.reshape(count, -1)[every, pick]
 
 
-def _truncate_unbounded(run, j, fixed, member, anchor, ends):
+def _truncate_unbounded(run, j, fixed, member, anchor, ends, mapped=False):
     """(cuts, step_bound): for each (direction, what) of ``ends``, one
     radius per node (its outer values in ``fixed``, its batch member in
     ``member``) along anchor + direction*r where the integrand has decayed
@@ -1025,7 +1083,11 @@ def _truncate_unbounded(run, j, fixed, member, anchor, ends):
     ``ends`` where the integrand lies within MAGNITUDE_CUT of its largest
     sampled magnitude, and, where there are two ends at a level with
     inner variables, from the mean slope of Im P along the inner peaks
-    between them."""
+    between them.
+
+    ``mapped`` is for a Ray from 0 that exp-sinh integrates: then the
+    result is ((x_min, x_max), need) in its variable x, with x_max at the
+    cut and the rest from _exp_sinh_range."""
     radii = _SCAN_RADII
     count = len(member)
     z = np.concatenate([anchor + direction * radii for direction, _ in ends])
@@ -1075,13 +1137,54 @@ def _truncate_unbounded(run, j, fixed, member, anchor, ends):
             fastest = (np.abs((ridge[:, 1] - ridge[:, 0]).imag)
                        / (_TRAP_ALIAS * (radii[index[0]] + radii[index[1]])))
     reach = max(int(i.max()) for i in index) + 1  # radii up to the farthest cut
+    cuts = list(_eight_bits([radii[i] for i in index]))
+    if mapped:
+        x_max = np.arcsinh(np.log(cuts[0]) / _HALF_PI)
+        x_min, need = _exp_sinh_range(run, j, log_mag, slices, index[0],
+                                      reach, x_max)
+        return (x_min, x_max), need
     band = np.where(np.isfinite(top), top + _LOG_CUT, np.inf)
     shape = (count, len(ends), radii.size)
     for p, lm in slices:
         r = _step_rates(p.reshape(shape), lm.reshape(shape),
                         band[:, None, None], reach)
         fastest = np.maximum(fastest, r.max(axis=(1, 2)))
-    return list(_eight_bits([radii[i] for i in index])), fastest
+    return cuts, fastest
+
+
+def _exp_sinh_range(run, j, log_mag, slices, index, reach, x_max):
+    """(x_min, need) per node for a Ray from 0 under the weight t^rho,
+    u = rho + 1, that exp-sinh maps onto [x_min, x_max], from the scan of
+    _truncate_unbounded: its log magnitudes ``log_mag``, P of each slice
+    in ``slices`` and each node's cut radius index ``index``.
+
+    Per unit log t the integrand is g = log |t^u f|, which peaks at some
+    scan radius up to the cut.  Near 0 it is about G0 + Re u log t, G0 the
+    log magnitude of the other factors at t = 0, so the mass below t is
+    about exp(G0) t^(Re u) / Re u; x_min puts that MAGNITUDE_CUT below the
+    peak of g, and no farther out than the last scan radius below that
+    band before the first one in it (at least the first radius), where
+    the integrand grows from far below it.  The resolution is the scan's
+    (see _step_rates) over the gaps next to a radius in that band, each
+    gap's rate per unit t times dt/dx = t sqrt((pi/2)^2 + (log t)^2) at its
+    outer radius, where it is largest."""
+    count = len(index)
+    u = run.u[j].real
+    g = np.full((count, reach), -np.inf)  # t^u vanishes at the radius 0
+    g[:, 1:] = log_mag[:, 1:reach] + np.log(_SCAN_RADII[1:reach])
+    g[np.arange(reach) > index[:, None]] = -np.inf  # past the node's cut
+    peak = g.max(axis=1)
+    band = peak + _LOG_CUT
+    g0 = log_mag[:, 0] - _monomial_log(run, j, 0.0)
+    near = np.maximum((g >= band[:, None]).argmax(axis=1) - 1, 1)
+    log_min = np.minimum((band + math.log(u) - g0) / u,
+                         np.log(_SCAN_RADII[near]))
+    x_min = np.arcsinh(log_min / _HALF_PI)
+    rate = np.zeros(count)
+    for p, _ in slices:
+        r = _step_rates(p, g, band[:, None], reach) * _GAP_DTDX[:reach - 1]
+        rate = np.maximum(rate, r.max(axis=1))
+    return x_min, (x_max - x_min) * rate
 
 
 def _first_decayed(decayed):
@@ -1154,9 +1257,17 @@ def _check_ends(run, j, fixed, member, anchor, ends, index, top):
 def _build_paths(run, j, fixed, member):
     count = len(member)
     entire = run.entire_along(j)
+    # a Ray from 0 takes exp-sinh under a weight t^rho that is not entire
+    # there, where every other factor that varies along it is entire and t
+    # is the only multivalued one, so that no tracker runs along it
+    rho = run.monomial_exponent(j)
+    weighted = (rho is not None and not _is_int(rho)
+                and run.entire_along(j, weight=False)
+                and all(map(_is_int, run.power_v)))
     paths = []
     for index, leg in enumerate(run.contour.chains[j]):
         what = f"variable {j + 1}, leg {index + 1} ({type(leg).__name__})"
+        mapped = weighted and isinstance(leg, Ray) and complex(leg.start) == 0
         cut = ()
         if isinstance(leg, (Ray, Line)):
             d = np.exp(1j * leg.angle)
@@ -1166,9 +1277,14 @@ def _build_paths(run, j, fixed, member):
                 anchor, ends = 0j, [(-d, what + " (negative end)"),
                                     (d, what + " (positive end)")]
             cut, step = _truncate_unbounded(run, j, fixed, member, anchor,
-                                            ends)
+                                            ends, mapped)
         path = _make_path(leg, index, cut, count)
-        if entire and isinstance(leg, Line):
+        if mapped:
+            # the map squeezes a feature far out by dt/dx, so that GK15's
+            # starting panels in x would step over a peak the scan saw:
+            # only the trapezoid's own budget sends a node to GK15
+            path.trapezoid = step
+        elif entire and isinstance(leg, Line):
             # the fewest intervals whose step the scan allows
             need = (cut[0] + cut[1]) * step
             path.trapezoid = np.where(need <= _TRAP_MAX, need, np.inf)
@@ -1178,7 +1294,9 @@ def _build_paths(run, j, fixed, member):
 
 def _build_trackers(run, j, paths, member):
     """Per-leg trackers for the multivalued factors that vary with
-    variable j, each continuing the argument on every node's path."""
+    variable j, each continuing the argument on every node's path; on a
+    leg that exp-sinh maps, where t_j is the only one, the per-node
+    argument of t_j instead."""
     count = len(member)
     needed = []
     rho = run.monomial_exponent(j)
@@ -1201,6 +1319,14 @@ def _build_trackers(run, j, paths, member):
         per_leg = []
         args = np.full(count, start)
         for path in paths:
+            if path.log_abs is not None:
+                # arg t is constant on a Ray from 0: the winding of its
+                # angle nearest the argument handed on, as a tracker takes
+                # its start
+                angle = path.leg.angle
+                args = angle + TWO_PI * np.round((args - angle) / TWO_PI)
+                per_leg.append(args)
+                continue
             tr = _BranchTracker(base_fn, path, args, f"factor {key[0]}{key[1]}")
             per_leg.append(tr)
             args = tr.end_args
@@ -1254,7 +1380,13 @@ def _level_value(run, j, fixed, member, rel_tol):
                 val = np.ones_like(z, dtype=complex)
                 if rho is not None:
                     key = ("t", j + 1)
-                    if key in trackers:
+                    if path.log_abs is not None:
+                        # exp-sinh: t^rho dt = exp(u log t) dL, one
+                        # exponential where t itself underflows
+                        log_t = (path.log_abs(node, taus)
+                                 + 1j * trackers[key][leg_idx][node])
+                        val = np.exp((rho + 1.0) * log_t)
+                    elif key in trackers:
                         val = val * _tracked_power(z, trackers[key][leg_idx],
                                                    node, taus, rho)
                     else:
@@ -1281,7 +1413,7 @@ def _level_value(run, j, fixed, member, rel_tol):
             return val
 
         value, err, floor = adaptive_quadrature(
-            f, np.zeros(count), np.ones(count), rel_tol,
+            f, *(path.interval or (np.zeros(count), np.ones(count))), rel_tol,
             ABS_FLOOR / len(paths), what=f"variable {j + 1}, {path.describe()}",
             failures=run.failures if j == 0 else None,
             trapezoid=path.trapezoid,

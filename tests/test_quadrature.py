@@ -900,9 +900,11 @@ class TestContourProperties:
 
     @pytest.mark.parametrize("leg, u", [(Line(0.2), 3),
                                         (Ray(0.5, 0.4), 1.3 + 0.2j),
+                                        (Ray(0, 0.4), 0.3 + 0.2j),
                                         (Arc(0, 1.5, 0.1, 1.3), 1.3 + 0.2j),
                                         (Arc(0.5, 0.5, 0.0, math.pi), 0.5)],
-                             ids=["line", "ray", "arc", "arc-to-0"])
+                             ids=["line", "ray", "ray-from-0", "arc",
+                                  "arc-to-0"])
     def test_reversed_leg_negates_bit_for_bit(self, leg, u):
         # the path of a reversed leg is the forward one; only the sign of
         # its derivative changes, and on the Ray and the Arcs the branch of
@@ -920,6 +922,21 @@ class TestContourProperties:
         value, err = integrate(spec, ProductContour([[reversed_leg]], branch),
                                1e-10)
         assert _bits([(-value, err)]) == _bits([forward])
+
+    @pytest.mark.parametrize("orientation", [1, -1])
+    def test_arc_from_0(self, orientation):
+        # t^(-1/2) e^(-t) on the upper half circle from 0 to 1, whose start
+        # c + r e^(i pi) rounds to 6.1e-17i, not 0: gamma(1/2, 1), and its
+        # negative on the reversed arc, which starts at 1 with argument 0
+        import mpmath
+        arc = Arc(0.5, 0.5, math.pi, 0.0, orientation=orientation)
+        branch = {("t", 1): math.pi / 2 if orientation == 1 else 0.0}
+        spec = IntegrandSpec(SparsePolynomial(1, {(1,): -1}),
+                             AlphaMonomial(0.5))
+        expected = orientation * float(mpmath.gammainc(0.5, 0, 1))
+        tol = 1e-10
+        value, err = integrate(spec, ProductContour([[arc]], branch), tol)
+        assert abs(value - expected) <= max(tol * abs(expected), err)
 
     def test_splitting_a_segment_preserves_value(self):
         P = SparsePolynomial(1, {(0,): 1, (1,): -1})
@@ -1114,6 +1131,130 @@ class TestTrapezoidLegs:
         batch = integrate(specs, contour, 1e-9)
         assert _bits(batch) == _bits([integrate(s, contour, 1e-9)
                                       for s in specs])
+
+
+class TestExpSinhRays:
+    """Calibration of exp-sinh on a Ray from 0 under a weight t^(u - 1)
+    with u not an integer, every other factor entire: the real error stays
+    within max(tol * |value|, the reported estimate)."""
+
+    @staticmethod
+    def check(spec, contour, tol, expected):
+        value, err = integrate(spec, contour, tol)
+        assert abs(value - expected) <= max(tol * abs(expected), err)
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-12])
+    @pytest.mark.parametrize("c", [0.01, 1.0, 100.0])
+    @pytest.mark.parametrize("u", [0.05, 0.1, 0.3, 0.5, 0.3 + 0.5j, 1.5, 2.52])
+    def test_gamma(self, u, c, tol):
+        # exp(-c t) t^(u - 1): Gamma(u) c^-u
+        import mpmath
+        expected = complex(mpmath.gamma(u) * mpmath.power(c, -u))
+        spec = IntegrandSpec(SparsePolynomial(1, {(1,): -c}), AlphaMonomial(u))
+        self.check(spec, POSITIVE_RAY, tol, expected)
+
+    def test_rotated_ray_with_branch_data(self):
+        # exp(-c t) t^(u - 1) on the ray at angle 0.6, with the argument of
+        # t taken one turn up: e^(2 pi i u) Gamma(u) c^-u, since Re(c t)
+        # stays positive as the ray turns onto the positive one
+        import mpmath
+        u, c = 0.3 + 0.2j, 1.3 - 0.4j
+        contour = ProductContour([[Ray(0, 0.6)]],
+                                 {("t", 1): 0.6 + 2 * math.pi})
+        expected = complex(mpmath.exp(2j * mpmath.pi * u) * mpmath.gamma(u)
+                           * mpmath.power(c, -u))
+        spec = IntegrandSpec(SparsePolynomial(1, {(1,): -c}), AlphaMonomial(u))
+        self.check(spec, contour, 1e-10, expected)
+
+    TWO_RAYS = ProductContour([[Ray(0, 0)], [Ray(0, 0)]],
+                              {("t", 1): 0, ("t", 2): 0})
+
+    def test_two_dimensional_singular_gamma(self):
+        P = SparsePolynomial(2, {(1, 0): -1, (0, 1): -1})
+        self.check(IntegrandSpec(P, AlphaMonomial((0.1, 0.3))), self.TWO_RAYS,
+                   1e-8, math.gamma(0.1) * math.gamma(0.3))
+
+    def test_two_dimensional_coupled_weights(self):
+        # exp(-t1 - t2 - t1 t2) t1^(-1/2) t2^(-0.7): the inner integral is
+        # Gamma(0.3) (1 + t1)^-0.3, so Gamma(0.3) Gamma(1/2) U(1/2, 1.2, 1)
+        import mpmath
+        P = SparsePolynomial(2, {(1, 0): -1, (0, 1): -1, (1, 1): -1})
+        expected = float(mpmath.gamma(0.3) * mpmath.gamma(0.5)
+                         * mpmath.hyperu(0.5, 1.2, 1))
+        self.check(IntegrandSpec(P, AlphaMonomial((0.5, 0.3))), self.TWO_RAYS,
+                   1e-8, expected)
+
+    @pytest.mark.parametrize("tol", [1e-8, 1e-12])
+    def test_peak_far_along_the_ray(self, tol):
+        # exp(-(t - 30)^2) t^(-1/2): the range starts at the last scan
+        # radius below the peak's band, not at the formula's x_min
+        import mpmath
+        P = SparsePolynomial(1, {(2,): -1, (1,): 60, (0,): -900})
+        with mpmath.workdps(30):
+            expected = float(mpmath.quad(
+                lambda t: mpmath.exp(-(t - 30) ** 2) / mpmath.sqrt(t),
+                [15, 25, 30, 35, 45]))
+        self.check(IntegrandSpec(P, AlphaMonomial(0.5)), POSITIVE_RAY, tol,
+                   expected)
+
+    @pytest.mark.parametrize("tol", [1e-8, 1e-12])
+    def test_peak_far_along_the_ray_past_a_singular_start(self, tol):
+        # exp(-(4/900) t^2 (t - 30)^2) t^(-1/2) is as tall at t = 30, with
+        # width 1/2, as next to 0, so the range starts from the formula's
+        # x_min; with the scan's slopes not carried over to x, the 17- and
+        # 33-point grids both step over the peak and agree on 11 % too
+        # little, and GK15's starting panels in x miss it as well
+        import mpmath
+        k = 4 / 900
+        P = SparsePolynomial(1, {(4,): -k, (3,): 60 * k, (2,): -900 * k})
+        root = math.sqrt(30)
+        with mpmath.workdps(30):
+            # t = s^2 takes the singular weight away
+            expected = float(mpmath.quad(
+                lambda s: 2 * mpmath.exp(-k * s ** 4 * (s * s - 30) ** 2),
+                [0, 1, root - 0.2, root, root + 0.2, 2 * root]))
+        self.check(IntegrandSpec(P, AlphaMonomial(0.5)), POSITIVE_RAY, tol,
+                   expected)
+
+    def test_singular_start_takes_the_trapezoid(self, monkeypatch):
+        # the u = 0.1 stencil of the benchmark's ray check: no GK15 panel,
+        # under 300 points per member, and Gamma(0.1) at its centre
+        from hypint import quadrature
+        gk15, adaptive = quadrature._gk15, quadrature.adaptive_quadrature
+        panels, points = [], []
+
+        def gk15_spy(*args):
+            panels.append(len(args[2]))
+            return gk15(*args)
+
+        def counting(f, *args, **kwargs):
+            def counted(x):
+                points.append(len(x))
+                return f(x)
+            return adaptive(counted, *args, **kwargs)
+
+        monkeypatch.setattr(quadrature, "_gk15", gk15_spy)
+        monkeypatch.setattr(quadrature, "adaptive_quadrature", counting)
+        specs = [IntegrandSpec(SparsePolynomial(1, {(1,): -1.0 + d}),
+                               AlphaMonomial(0.1)) for d in (-1e-4, 0.0, 1e-4)]
+        results = integrate(specs, POSITIVE_RAY, 1e-9)
+        assert panels == [] and sum(points) < 300 * len(specs)
+        assert abs(results[1][0] - math.gamma(0.1)) <= 1e-9 * math.gamma(0.1)
+
+    def test_system_check_on_the_singular_ray(self):
+        # the benchmark's u = 0.1 ray check: every residual passes and the
+        # centre value lies within 1e-9 of Gamma(0.1)
+        from hypint.lattice import ExponentSet
+        from hypint.polynomials import CoeffVar
+        from hypint.verify import CoeffFunction, check_gg_system
+        exponents = ExponentSet(1, [1])
+        f = CoeffFunction.from_gg_quadrature(exponents, (0.1,), POSITIVE_RAY,
+                                             1e-9)
+        reports = check_gg_system(exponents, (0.1,), {(1,): -1.0}, f=f,
+                                  quad_tol=1e-9)
+        assert reports and all(r.passed for r in reports)
+        centre = f({CoeffVar(0, (1,)): -1.0})
+        assert abs(centre - math.gamma(0.1)) <= 1e-9
 
 
 def _bits(results):

@@ -260,10 +260,13 @@ class TestBatchedStencils:
         assert sizes == [lazy_calls] and lazy_calls > 1
 
     def test_accuracy_error_in_the_stencil(self, monkeypatch):
-        # t^(0.02 - 1) at the ray's end: every point exhausts its bisections
+        # t^(0.02 - 1) at the segment's end, which GK15 takes: every point
+        # exhausts its bisections (a ray from 0 takes exp-sinh and passes)
+        segment = ProductContour([[Segment(0, 1)]], {("t", 1): 0.0})
+
         def check():
             return check_gg_system(ExponentSet(1, [1]), 0.02, {(1,): -1.0},
-                                   contour=self.RAY, quad_tol=1e-9)
+                                   contour=segment, quad_tol=1e-9)
 
         with monkeypatch.context() as m:
             m.setattr(verify, "_takes_batches", lambda fn: fn)
