@@ -14,24 +14,27 @@ concave and has one peak x0, found with one linear solve, and L is the
 inverse transpose of the Cholesky factor of that Hessian: in the frame
 s = x0 + L z, Re P falls like |z|^2 / 2 around the peak whatever the
 correlation of the variables.  P is carried over exactly as the
-quadratic Q(z) = P(x0 + L z), whose terms are small where the integrand
-matters.  One scan along each +-z axis cuts a box at the first scan
-radius from which the integrand has decayed, as for a leg below; since
-Re Q falls off the axes as fast as along them, the box holds every
-point where the integrand lies within 1e-18 of its peak.  The grid
-starts from 2**4 intervals per axis and halves every axis together,
+quadratic Q(z) = P(x0 + L z) = Q(0) + b.z + z.K z / 2, whose terms are
+small where the integrand matters, and the box and the step are read off
+its coefficients.  With mu the least eigenvalue of -Re K (about 1) and
+beta = |Re b| (about 0), Re Q <= Re Q(0) + beta r - mu r^2 / 2 on
+|z| = r, so the box [-R, R]^n, with R where that bound falls to the cut
+of a leg below (1e-18 of the peak, and Re P at most -50), holds every
+point where the integrand lies above that cut.  Over that ball the slope
+of Q along axis k is at most |b_k| + R |K_k|, K_k the k-th row of K: the
+grid starts from 2**4 intervals per axis and halves every axis together,
 evaluating only the new points, until two sums agree and the step
-resolves the slopes of Q that the scan found along each axis.  Besides
-the roundoff floor of the sums, the error estimate counts the rounding
-of P: eps times the sum of the magnitudes of P's terms at each node,
-weighted by |f|.  A weighted integrand, P of higher degree, whose Re P
-may peak more than once off the axes of any one frame (exp(-x^4 - y^4),
-two peaks such as exp(-0.01 (x^2 - 100)^2 - (y - x)^2)), a Hessian of
--Re P that is not positive definite past the rounding of its entries, a
-box that does not close within the scan radii, and a grid whose budget
-of 120**3 points has no room for two halvings past the resolution the
-scan asks for take the driver below instead; so does a grid that
-reaches that budget without converging.
+resolves that slope, both of Im Q, whose cross terms vanish on every
+axis, and of Re Q.  Besides the roundoff floor of the sums, the error
+estimate counts the rounding of P: eps times the sum of the magnitudes
+of P's terms at each node, weighted by |f|.  A weighted integrand, P of
+higher degree, whose Re P may peak more than once off the axes of any
+one frame (exp(-x^4 - y^4), two peaks such as
+exp(-0.01 (x^2 - 100)^2 - (y - x)^2)), a Hessian of -Re P that is not
+positive definite past the rounding of its entries, and a grid whose
+budget of 120**3 points has no room for two halvings past the resolution
+Q asks for take the driver below instead; so does a grid that reaches
+that budget without converging.
 
 Everything else goes through iterated one-dimensional adaptive
 integration, innermost variable first, with one of three rules per leg:
@@ -181,7 +184,8 @@ _TRAP_START = 4             # the trapezoid rule starts from 2**4 intervals
 # sqrt(pi) both times, where the integral is 3e-111.  The second makes a
 # feature the scan found steep be resolved, such as a peak narrower than
 # the spacing of the scan radii, which 17 or 33 points can miss
-# altogether.  On the Gaussians of the benchmark it asks for no more
+# altogether.  The Laplace frame bounds the slopes of Q over its box
+# instead of scanning them.  On the Gaussians of the benchmark it asks for no more
 # than the 2**5 intervals of the first comparison, where a node whose
 # value lies below the absolute floor stops.
 _TRAP_ALIAS = math.pi
@@ -196,15 +200,18 @@ _GRID_PANELS = _NODE_CAP ** 3 // 15
 
 # glibc serves blocks above its mmap threshold (128 KiB by default) from
 # fresh pages, and returns the top of its heap to the system whenever
-# more than its trim threshold (also 128 KiB) lies free there.  A batched
-# level allocates and frees complex temporaries of up to 460 KiB
-# (_NODE_CAP nodes times 120 points or 244 scan radii, 16 bytes each), so
-# every inner level would fault its pages in again: without the line
-# below a 2-D Gaussian of the benchmark kind took 1,300 page faults and
-# up to 1.7 times the time (glibc 2.36, x86-64).  Freeing one block above
-# the mmap threshold makes glibc raise that threshold to the block's size
-# and the trim threshold to twice it, unless they were set explicitly;
-# other allocators ignore it.
+# more than its trim threshold (also 128 KiB) lies free there.  The
+# nested levels allocate and free complex temporaries of up to 460 KiB
+# (_NODE_CAP nodes times 120 points or 244 scan radii, 16 bytes each),
+# which would fault their pages in again at every inner level.  Freeing
+# one block above the mmap threshold makes glibc raise that threshold to
+# the block's size and the trim threshold to twice it, unless they were
+# set explicitly; other allocators ignore it.  glibc does the same when
+# it frees the first such temporary, so the line only does it before the
+# first integral: with numpy 2.4 and glibc 2.36 (x86-64), the benchmark's
+# Gaussians, which take the Laplace frame, and t1^2 exp(P) on two Lines,
+# which nests, took 0 to 2 minor faults per integral after the first,
+# with the line and without it.
 np.empty(4 << 20, dtype=np.uint8)
 
 
@@ -1453,46 +1460,16 @@ def _frame_applies(run):
             and max(map(sum, run.kernel), default=0) <= 2)
 
 
-def _monomials(exps, cols):
-    """prod_j cols[j]**e[j] for each exponent tuple e of ``exps`` (None for
-    the constant), at the points whose coordinates are the arrays
-    ``cols``."""
-    powers = [[None, col] for col in cols]
-    out = []
-    for e in exps:
-        mono = None
-        for j, k in enumerate(e):
-            if k:
-                p = powers[j]
-                while len(p) <= k:
-                    p.append(p[-1] * cols[j])
-                mono = p[k] if mono is None else mono * p[k]
-        out.append(mono)
-    return out
-
-
-def _combine(monos, coef, size):
-    """sum_T coef[T] * monos[T], skipping zero coefficients, as an array of
-    ``size`` points."""
-    total = np.zeros(size)
-    for mono, c in zip(monos, coef):
-        if c:
-            total = total + (c if mono is None else c * mono)
-    return total
-
-
-def _poly_at(exps, coef, cols):
-    """A polynomial, as lists of exponent tuples and coefficients, at the
-    points whose coordinates are the arrays ``cols``."""
-    return _combine(_monomials(exps, cols), coef, len(cols[0]))
-
-
-def _quadratic(exps, coef, n):
-    """P = c + g.s + s.H s / 2, for P of total degree at most 2 given as
-    exponent tuples and coefficients, as (c, g, H)."""
+def _quadratic(poly, contour):
+    """P(d * s) = c + g.s + s.H s / 2, for P of total degree at most 2,
+    d_j = exp(i angle_j) the direction of the Line of variable j and s
+    real, as (c, g, H)."""
+    angles = [chain[0].angle for chain in contour.chains]
+    n = len(angles)
     c, g, h = 0j, np.zeros(n, dtype=complex), np.zeros((n, n), dtype=complex)
-    for e, a in zip(exps, coef):
+    for e, a in poly.terms.items():
         axes = [j for j, k in enumerate(e) for _ in range(k)]
+        a = a * cmath.exp(1j * sum(angles[j] for j in axes))
         if len(axes) == 2:
             j, k = axes
             h[j, k] += a
@@ -1504,13 +1481,16 @@ def _quadratic(exps, coef, n):
     return c, g, h
 
 
-def _along(poly, contour):
-    """poly(d * s) as (exponents, coefficients), d_j = exp(i angle_j) the
-    direction of the Line of variable j and s real."""
-    angles = [chain[0].angle for chain in contour.chains]
-    return list(poly.terms), [
-        c * cmath.exp(1j * sum(a * k for a, k in zip(angles, e)))
-        for e, c in poly.terms.items()]
+def _form(c, g, h, x):
+    """c + g.x + x.h x / 2, for a symmetric h, at the points x (n x N),
+    term by term and with no matrix product (see _gk15)."""
+    total = np.full(len(x[0]), c)
+    for j, xj in enumerate(x):
+        row = g[j] + 0.5 * h[j, j] * xj
+        for k in range(j):
+            row = row + h[j, k] * x[k]
+        total += row * xj
+    return total
 
 
 class _Frame:
@@ -1520,49 +1500,32 @@ class _Frame:
     direction) P = c + g.s + s.H s / 2 is quadratic, and the frame is
     s = x0 + L z, where x0 maximises Re P, its one peak, and L = C^-T for
     the Cholesky factor C C^T of -Re H, so Re P falls like |z|^2 / 2
-    around x0.  It holds Q(z) = P(x0 + L z), whose terms are small where
-    the integrand matters, the terms of P along s for its rounding, and
-    ``jac``: the orientations and the Jacobian d_j det L.  ``lo``, ``hi``
-    and ``need``, the box in z and the fewest intervals its axes take,
-    come from the scan in _laplace_frame.
+    around x0.  It holds Q(z) = P(x0 + L z) as ``q`` = (Q(0), its slope
+    L^T (g + H x0) and its curvature L^T H L), whose terms are small where
+    the integrand matters, the magnitudes (|c|, |g|, |H|) of P's terms
+    for its rounding, and ``jac``: the orientations and the Jacobian
+    d_j det L.  ``lo``, ``hi`` and ``need``, the box in z and the fewest
+    intervals its axes take, are read off ``q`` in _laplace_frame.
     """
 
-    def __init__(self, contour, p, taylor, chol):
-        n = len(contour.chains)
-        c, g, h = taylor
+    def __init__(self, contour, c, g, h, chol):
+        self.n = len(contour.chains)
         x0 = np.linalg.solve(-h.real, g.real)  # where grad Re P vanishes
         L = np.linalg.inv(chol).T
-        # Q(z) = P(x0) + (g + H x0).L z + z.(L^T H L) z / 2
-        slope = L.T @ (g + h @ x0)
-        curv = L.T @ h @ L
-        units = [tuple(int(i == k) for i in range(n)) for k in range(n)]
-        exps = [(0,) * n] + units + [
-            tuple(map(sum, zip(units[j], units[k])))
-            for j in range(n) for k in range(j, n)]
-        coef = [c + g @ x0 + x0 @ h @ x0 / 2] + slope.tolist() + [
-            curv[j, k] * (0.5 if j == k else 1.0)
-            for j in range(n) for k in range(j, n)]
-        self.n = n
+        self.q = c + g @ x0 + x0 @ h @ x0 / 2, L.T @ (g + h @ x0), L.T @ h @ L
         self.x0, self.L = x0.tolist(), L.tolist()
-        self.q = exps, np.array(coef)
-        self.p_abs = (p[0], [abs(a) for a in p[1]])
+        self.p_abs = abs(c), np.abs(g), np.abs(h)
         orientation = math.prod(chain[0].orientation for chain in contour.chains)
         self.jac = (orientation / float(np.prod(np.diag(chol)))
                     * cmath.exp(1j * sum(chain[0].angle
                                          for chain in contour.chains)))
 
-    def terms(self, z):
-        """Re Q and Im Q at the points z (n x N); Re Q is log |f|."""
-        monos = _monomials(self.q[0], z)
-        return (_combine(monos, self.q[1].real, z.shape[1]),
-                _combine(monos, self.q[1].imag, z.shape[1]))
-
     def values(self, z):
         """The integrand at the points z (n x N) and its relative rounding:
         that of P, eps times the sum of the magnitudes of P's terms."""
-        re_q, im_q = self.terms(z)
         with np.errstate(over="ignore", invalid="ignore"):
-            mag = np.exp(re_q)
+            mag = np.exp(_form(*(part.real for part in self.q), z))
+            im_q = _form(*(part.imag for part in self.q), z)
             val = np.empty(len(mag), dtype=complex)
             val.real = mag * np.cos(im_q)
             val.imag = mag * np.sin(im_q)
@@ -1574,53 +1537,47 @@ class _Frame:
                 if lk:
                     sj = sj + lk * col
             s.append(np.abs(sj))
-        return val, np.finfo(float).eps * _poly_at(*self.p_abs, s)
+        return val, np.finfo(float).eps * _form(*self.p_abs, s)
 
 
 def _laplace_frame(spec, contour):
     """The frame of one member, with its box and resolution, or None where
     it takes the nested levels: a Hessian of -Re P that is not positive
-    definite, a box that does not close within the scan radii, or a grid
-    whose budget has no room for two halvings past the resolution the
-    scan asks for."""
+    definite, or a grid whose budget has no room for two halvings past
+    the resolution Q asks for."""
     n = len(contour.chains)
-    p = _along(spec.P, contour)
-    taylor = _quadratic(*p, n)
-    curv = -taylor[2].real
+    c, g, h = _quadratic(spec.P, contour)
     # positive definite past the rounding of its entries, by the rank
     # tolerance of numpy's matrix_rank: exp(-(x - y)^2) has a zero
     # eigenvalue that rounds to +-4e-16
-    eig = np.linalg.eigvalsh(curv)
+    hess = -h.real
+    eig = np.linalg.eigvalsh(hess)
     if not eig[0] > n * np.finfo(float).eps * eig[-1]:
         return None
-    frame = _Frame(contour, p, taylor, np.linalg.cholesky(curv))
+    frame = _Frame(contour, c, g, h, np.linalg.cholesky(hess))
+    q0, slope, curv = frame.q
 
-    # one scan out along each +-z axis, cut where the integrand has
-    # decayed as _truncate_unbounded cuts a leg.  Re Q falls like |z|^2 / 2
-    # from its peak at z = 0, so it is smaller still off the axes, and the
-    # box holds every point above MAGNITUDE_CUT of the peak.
-    radii = _SCAN_RADII
-    z = np.zeros((n, n, 2, radii.size))  # coordinate, axis, side, radius
-    for k in range(n):
-        z[k, k, 0], z[k, k, 1] = -radii, radii
-    with np.errstate(over="ignore", invalid="ignore"):
-        lm, im_q = frame.terms(z.reshape(n, -1))
-        q = lm + 1j * im_q
-    q, lm = q.reshape(n, 2, -1), lm.reshape(n, 2, -1)
-    finite = np.isfinite(lm)
-    if not finite.any():
+    # on |z| = r, Re Q <= Re Q(0) + beta r - mu r^2 / 2, with mu the least
+    # eigenvalue of -Re curv and beta = |Re slope| (about 1 and 0, as
+    # computed); the box [-R, R]^n holds the ball outside which that bound
+    # lies below the cut at which _truncate_unbounded cuts a leg
+    mu = float(np.linalg.eigvalsh(-curv.real)[0])
+    if not mu > 0:
         return None
-    top = lm[finite].max()
-    index = _first_decayed(lm < min(DECAY_RE_P, top + _LOG_CUT))
-    if index is None:
+    beta = float(np.linalg.norm(slope.real))
+    drop = max(q0.real - DECAY_RE_P, -_LOG_CUT)  # how far the bound falls
+    r = (beta + math.sqrt(beta * beta + 2.0 * mu * drop)) / mu
+    if not math.isfinite(r):
         return None
-    cut = _eight_bits(radii[index])
-    frame.lo, frame.hi = -cut[:, 0], cut[:, 1]
+    r = float(_eight_bits(r))
+    frame.lo, frame.hi = np.full(n, -r), np.full(n, r)
 
-    # the step must resolve the slopes of Q along each axis where the
-    # integrand lies within MAGNITUDE_CUT of the peak, out to the cut
-    rate = _step_rates(q, lm, top + _LOG_CUT, int(index.max()) + 1)
-    frame.need = float(((cut[:, 0] + cut[:, 1]) * rate.max(axis=(1, 2))).max())
+    # the step must resolve the largest slope of Q along each axis over
+    # that ball: |dQ/dz_k| <= |slope_k| + r |curv_k|
+    im = np.abs(slope.imag) + r * np.linalg.norm(curv.imag, axis=1)
+    re = np.abs(slope.real) + r * np.linalg.norm(curv.real, axis=1)
+    frame.need = 2.0 * r * float(
+        np.maximum(im / _TRAP_ALIAS, re / _TRAP_STEEP).max())
     # the sums are accurate one halving past that resolution and agree
     # with the next one; a member whose budget does not reach that far
     # takes the nested levels before any point of its grid is evaluated
@@ -1788,12 +1745,13 @@ def integrate(spec, contour: ProductContour, tol: float = 1e-9):
     On a product of two or more Lines, with the integrand exp(P) alone
     and P of total degree at most 2 whose real part is strictly
     concave, the integral is one tensor-product trapezoid in the Laplace
-    frame x = x0 + L z of the one peak of Re P (see the module
-    docstring); its error estimate also counts the rounding of P, eps
-    times the sum of the magnitudes of P's terms at each node weighted by
-    |f|.  A weighted integrand, one without that frame or whose grid
-    would not fit its budget, and every other one, goes through the
-    iterated one-dimensional levels.
+    frame x = x0 + L z of the one peak of Re P, on a box and with a step
+    read off the coefficients of the quadratic Q(z) = P(x0 + L z) (see
+    the module docstring); its error estimate also counts the rounding of
+    P, eps times the sum of the magnitudes of P's terms at each node
+    weighted by |f|.  A weighted integrand, one without that frame or
+    whose grid would not fit its budget, and every other one, goes
+    through the iterated one-dimensional levels.
 
     ``spec`` is one IntegrandSpec, for which (value, err_estimate) is
     returned, or a sequence of specs that differ only in their polynomial

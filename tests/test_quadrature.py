@@ -442,6 +442,29 @@ class TestProperIntegral:
         expected = math.pi ** 1.5 / math.sqrt(0.99)
         assert abs(value - expected) <= 1e-8 * expected
 
+    @pytest.mark.parametrize("tol", [1e-8, 1e-10])
+    @pytest.mark.parametrize("inner", [Segment(0, 1), Arc(0, 1, 0, math.pi)],
+                             ids=["segment", "arc"])
+    def test_line_over_a_bounded_inner_leg(self, inner, tol):
+        # exp(-x^2 + x y) with y on a Segment or an Arc, whose middle is an
+        # inner representative: over y in [0, 1] the x integral is
+        # sqrt(pi) e^(y^2 / 4); over the upper half circle from 1 to -1
+        # the y integral is (e^-x - e^x) / x
+        import mpmath
+        P = SparsePolynomial(2, {(2, 0): -1, (1, 1): 1})
+        with mpmath.workdps(30):
+            if isinstance(inner, Segment):
+                exact = float(mpmath.sqrt(mpmath.pi) * mpmath.quad(
+                    lambda y: mpmath.exp(y * y / 4), [0, 1]))
+            else:
+                exact = float(mpmath.quad(
+                    lambda x: mpmath.exp(-x * x) * (mpmath.exp(-x)
+                                                    - mpmath.exp(x)) / x,
+                    [-mpmath.inf, 0, mpmath.inf]))
+        c = ProductContour([[Line(0.0)], [inner]])
+        value, err = integrate(IntegrandSpec(P, AlphaOne()), c, tol)
+        assert abs(value - exact) <= max(tol * abs(exact), err)
+
     def test_correlated_gaussian_on_two_rays(self):
         # exp(-5 (x - y)^2 - 0.05 (x + y)) on [0, inf)^2: the slices
         # through the inner ray's representatives 0 and 1 decay near the
@@ -611,6 +634,20 @@ class TestLaplaceFrame:
         assert abs(value - exact) <= max(tol * exact, err)
 
     @pytest.mark.parametrize("tol", [1e-8, 1e-10])
+    @pytest.mark.parametrize("a", [1.0, 3.0, 12.0, 20.0,
+                                   2 * math.pi / (25.25 / 64) ** 2])
+    def test_cross_term_of_im_q(self, a, tol):
+        # exp(-x^2/2 - y^2/2 + i a x y): the cross term vanishes on both
+        # axes of the frame, so only the curvature of Im Q shows the step
+        # it asks for.  On a box of +-12.625 the last a makes a h^2 = 2 pi,
+        # 8 pi and 32 pi on the grids of 64, 32 and 16 intervals, each of
+        # which sees the Gaussian without its oscillation and gives 2 pi
+        P = SparsePolynomial(2, {(2, 0): -0.5, (0, 2): -0.5, (1, 1): 1j * a})
+        exact = 2 * math.pi / math.sqrt(1 + a * a)
+        value, err = integrate(IntegrandSpec(P, AlphaOne()), self.PLANE, tol)
+        assert abs(value - exact) <= max(tol * exact, err)
+
+    @pytest.mark.parametrize("tol", [1e-8, 1e-10])
     def test_two_peaks(self, tol):
         # exp(-(x^2 - 4)^2 - y^2) peaks at (+-2, 0)
         import mpmath
@@ -684,7 +721,7 @@ class TestLaplaceFrame:
             assert abs(value - exact) <= max(tol * abs(exact), err)
 
     def test_grid_past_its_budget_is_not_evaluated(self, monkeypatch):
-        # exp(-x^2 - y^2 - z^2 + 5 i x): its scan asks for 28 intervals per
+        # exp(-x^2 - y^2 - z^2 + 5 i x): its step asks for 23 intervals per
         # axis, and the 64 that the budget allows in three variables leave
         # room for one halving past 32 only, so it nests without
         # evaluating a grid
@@ -860,6 +897,54 @@ class TestEulerIntegrals:
         contour = ProductContour([[Segment(0, 1)], [Segment(0, 1)]])
         assert rel(euler_integral_eval([P], [1.0], [1.0, 1.0], contour, 1e-10),
                    2.0) < 1e-10
+
+
+class TestBranchTracker:
+    """The argument of a factor P_i continued along a leg: refined where it
+    turns fast, and an error where it cannot be continued."""
+
+    @pytest.mark.parametrize("tol", [1e-8, 1e-10])
+    def test_refines_next_to_a_zero(self, monkeypatch, tol):
+        # (t - a)^(1/2) with a = 0.5 + 0.003i: the argument of t - a turns
+        # by nearly pi within 0.01 of t = 0.5, so the tracker's grid of 129
+        # samples is refined there
+        import mpmath
+        from hypint import quadrature
+        sizes = []
+
+        class Spy(quadrature._BranchTracker):
+            def __init__(self, *args):
+                super().__init__(*args)
+                sizes.append(self.keys.size)
+
+        monkeypatch.setattr(quadrature, "_BranchTracker", Spy)
+        a = 0.5 + 0.003j
+        P = SparsePolynomial(1, {(0,): -a, (1,): 1})
+        contour = ProductContour([[Segment(0, 1)]],
+                                 {("P", 1): cmath.phase(-a)})
+        with mpmath.workdps(30):
+            exact = complex(mpmath.quad(
+                lambda t: mpmath.sqrt(t - mpmath.mpc(a.real, a.imag)),
+                [0, 0.5, 1]))
+        value, err = integrate(IntegrandSpec(SparsePolynomial.zero(1),
+                                             AlphaPowerProduct([P], [0.5], 1)),
+                               contour, tol)
+        assert abs(value - exact) <= max(tol * abs(exact), err)
+        assert sizes and min(sizes) > 129
+
+    @pytest.mark.parametrize("terms, v, message", [
+        # t - 0.5 changes sign at 0.5: the jump of pi in its argument is no
+        # turn that any refinement resolves
+        ({(0,): -0.5, (1,): 1}, 0.5, "branch tracking failed .* factor P1"),
+        # (t - 0.5)^2 keeps its argument but vanishes at 0.5
+        ({(0,): 0.25, (1,): -1, (2,): 1}, 0.25, "factor P1 vanishes"),
+    ])
+    def test_factor_through_zero_raises(self, terms, v, message):
+        contour = ProductContour([[Segment(0, 1)]], {("P", 1): math.pi})
+        spec = IntegrandSpec(SparsePolynomial.zero(1), AlphaPowerProduct(
+            [SparsePolynomial(1, terms)], [v], 1))
+        with pytest.raises(QuadratureError, match=message):
+            integrate(spec, contour, 1e-8)
 
 
 class TestContourProperties:

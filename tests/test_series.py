@@ -664,10 +664,15 @@ class TestEvaluate:
         assert tail != 0
 
     @pytest.mark.parametrize("form", ["direct", "reciprocal"])
-    @pytest.mark.parametrize("u, a", [(-180.5, -2.0), (180.5, -200.0)])
+    @pytest.mark.parametrize("u, a", [
+        (-180.5, -2.0), (180.5, -200.0), (-181.3 + 7j, -2.0),
+        (-180.3 - 8j, -2.0)])
     def test_gamma_out_of_range_is_recombined_with_the_power(self, form, u, a):
         # Gamma(-180.5) underflows, 1/Gamma(181.5) too, and Gamma(180.5)
-        # overflows, while (-a)**(-u) brings the product back in range
+        # overflows, while (-a)**(-u) brings the product back in range.
+        # The complex u lie far enough off the real axis that the log of
+        # sin(pi u) in the reflection formula is taken from its leading
+        # exponential, once with the odd sign of n = -181
         series = gg_series(A12, B1, u, 0, form=form)
         value, _ = evaluate_series(series, {1: a, 2: 0.01})
         g = mpmath.gamma(u) if form == "direct" else 1 / mpmath.gamma(1 - u)
