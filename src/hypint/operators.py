@@ -15,9 +15,10 @@ exact rational cancellation up to the truncation boundary.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
-from operator import add
+from operator import add, mul
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .exact import ExactComplex, common_denominator
@@ -316,19 +317,24 @@ def build_system(exponent_sets: Sequence, blocks: int, u,
     return box + euler_y + heat + euler_t
 
 
-def _application_plan(mono, deriv, op_scalar, series_index, base_index,
-                      reciprocal, W):
-    """How one operator term acts on a term whose args are (A + B i) / W.
+# a class coefficient whose parts have numerators and denominators of at
+# most this many bits is small: the small ones share one column, over one
+# common denominator, and each other coefficient takes a column of its own
+_SMALL_BITS = 32
 
-    Returns (falling, dm, dk, factors, (nr, ni), den): the series
-    derivatives (i, p), which multiply by m_i (m_i - 1) ... (m_i - p + 1);
-    the shifts of m and of the Gamma arguments; the offsets o with one
-    factor (A_j + o + B_j i) per (j, o) from the base monomial; and the
-    signed operator scalar as (nr + ni i) / den, where den also carries
-    the W of each factor.
+
+def _term_classes(mono, deriv, series_index, base_index, reciprocal, D):
+    """How one operator term acts on a term with s_j = z_j + q_j / D.
+
+    Returns the shifts (dm, dk) of m and of the arguments and the classes
+    (row function, z powers, factor): the term multiplies the scalar of
+    a row by the sum over its classes of the row function's value times
+    factor * prod_j z_j**power_j.  A row function is (falling, offsets):
+    a factor m_i (m_i - 1) ... (m_i - p + 1) per series derivative
+    (i, p), which is 0 when m_i < p, and a factor q_j + k per (j, k).
     """
     dm, dk = [0] * len(series_index), [0] * len(base_index)
-    falling, factors = [], []
+    falling, factors = [], {}
     sign = 1
     for var, p in deriv:
         if var in series_index:
@@ -345,16 +351,44 @@ def _application_plan(mono, deriv, op_scalar, series_index, base_index,
             dm[series_index[var]] += p
         else:
             # d^p/da^p left s + d; a^p then takes the factors
-            # -(s + d - r) (direct) or (s + d - r) (reciprocal), r = 1..p
+            # -(s + d - r) (direct) or (s + d - r) (reciprocal), r = 1..p,
+            # each z + (q + D (d - r)) / D
             j = base_index[var]
             if not reciprocal and p % 2:
                 sign = -sign
-            factors += [(j, (dk[j] - r) * W) for r in range(1, p + 1)]
+            factors[j] = [D * (dk[j] - r) for r in range(1, p + 1)]
             dk[j] -= p
-    c = common_denominator([op_scalar])
-    nr, ni = op_scalar.numerators(c)
-    return (tuple(falling), tuple(dm), tuple(dk), tuple(factors),
-            (sign * nr, sign * ni), c * W ** len(factors))
+    # prod_r (z + (q + k_r) / D) is the sum over the subsets T of the
+    # factors of z**(p - |T|) D**-|T| prod_{r in T} (q + k_r)
+    choices = [[(tuple((j, k) for k in chosen), j, len(ks) - size)
+                for size in range(len(ks) + 1)
+                for chosen in itertools.combinations(ks, size)]
+               for j, ks in factors.items()]
+    classes = []
+    for picks in itertools.product(*choices):
+        powers = [0] * len(base_index)
+        offsets = ()
+        for chosen, j, power in picks:
+            offsets += chosen
+            powers[j] = power
+        classes.append(((tuple(falling), offsets), tuple(powers),
+                        Fraction(sign, D ** len(offsets))))
+    return (tuple(dm), tuple(dk)), classes
+
+
+def _monomial(anchor, powers) -> ExactComplex:
+    """prod_j anchor[j]**powers[j] for powers not all 0."""
+    out = None
+    for z, power in zip(anchor, powers):
+        for _ in range(power):
+            out = z if out is None else out * z
+    return out
+
+
+def _is_small(x: ExactComplex) -> bool:
+    return max(x.re.numerator.bit_length(), x.re.denominator.bit_length(),
+               x.im.numerator.bit_length(),
+               x.im.denominator.bit_length()) <= _SMALL_BITS
 
 
 def apply_to_series(op: DiffOperator, series: GammaSeries) -> GammaSeries:
@@ -366,13 +400,31 @@ def apply_to_series(op: DiffOperator, series: GammaSeries) -> GammaSeries:
     rule.  The result is truncated to the input order; ``complete_below``
     marks where truncation may have removed cancelling partners.
 
-    The work is done on integers: every Gamma argument is (A + B i) / W
-    and every scalar a Gaussian integer over one denominator, so terms
-    are keyed on (m, A, B) and summed without Fraction arithmetic.  The
-    sums over the denominator S * G become the result's integer_form(),
-    so a chained application starts from integers again.
+    The work is done on the series' lattice_form(), whose arguments are
+    s_j = z_j + q_j / D with exact anchors z_j and small integers q_j,
+    in three steps:
+
+    1. The operator collapses once into classes (shift of m and of the
+       arguments, row function, coefficient): a row function is a
+       product of falling factorials in m and of offsets q_j + k, and
+       its coefficient the operator scalar times anchors z_j and powers
+       of 1/D, per coset.  Equal classes merge exactly, so an Euler
+       operator's constant u cancels against sum_j w_j z_j in one sum.
+    2. The small coefficients fold into one integer weight per row, and
+       each other coefficient takes a column of its own.  The weights
+       times the scalar numerators are summed per output key (coset,
+       m, q), coded as one integer, with np.unique and np.add.at.  The
+       arrays are int64 where the largest scalar numerator times the
+       sum of the coefficient numerators times the largest row values
+       bounds every sum below 2**63, and of dtype object otherwise.
+    3. Only the keys that survive become terms, with one ExactComplex
+       per distinct argument and per distinct scalar; their integers
+       are the result's lattice form, so a chained application starts
+       from small integers again.
     """
-    from .series import GammaSeries, GammaTerm, _args_key
+    import numpy as np
+
+    from .series import GammaSeries, GammaTerm, LatticeForm, _args_key
 
     layout = series.layout
     if not series.is_closed_form():
@@ -383,94 +435,163 @@ def apply_to_series(op: DiffOperator, series: GammaSeries) -> GammaSeries:
     series_index = {var: i for i, var in enumerate(layout.series_vars)}
     base_index = {var: j for j, var in enumerate(layout.base_vars)}
     order = series.truncation_order
-    W, S, rows = series.integer_form()
+    lattice = series.lattice_form()
+    D, anchors = lattice.D, lattice.anchors
 
-    plans = [_application_plan(mono, deriv, op_scalar, series_index,
-                               base_index, reciprocal, W)
-             for (mono, deriv), op_scalar in op.terms.items()]
-    # the most orders one operator term moves a multi-index down
-    max_down = max([0] + [-sum(dm) for _, dm, *_ in plans])
-    # every contribution is a Gaussian integer over S * G
-    G = math.lcm(*(plan[-1] for plan in plans))
-
-    # operator terms that shift m and the arguments alike send a row to
-    # one output key: their contributions are summed before the lookup
-    shifts = {}
-    for falling, dm, dk, factors, (nr, ni), den in plans:
-        shifts.setdefault((dm, dk), []).append(
-            (falling, factors, nr * (G // den), ni * (G // den)))
-
-    sums = {}  # (m, A, B) -> [re, im]
-    for (dm, dk), group in shifts.items():
-        dm = dm if any(dm) else None
-        dA = tuple(d * W for d in dk) if any(dk) else None
-        # a term whose |m| passes top leaves the truncation order
-        top = order - sum(dm) if dm and sum(dm) > 0 else None
-        for term, (sr, si), A, B in rows:
-            m = term.m
-            if top is not None and sum(m) > top:
-                continue
-            re = im = 0
-            for falling, factors, nr, ni in group:
-                ff = 1
-                for i, p in falling:
-                    ff *= math.perm(m[i], p)  # 0 when m_i < p
-                if not ff:
-                    continue
-                cr, ci = sr * ff, si * ff
-                if ni:
-                    cr, ci = cr * nr - ci * ni, cr * ni + ci * nr
-                elif nr != 1:
-                    cr, ci = cr * nr, ci * nr
-                for j, offset in factors:
-                    fr, fi = A[j] + offset, B[j]
-                    if fi:
-                        cr, ci = cr * fr - ci * fi, cr * fi + ci * fr
-                    else:
-                        cr, ci = cr * fr, ci * fr
-                re += cr
-                im += ci
-            if not (re or im):
-                continue
-            key = (tuple(map(add, m, dm)) if dm else m,
-                   tuple(map(add, A, dA)) if dA else A, B)
-            acc = sums.get(key)
-            if acc is None:
-                sums[key] = [re, im]
+    # 1. classes: (shift, row function) -> coefficient per coset
+    classes, monomials = {}, {}
+    max_down = 0  # the most orders one operator term moves m down
+    for (mono, deriv), scalar in op.terms.items():
+        shift, expansion = _term_classes(mono, deriv, series_index,
+                                         base_index, reciprocal, D)
+        max_down = max(max_down, -sum(shift[0]))
+        for function, powers, factor in expansion:
+            coefficient = scalar if factor == 1 else scalar * factor
+            if any(powers):
+                zs = monomials.get(powers)
+                if zs is None:
+                    zs = monomials[powers] = [_monomial(z, powers)
+                                              for z in anchors]
+                parts = [z * coefficient for z in zs]
             else:
-                acc[0] += re
-                acc[1] += im
+                parts = [coefficient] * len(anchors)
+            known = classes.get((shift, function))
+            classes[shift, function] = parts if known is None else \
+                list(map(add, known, parts))
 
-    # one ExactComplex per distinct (base variable, argument)
-    den = S * G
-    arguments = {}
-    zero = Fraction(0)
-    out_rows = []
-    for (m, A, B), (re, im) in sums.items():
-        if not (re or im):
-            continue
-        args = []
-        for j, (a, b) in enumerate(zip(A, B)):
-            arg = arguments.get((j, a, b))
+    # 2. columns: the small coefficients over L, each other alone
+    live = [(key, cs) for key, cs in classes.items() if any(cs)]
+    small = [all(map(_is_small, cs)) for _, cs in live]
+    L = common_denominator(c for (_, cs), s in zip(live, small) if s
+                           for c in cs)
+    columns = {}  # "small" or the coefficients -> column index
+    betas = []    # per column, its factor per coset
+    plan = {}     # shift -> [(column, row function, numerators per coset)]
+    for ((shift, function), cs), s in zip(live, small):
+        col = columns.setdefault("small" if s else tuple(cs), len(columns))
+        if col == len(betas):
+            betas.append([ExactComplex(Fraction(1, L), Fraction(0))]
+                         * len(anchors) if s else cs)
+        numerators = [c.numerators(L) for c in cs] if s else \
+            [(1, 0)] * len(anchors)
+        plan.setdefault(shift, []).append((col, function, numerators))
+
+    rows, ns = lattice.m.shape
+    nb = lattice.offsets.shape[1]
+    inputs, top, q_lo, q_hi, largest = lattice.extent
+    # on |re| and |im| of every sum over one output key; a factor of at
+    # least 1 per class also makes it bound every numerator and scalar
+    # that goes into the arrays
+    bound = 0
+    for entries in plan.values():
+        for _, (falling, offsets), numerators in entries:
+            value = math.prod(top[i] ** p for i, p in falling) * math.prod(
+                max(abs(q_lo[j] + k), abs(q_hi[j] + k)) for j, k in offsets)
+            bound += max(value, 1) * max(abs(a) + abs(b)
+                                         for a, b in numerators)
+    bound *= max(largest, 1)
+    # the key code's digits, most significant first: |m|, m, coset, q,
+    # each q digit spanning the input's offsets and the shifted ones
+    lo = [min([q_lo[j]] + [q_lo[j] + D * dk[j] for _, dk in plan])
+          for j in range(nb)]
+    radices = [order + 1] * (ns + 1) + [len(anchors)] + [
+        max([q_hi[j]] + [q_hi[j] + D * dk[j] for _, dk in plan]) - lo[j] + 1
+        for j in range(nb)]
+    strides = [math.prod(radices[d + 1:]) for d in range(len(radices))]
+    dtype = np.int64 if max(bound, math.prod(radices)) < 2 ** 63 else object
+    inputs = inputs.astype(dtype, copy=False)
+    total, M, Q = inputs[:, 0], inputs[:, 1:ns + 1], inputs[:, ns + 2:]
+    RE, IM = (a.astype(dtype, copy=False) for a in (lattice.re, lattice.im))
+    coset = lattice.coset.astype(np.intp, copy=False)
+    code = inputs @ np.array(strides, dtype=dtype) - sum(
+        x * s for x, s in zip(lo, strides[ns + 2:]))
+
+    width = 2 * len(betas)
+    ones = np.ones(rows, dtype=dtype)
+    codes, weights = [np.zeros(0, dtype=dtype)], [np.zeros((width, 0), dtype)]
+    for (dm, dk), entries in plan.items():
+        fold = {}  # column -> the coefficient numerators times the row
+        for col, (falling, offsets), numerators in entries:
+            value = ones
+            for i, p in falling:
+                for step in range(p):
+                    value = value * (M[:, i] - step)
+            for j, k in offsets:
+                value = value * (Q[:, j] + k)
+            a, b = (np.array(n, dtype=dtype)[coset] for n in zip(*numerators))
+            re, im = fold.get(col, (0, 0))
+            fold[col] = (re + a * value, im + b * value)
+        weight = np.zeros((width, rows), dtype=dtype)  # (re, im) per column
+        for col, (a, b) in fold.items():
+            weight[2 * col] = a * RE - b * IM
+            weight[2 * col + 1] = a * IM + b * RE
+        keep = (weight != 0).any(axis=0)
+        if sum(dm) > 0:  # a term whose |m| passes the order leaves
+            keep &= total <= order - sum(dm)
+        keep = np.flatnonzero(keep)
+        codes.append(code[keep] + sum(map(mul, strides, (
+            sum(dm), *dm, 0, *(D * d for d in dk)))))
+        weights.append(weight.take(keep, axis=1))
+    keys, where = np.unique(np.concatenate(codes), return_inverse=True)
+    weights = np.concatenate(weights, axis=1)
+    sums = np.zeros((width, len(keys)), dtype=dtype)
+    for into, weight in zip(sums, weights):
+        np.add.at(into, where.ravel(), weight)
+
+    # 3. the numerators over S * scale: per key, the sum over the columns
+    # of beta_c times the column's sum
+    scale = common_denominator(b for bs in betas for b in bs)
+    parts = [[b.numerators(scale) for b in bs] for bs in betas]
+    mix = bound * sum(max(abs(x) + abs(y) for x, y in ps) for ps in parts)
+    mix_type = np.int64 if mix < 2 ** 63 else object
+    digits = (keys[:, None] // np.array(strides, dtype=dtype)
+              % np.array(radices, dtype=dtype))
+    c_out = digits[:, ns + 1].astype(np.intp)
+    re = im = np.zeros(len(keys), dtype=mix_type)
+    for col, ps in enumerate(parts):
+        x, y = (np.array(n, dtype=mix_type)[c_out] for n in zip(*ps))
+        sr, si = (sums[2 * col + k].astype(mix_type) for k in (0, 1))
+        re, im = re + x * sr - y * si, im + x * si + y * sr
+    alive = np.flatnonzero((re != 0) | (im != 0))
+    digits, c_out, re, im = digits[alive], c_out[alive], re[alive], im[alive]
+    m_out, q_out = digits[:, 1:ns + 1], digits[:, ns + 2:] + lo
+
+    # the surviving keys as terms, with one ExactComplex per distinct
+    # argument and per distinct scalar
+    count = len(alive)
+    cosets, memo = c_out.tolist(), lattice.arguments
+    args = []
+    for j, q in enumerate(q_out.T.tolist()):
+        column = []
+        for c, k in zip(cosets, q):
+            arg = memo.get((c, j, k))
             if arg is None:
-                arg = arguments[j, a, b] = ExactComplex(Fraction(a, W),
-                                                        Fraction(b, W))
-            args.append(arg)
-        scalar = ExactComplex(Fraction(re, den),
-                              Fraction(im, den) if im else zero)
-        out_rows.append((GammaTerm(m, scalar, tuple(args)), (re, im), A, B))
-    if len(shifts) > 1 or any(any(dk) for _, dk in shifts):
-        # merge_gamma_terms order; with one shift of m alone the rows
-        # keep the input's order, which is that order already
-        by_m = {}
-        for row in out_rows:
-            by_m.setdefault(row[0].m, []).append(row)
-        out_rows = []
-        for m in sorted(by_m, key=lambda m: (sum(m), m)):
-            group = by_m[m]
-            if len(group) > 1:
-                group.sort(key=lambda row: _args_key(row[0].args))
-            out_rows += group
-    complete = min(series.complete_below, order + 1) - max_down
-    return GammaSeries._from_rows(layout, order, series.form,
-                                  max(complete, 0), (W, den, tuple(out_rows)))
+                z = anchors[c][j]
+                arg = memo[c, j, k] = ExactComplex(z.re + Fraction(k, D), z.im)
+            column.append(arg)
+        args.append(column)
+    args = list(zip(*args)) if nb else [()] * count
+    S = lattice.S * scale
+    scalars, zero = {}, Fraction(0)
+    numerators = list(zip(re.tolist(), im.tolist()))
+    for pair in numerators:
+        if pair not in scalars:
+            scalars[pair] = ExactComplex(Fraction(pair[0], S), Fraction(
+                pair[1], S) if pair[1] else zero)
+    # keys run in (|m|, m) order; within one m, merge_gamma_terms orders
+    # by the args
+    pick = list(range(count))
+    block = digits[:, :ns + 1]
+    if count > 1 and (block[1:] == block[:-1]).all(axis=1).any():
+        pick = []
+        for _, group in itertools.groupby(range(count),
+                                          key=block.tolist().__getitem__):
+            pick += sorted(group, key=lambda r: _args_key(args[r]))
+    ms = m_out.tolist()
+    terms = tuple(GammaTerm(tuple(ms[r]), scalars[numerators[r]], args[r])
+                  for r in pick)
+    result = LatticeForm(D, anchors, c_out[pick], m_out[pick], q_out[pick],
+                         re[pick], im[pick], S, memo)
+    complete = max(min(series.complete_below, order + 1) - max_down, 0)
+    return GammaSeries._built(layout, order, series.form, complete, terms,
+                              result)

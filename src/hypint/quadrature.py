@@ -206,12 +206,14 @@ _GRID_PANELS = _NODE_CAP ** 3 // 15
 # which would fault their pages in again at every inner level.  Freeing
 # one block above the mmap threshold makes glibc raise that threshold to
 # the block's size and the trim threshold to twice it, unless they were
-# set explicitly; other allocators ignore it.  glibc does the same when
-# it frees the first such temporary, so the line only does it before the
-# first integral: with numpy 2.4 and glibc 2.36 (x86-64), the benchmark's
-# Gaussians, which take the Laplace frame, and t1^2 exp(P) on two Lines,
-# which nests, took 0 to 2 minor faults per integral after the first,
-# with the line and without it.
+# set explicitly; other allocators ignore it.  What the line protects is
+# the repeated allocation and freeing of temporaries of 128 KiB or more,
+# which test_freed_temporaries_stay_on_the_heap measures: with numpy 2.4
+# and glibc 2.36 (x86-64), sixteen 229 KiB arrays made and freed twenty
+# times take 13,100 minor faults without the line and none with it.  The
+# integrals of the benchmark fault little either way (0 to 2 per
+# integral after the first), since glibc also raises the thresholds when
+# it frees the first such temporary.
 np.empty(4 << 20, dtype=np.uint8)
 
 

@@ -22,11 +22,20 @@ Gamma(s)(-a)**(-s) to Gamma(s+1)(-a)**(-(s+1)) with the scalar
 unchanged (the Gamma shift identity absorbed into the argument), so
 annihilation by the generated operators is an exact cancellation of
 equal Fractions, not a floating-point near-miss.  The same terms are
-also held as integers over two common denominators (integer_form()),
-on which operators work.  gg_series and apply_to_series write that
-form while they build the terms, and share one ExactComplex per
-distinct argument, so a built series is never converted back from
-Fractions.
+also held as small integers (lattice_form()), on which operators work
+and from which numeric_form() is compiled: the arguments fall into
+cosets, each with exact anchors z_j, and s_j = z_j + q_j / D with small
+integer offsets q_j; the scalars are numerators over one common
+denominator.  In gg_series z = s0 and q = N m, so the large
+denominators of s0 (u = 1.37 enters as Fraction(1.37), over 2**52) stay
+in the anchors, and an operator is applied by collapsing it once into
+exact coefficients per class of rows and summing the rows in int64
+arrays (see apply_to_series).  gg_series writes that form while it
+builds the terms, apply_to_series writes the form of its result, and
+both share one ExactComplex per distinct argument, so a built series is
+never converted back from Fractions.  integer_form() holds the terms
+over two common denominators; other series derive their lattice form
+from it.
 
 Numeric evaluation happens only at the very end.  A closed-form series
 compiles once into a cached numeric_form(): the complex scalars, per
@@ -36,13 +45,14 @@ index into it, and the exponent matrix of m.  Each point then computes
 only (-a_j)**(-s) per table entry and the products and sums in arrays.
 The principal branch of log is used for the powers (-a_j)**(-s_j), with
 the plane cut along the negative real axis of (-a_j).  Only this numeric
-path imports numpy, so building a series and applying operators to it
-load none.
+path and the lattice form's arrays import numpy, so building a series
+loads no numpy; applying an operator imports it.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -342,7 +352,8 @@ class GammaSeries:
     """
 
     __slots__ = ("layout", "truncation_order", "terms", "form",
-                 "complete_below", "_closed", "_integers", "_numeric")
+                 "complete_below", "_closed", "_integers", "_lattice",
+                 "_numeric")
 
     def __init__(self, layout: SeriesLayout, truncation_order: int,
                  terms: Sequence, form: str = "direct",
@@ -361,22 +372,23 @@ class GammaSeries:
                    closed, None)
 
     @classmethod
-    def _from_rows(cls, layout: SeriesLayout, truncation_order: int,
-                   form: str, complete_below: int | None,
-                   integers: tuple) -> "GammaSeries":
-        """A closed-form series whose builder wrote its integer_form().
+    def _built(cls, layout: SeriesLayout, truncation_order: int, form: str,
+               complete_below: int | None, terms: tuple,
+               lattice) -> "GammaSeries":
+        """A closed-form series with the lattice form that gg_series or
+        apply_to_series wrote while building it.
 
-        ``integers`` is (W, S, rows) as integer_form() returns it, the
-        rows already in merge_gamma_terms order with no zero scalar.
+        ``terms`` are in merge_gamma_terms order with no zero scalar, and
+        ``lattice`` is a LatticeForm or the arguments of _lattice_arrays
+        after the layout, with the rows in the order of the terms.
         """
         series = object.__new__(cls)
-        series._fill(layout, truncation_order,
-                     tuple(row[0] for row in integers[2]), form,
-                     complete_below, True, integers)
+        series._fill(layout, truncation_order, terms, form, complete_below,
+                     True, lattice)
         return series
 
     def _fill(self, layout, truncation_order, terms, form, complete_below,
-              closed, integers):
+              closed, lattice):
         object.__setattr__(self, "layout", layout)
         object.__setattr__(self, "truncation_order", truncation_order)
         object.__setattr__(self, "terms", terms)
@@ -386,7 +398,8 @@ class GammaSeries:
             truncation_order + 1 if complete_below is None else complete_below,
         )
         object.__setattr__(self, "_closed", closed)
-        object.__setattr__(self, "_integers", integers)
+        object.__setattr__(self, "_integers", None)
+        object.__setattr__(self, "_lattice", lattice)
         object.__setattr__(self, "_numeric", None)
 
     def __setattr__(self, name, value):
@@ -400,11 +413,9 @@ class GammaSeries:
 
         Returns (W, S, rows): each row is (term, (p, q), A, B) with
         scalar = (p + q i) / S and args[j] = (A[j] + B[j] i) / W in
-        integers, so operators can shift, multiply and merge terms
-        without Fraction arithmetic.  gg_series and apply_to_series
-        write it while they build the terms, with W and S common
-        multiples of the denominators; otherwise it is derived from the
-        terms, with the least common denominators.
+        integers, with the least common denominators W and S.  It is
+        derived from the terms; so is lattice_form() where gg_series or
+        apply_to_series did not write it.
         """
         if self._integers is None:
             terms = self.terms
@@ -419,10 +430,26 @@ class GammaSeries:
             object.__setattr__(self, "_integers", (W, S, tuple(rows)))
         return self._integers
 
+    def lattice_form(self) -> "LatticeForm":
+        """The closed-form terms as small integers around exact anchors,
+        computed once; operators are applied to this form.
+
+        gg_series writes its integers in the pass that builds the terms
+        (as lists, which this call makes arrays, so that building a
+        series loads no numpy) and apply_to_series writes the form of its
+        result; any other series derives it from integer_form().
+        """
+        lattice = self._lattice
+        if not isinstance(lattice, LatticeForm):
+            lattice = _lattice_arrays(self.layout,
+                                      *(lattice or _lattice_rows(self)))
+            object.__setattr__(self, "_lattice", lattice)
+        return lattice
+
     def numeric_form(self) -> "NumericForm":
         """The closed-form terms as arrays and Gamma tables, computed once.
 
-        Built from integer_form(): the scalars as complex numbers, per
+        Built from lattice_form(): the scalars as complex numbers, per
         base variable the distinct arguments s with Gamma(s) (direct) or
         1/Gamma(1 - s) (reciprocal) and each term's index into them, the
         exponent matrix of m, the first direct-form pole term and the
@@ -454,14 +481,113 @@ class GammaSeries:
                 f"form={self.form}, terms={len(self.terms)})")
 
 
+@dataclass(frozen=True, eq=False)
+class LatticeForm:
+    """Closed-form terms as small integers around exact anchors.
+
+    The terms fall into cosets, whose Gamma arguments differ by
+    multiples of 1/D.  Row r is the series' term r: of coset c, it has
+    the arguments s_j = anchors[c][j] + offsets_j / D, each also held in
+    ``arguments``, and the scalar (re + im i) / S.
+    In gg_series the anchor is s0 and the offsets are N m, so the large
+    denominators of s0 stay in the anchors and every array entry is
+    small.  The integer arrays are int64 where every entry fits and of
+    dtype object otherwise.
+    """
+
+    D: int
+    anchors: tuple           # per coset, an ExactComplex per base variable
+    coset: np.ndarray        # each term's coset
+    m: np.ndarray            # (terms, series variables) matrix of m
+    offsets: np.ndarray      # (terms, base variables)
+    re: np.ndarray           # the scalars' numerators over S
+    im: np.ndarray
+    S: int
+    # (coset, base variable, offset) -> the argument: one ExactComplex
+    # per distinct argument, shared by the series with these anchors and
+    # holding at least every argument of their terms
+    arguments: dict
+
+    @functools.cached_property
+    def extent(self) -> tuple:
+        """What every application reads, computed once: the matrix of
+        each term's (|m|, m, coset, offsets), the largest m_i, the least
+        and the largest offset per base variable, and the largest |re|
+        plus the largest |im|, the last four as Python ints."""
+        import numpy as np
+
+        digits = np.column_stack((self.m.sum(axis=1), self.m, self.coset,
+                                  self.offsets))
+        return (digits, self.m.max(axis=0, initial=0).tolist(),
+                self.offsets.min(axis=0, initial=0).tolist(),
+                self.offsets.max(axis=0, initial=0).tolist(),
+                int(abs(self.re).max(initial=0))
+                + int(abs(self.im).max(initial=0)))
+
+
+def _int_array(values, columns: int | None = None) -> np.ndarray:
+    """Python ints as an int64 array, or of dtype object where one does
+    not fit; ``columns`` reshapes a list of rows to (rows, columns)."""
+    import numpy as np
+
+    try:
+        out = np.array(values, dtype=np.int64)
+    except OverflowError:
+        out = np.array(values, dtype=object)
+    return out if columns is None else out.reshape(len(values), columns)
+
+
+def _lattice_arrays(layout, D, anchors, coset, m, offsets, re, im, S,
+                    arguments) -> LatticeForm:
+    """A LatticeForm from lists: m and offsets as lists of rows."""
+    return LatticeForm(D, anchors, _int_array(coset),
+                       _int_array(m, len(layout.series_vars)),
+                       _int_array(offsets, len(layout.base_vars)),
+                       _int_array(re), _int_array(im), S, arguments)
+
+
+def _lattice_rows(series: GammaSeries) -> tuple:
+    """The arguments of _lattice_arrays from integer_form(): D is the
+    denominator of the layout's base coordinates, and each coset of
+    arguments modulo 1/D takes the least nonnegative residue as anchor."""
+    layout = series.layout
+    D = 1
+    if layout.base is not None:
+        D = math.lcm(*(l.denominator for var in layout.series_vars
+                       for l in layout.coords(var)))
+    W, S, rows = series.integer_form()
+    V = math.lcm(W, D)
+    unit, scale = V // D, V // W
+    cosets = {}  # (residues of A, B) over V -> index
+    anchors, coset, ms, offsets, re, im = [], [], [], [], [], []
+    arguments = {}
+    for term, (p, q), A, B in rows:
+        A = [a * scale for a in A]
+        key = (tuple(a % unit for a in A), tuple(b * scale for b in B))
+        c = cosets.get(key)
+        if c is None:
+            c = cosets[key] = len(anchors)
+            anchors.append(tuple(ExactComplex(Fraction(r, V), Fraction(b, V))
+                                 for r, b in zip(*key)))
+        shifts = tuple((a - r) // unit for a, r in zip(A, key[0]))
+        arguments.update(((c, j, k), arg)
+                         for j, (k, arg) in enumerate(zip(shifts, term.args)))
+        coset.append(c)
+        ms.append(term.m)
+        offsets.append(shifts)
+        re.append(p)
+        im.append(q)
+    return D, tuple(anchors), coset, ms, offsets, re, im, S, arguments
+
+
 class _GammaArguments:
     """The Gamma arguments s(m) = s0 + L m of one layout and parameter u.
 
     s0 (sum_j s0_j * w_j = u) and the base coordinates L of the series
     exponents are solved once.  With D the common denominator of L,
     L = N / D for an integer matrix N; with W a common denominator of
-    every s_j(m), s_j(m) = (A0_j + (N m)_j * W / D + B_j i) / W, where
-    (A0_j + B_j i) / W = s0_j.
+    every s_j(m), Re s_j(m) = (A0_j + (N m)_j * W / D) / W, where
+    A0_j / W = Re s0_j.
     """
 
     def __init__(self, layout: SeriesLayout, u):
@@ -484,7 +610,7 @@ class _GammaArguments:
         self.N = tuple(tuple(c[j].numerator * (self.D // c[j].denominator)
                              for c in coords) for j in range(n))
         self.W = math.lcm(self.D, common_denominator(self.s0))
-        self.A0, self.B = zip(*(s.numerators(self.W) for s in self.s0))
+        self.A0 = tuple(s.numerators(self.W)[0] for s in self.s0)
 
 
 def _weight(m) -> Fraction:
@@ -523,31 +649,31 @@ def gg_series(exponents: ExponentSet, base: Base, u, order: int,
     direct one times a constant per coset, annihilated by the same
     operators.
 
-    The integer form is written in the same pass over m, with one
+    The lattice form is written in the same pass over m, with one
     ExactComplex per distinct argument of a base variable and one per
-    distinct scalar shared by the terms.
+    distinct scalar shared by the terms.  It has one coset, anchored at
+    s0, whose offsets are N m.
     """
     layout = SeriesLayout(exponents, base)
     grid = _GammaArguments(layout, u)
     _check_order_and_form(order, form)
-    W, D, B = grid.W, grid.D, grid.B
+    W, D = grid.W, grid.D
     unit = W // D
     reciprocal = form == "reciprocal"
     S = math.factorial(order) if layout.series_vars else 1
-    # per base variable: (N m)_j -> (A_j, the argument)
-    tables = [{} for _ in grid.s0]
+    tables = [{} for _ in grid.s0]  # per base variable: (N m)_j -> argument
     scalars = {}  # (prod m_w!, sign) -> (numerator over S, the scalar)
-    rows = []
+    ms, terms, offsets, numerators = [], [], [], []
     for m in multi_indices(len(layout.series_vars), order):
-        A, args, flips = [], [], 0
+        args, shifts, flips = [], [], 0
         for n_j, table, a0, s0 in zip(grid.N, tables, grid.A0, grid.s0):
             shift = sum(map(mul, m, n_j))
-            entry = table.get(shift)
-            if entry is None:
-                a = a0 + shift * unit
-                entry = table[shift] = (a, ExactComplex(Fraction(a, W), s0.im))
-            A.append(entry[0])
-            args.append(entry[1])
+            arg = table.get(shift)
+            if arg is None:
+                arg = table[shift] = ExactComplex(
+                    Fraction(a0 + shift * unit, W), s0.im)
+            args.append(arg)
+            shifts.append(shift)
             flips += shift // D
         key = (math.prod(map(math.factorial, m)),
                -1 if reciprocal and flips % 2 else 1)
@@ -555,10 +681,16 @@ def gg_series(exponents: ExponentSet, base: Base, u, order: int,
         if scalar is None:
             scalar = scalars[key] = (key[1] * (S // key[0]), ExactComplex(
                 Fraction(key[1], key[0]), Fraction(0)))
-        rows.append((GammaTerm(m, scalar[1], tuple(args)), (scalar[0], 0),
-                     tuple(A), B))
-    return GammaSeries._from_rows(layout, order, form, None,
-                                  (W, S, tuple(rows)))
+        terms.append(GammaTerm(m, scalar[1], tuple(args)))
+        ms.append(m)
+        offsets.append(shifts)
+        numerators.append(scalar[0])
+    zeros = [0] * len(terms)
+    return GammaSeries._built(
+        layout, order, form, None, tuple(terms),
+        (D, (grid.s0,), zeros, ms, offsets, numerators, zeros, S,
+         {(0, j, shift): arg for j, table in enumerate(tables)
+          for shift, arg in table.items()}))
 
 
 def standard_expansion(center: SparsePolynomial, exponents: ExponentSet,
@@ -642,26 +774,28 @@ class NumericForm:
 def _numeric_form(series: GammaSeries) -> NumericForm:
     import numpy as np
 
-    W, S, rows = series.integer_form()
+    lattice = series.lattice_form()
     direct = series.form == "direct"
+    cosets = lattice.coset.tolist()
     tables = []
-    poles = np.zeros(len(rows), dtype=bool)
-    for j in range(len(series.layout.base_vars)):
+    poles = np.zeros(len(cosets), dtype=bool)
+    for j, offsets in enumerate(lattice.offsets.T.tolist()):
         entries = {}
-        index = np.array([entries.setdefault((A[j], B[j]), len(entries))
-                          for _, _, A, B in rows], dtype=np.intp)
-        args = tuple(complex(a / W, b / W) for a, b in entries)
+        index = np.array([entries.setdefault((c, k), len(entries))
+                          for c, k in zip(cosets, offsets)], dtype=np.intp)
+        exact = [lattice.arguments[c, j, k] for c, k in entries]
+        args = tuple(map(complex, exact))
         tables.append(ArgumentTable(
             args, tuple(_gamma_part(s, series.form) for s in args), index))
         if direct:
-            # (a + b i) / W is a pole of Gamma when it is in {0, -1, -2, ...}
-            on_pole = np.array([b == 0 and a <= 0 and a % W == 0
-                                for a, b in entries], dtype=bool)
+            on_pole = np.array([a.is_nonpositive_integer() for a in exact],
+                               dtype=bool)
             poles |= on_pole[index]
-    exponents = np.array([t.m for t, *_ in rows], dtype=np.intp).reshape(
-        len(rows), len(series.layout.series_vars))
+    exponents = lattice.m.astype(np.intp)
+    S = lattice.S
     return NumericForm(
-        scalars=np.array([complex(p / S, q / S) for _, (p, q), _, _ in rows],
+        scalars=np.array([complex(p / S, q / S) for p, q in
+                          zip(lattice.re.tolist(), lattice.im.tolist())],
                          dtype=complex),
         tables=tuple(tables),
         exponents=exponents,

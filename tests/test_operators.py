@@ -378,3 +378,69 @@ def test_integer_application_matches_exact_reference(form):
         # nonzero complex scalars and shifted arguments as input
         assert apply_to_series(ops[-1], out).terms == \
             _reference_apply(ops[-1], out)
+
+
+# three (exponent set, base) pairs of the benchmark's series menu, base
+# determinants 1, 2 and 4, at its order 10; two-decimal float parameters
+# give s0 denominators near 2**56, against D <= 4 for the lattice part
+MENU_CASES = [
+    ([(1, 0), (0, 1), (2, 0), (1, 1), (0, 2)], (0, 1),
+     (1.37 + 0.21j, 0.84 - 0.33j)),
+    ([(1, 0), (1, 1), (0, 2), (2, 1), (2, 2)], (1, 2),
+     (0.56 - 0.47j, 1.93 + 0.12j)),
+    ([(1, 0), (0, 1), (2, 0), (0, 2), (1, 2)], (2, 3),
+     (1.08 + 0.35j, 0.29 - 0.18j)),
+]
+
+
+@pytest.mark.parametrize("form", ["direct", "reciprocal"])
+@pytest.mark.parametrize("members, base, u", MENU_CASES)
+def test_menu_applications_match_exact_reference(members, base, u, form):
+    A = ExponentSet(2, members)
+    series = gg_series(A, Base(A, base), u, 10, form=form)
+    boxes = [box_operator(r) for r in kernel_basis(A)]
+    eulers = [euler_t_operator(A, j + 1, u[j]) for j in range(2)]
+    shifted = euler_t_operator(A, 1, u[0] + 0.05)
+    for op in boxes + eulers + [shifted]:
+        out = apply_to_series(op, series)
+        assert out.terms == _reference_apply(op, series)
+        if op in eulers:
+            assert out.terms == ()
+    # u1 + 0.05 leaves 0.05 * (the series) over the anchors' denominators
+    assert len(apply_to_series(shifted, series).terms) == len(series.terms)
+    boxed = apply_to_series(boxes[0], series)
+    for op in boxes:
+        assert apply_to_series(op, boxed).terms == _reference_apply(op, boxed)
+
+
+@pytest.mark.parametrize("order", [20, 30])
+def test_sums_past_int64_match_exact_reference(order):
+    # S = order! is 2**61 at 20, inside int64, and 2**108 at 30, outside
+    # it; either way the sums of an application pass 2**63
+    base = Base(A12, (0,))
+    c1, c2 = CoeffVar(0, (1,)), CoeffVar(0, (2,))
+    cubic = DiffOperator([
+        (((c1, 3),), ((c1, 1), (c2, 2)), Fraction(3, 7) - 0.5j),
+        (((c2, 1),), ((c1, 3),), -1)])
+    for form in ("direct", "reciprocal"):
+        series = gg_series(A12, base, 0.37 + 0.21j, order, form=form)
+        assert (series.lattice_form().re.dtype == object) == (order == 30)
+        for op in (gg_relation_operator(2, A12), cubic):
+            out = apply_to_series(op, series)
+            assert out.terms == _reference_apply(op, series)
+
+
+def test_large_coefficients_on_vanishing_rows():
+    # at order 0 every D[c2] row function is 0, so no sum can pass 2**63,
+    # yet the coefficients z1**3 and z1**2 of c1**3 and c1**2 have
+    # numerators far past it; the chained application starts from their
+    # lattice form
+    c1, c2 = CoeffVar(0, (1,)), CoeffVar(0, (2,))
+    op = DiffOperator([(((c1, 3),), ((c2, 1),), 1),
+                       (((c1, 2),), ((c2, 2),), 0.5j)])
+    series = gg_series(A12, Base(A12, (0,)), 0.37 + 0.21j, 0)
+    assert apply_to_series(op, series).terms == ()
+    cubed = DiffOperator([(((c1, 3),), (), 1)])
+    out = apply_to_series(cubed, series)
+    assert out.terms == _reference_apply(cubed, series)
+    assert apply_to_series(op, out).terms == ()

@@ -336,17 +336,40 @@ def _assert_integer_form_is_terms(series):
                                   for a, b in zip(A_, B_))
 
 
+def _assert_lattice_form_is_terms(series):
+    """lattice_form() is cached and each row equals its term exactly."""
+    lattice = series.lattice_form()
+    assert series.lattice_form() is lattice
+    rows = zip(lattice.coset.tolist(), lattice.m.tolist(),
+               lattice.offsets.tolist(), lattice.re.tolist(),
+               lattice.im.tolist())
+    assert len(lattice.coset) == len(series.terms)
+    for term, (c, m, offsets, p, q) in zip(series.terms, rows):
+        assert term.m == tuple(m)
+        assert term.scalar == ExactComplex(Fraction(p, lattice.S),
+                                           Fraction(q, lattice.S))
+        assert term.args == tuple(z + Fraction(k, lattice.D) for z, k in
+                                  zip(lattice.anchors[c], offsets))
+        assert term.args == tuple(lattice.arguments[c, j, k]
+                                  for j, k in enumerate(offsets))
+
+
 def test_integer_form_reproduces_terms():
-    # written by gg_series in both forms
+    # derived for gg_series in both forms, and for the lattice form of a
+    # sum of two series
     for members, base in SETS_2D + [SET_3D]:
         A = ExponentSet(len(members[0]), members)
         u = (0.5 + 0.25j, 1.5, Fraction(2, 3))[:A.dimension]
         for form in ("direct", "reciprocal"):
-            _assert_integer_form_is_terms(
-                gg_series(A, Base(A, base), u, 5, form=form))
-    # written by apply_to_series: a box operator, an Euler operator with
-    # complex u, a mixed operator with complex scalars and base monomials,
-    # and that operator applied again to its own output
+            series = gg_series(A, Base(A, base), u, 5, form=form)
+            _assert_integer_form_is_terms(series)
+            _assert_lattice_form_is_terms(series)
+            _assert_lattice_form_is_terms(
+                series + gg_series(A, Base(A, base), u[::-1], 5, form=form))
+    # the lattice form written by apply_to_series: a box operator, an
+    # Euler operator with complex u, a mixed operator with complex
+    # scalars and base monomials, and that operator applied again to its
+    # own output
     A = ExponentSet(2, [(1, 0), (0, 1), (2, 1), (1, 2), (2, 2)])
     c10, c01, c21, c12, c22 = (CoeffVar(0, w) for w in A.members)
     mixed = DiffOperator([
@@ -361,7 +384,9 @@ def test_integer_form_reproduces_terms():
             out = apply_to_series(op, series)
             assert out.terms
             _assert_integer_form_is_terms(out)
+            _assert_lattice_form_is_terms(out)
         _assert_integer_form_is_terms(apply_to_series(mixed, out))
+        _assert_lattice_form_is_terms(apply_to_series(mixed, out))
 
 
 def _term_by_term(series, point):
