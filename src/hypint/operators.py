@@ -317,12 +317,6 @@ def build_system(exponent_sets: Sequence, blocks: int, u,
     return box + euler_y + heat + euler_t
 
 
-# a class coefficient whose parts have numerators and denominators of at
-# most this many bits is small: the small ones share one column, over one
-# common denominator, and each other coefficient takes a column of its own
-_SMALL_BITS = 32
-
-
 def _term_classes(mono, deriv, series_index, base_index, reciprocal, D):
     """How one operator term acts on a term with s_j = z_j + q_j / D.
 
@@ -385,12 +379,6 @@ def _monomial(anchor, powers) -> ExactComplex:
     return out
 
 
-def _is_small(x: ExactComplex) -> bool:
-    return max(x.re.numerator.bit_length(), x.re.denominator.bit_length(),
-               x.im.numerator.bit_length(),
-               x.im.denominator.bit_length()) <= _SMALL_BITS
-
-
 def apply_to_series(op: DiffOperator, series: GammaSeries) -> GammaSeries:
     """Apply an operator to a closed-form series, exactly.
 
@@ -410,13 +398,15 @@ def apply_to_series(op: DiffOperator, series: GammaSeries) -> GammaSeries:
        its coefficient the operator scalar times anchors z_j and powers
        of 1/D, per coset.  Equal classes merge exactly, so an Euler
        operator's constant u cancels against sum_j w_j z_j in one sum.
-    2. The small coefficients fold into one integer weight per row, and
-       each other coefficient takes a column of its own.  The weights
-       times the scalar numerators are summed per output key (coset,
-       m, q), coded as one integer, with np.unique and np.add.at.  The
-       arrays are int64 where the largest scalar numerator times the
+    2. The coefficients, over their common denominator L, fold into one
+       integer weight per row.  The weights times the scalar numerators
+       are summed per output key (coset, m, q), coded as one integer,
+       with np.unique and np.add.at, into the numerators over S * L.
+       The arrays are int64 where the largest scalar numerator times the
        sum of the coefficient numerators times the largest row values
-       bounds every sum below 2**63, and of dtype object otherwise.
+       bounds every sum below 2**63, and of dtype object otherwise (an
+       operator whose coefficients keep the anchors' large denominators
+       takes that path).
     3. Only the keys that survive become terms, with one ExactComplex
        per distinct argument and per distinct scalar; their integers
        are the result's lattice form, so a chained application starts
@@ -459,22 +449,13 @@ def apply_to_series(op: DiffOperator, series: GammaSeries) -> GammaSeries:
             classes[shift, function] = parts if known is None else \
                 list(map(add, known, parts))
 
-    # 2. columns: the small coefficients over L, each other alone
+    # 2. the live coefficients over one common denominator L
     live = [(key, cs) for key, cs in classes.items() if any(cs)]
-    small = [all(map(_is_small, cs)) for _, cs in live]
-    L = common_denominator(c for (_, cs), s in zip(live, small) if s
-                           for c in cs)
-    columns = {}  # "small" or the coefficients -> column index
-    betas = []    # per column, its factor per coset
-    plan = {}     # shift -> [(column, row function, numerators per coset)]
-    for ((shift, function), cs), s in zip(live, small):
-        col = columns.setdefault("small" if s else tuple(cs), len(columns))
-        if col == len(betas):
-            betas.append([ExactComplex(Fraction(1, L), Fraction(0))]
-                         * len(anchors) if s else cs)
-        numerators = [c.numerators(L) for c in cs] if s else \
-            [(1, 0)] * len(anchors)
-        plan.setdefault(shift, []).append((col, function, numerators))
+    L = common_denominator(c for _, cs in live for c in cs)
+    plan = {}  # shift -> [(row function, numerators per coset)]
+    for (shift, function), cs in live:
+        plan.setdefault(shift, []).append(
+            (function, [c.numerators(L) for c in cs]))
 
     rows, ns = lattice.m.shape
     nb = lattice.offsets.shape[1]
@@ -484,7 +465,7 @@ def apply_to_series(op: DiffOperator, series: GammaSeries) -> GammaSeries:
     # that goes into the arrays
     bound = 0
     for entries in plan.values():
-        for _, (falling, offsets), numerators in entries:
+        for (falling, offsets), numerators in entries:
             value = math.prod(top[i] ** p for i, p in falling) * math.prod(
                 max(abs(q_lo[j] + k), abs(q_hi[j] + k)) for j, k in offsets)
             bound += max(value, 1) * max(abs(a) + abs(b)
@@ -506,25 +487,20 @@ def apply_to_series(op: DiffOperator, series: GammaSeries) -> GammaSeries:
     code = inputs @ np.array(strides, dtype=dtype) - sum(
         x * s for x, s in zip(lo, strides[ns + 2:]))
 
-    width = 2 * len(betas)
     ones = np.ones(rows, dtype=dtype)
-    codes, weights = [np.zeros(0, dtype=dtype)], [np.zeros((width, 0), dtype)]
+    codes, weights = [np.zeros(0, dtype=dtype)], [np.zeros((2, 0), dtype)]
     for (dm, dk), entries in plan.items():
-        fold = {}  # column -> the coefficient numerators times the row
-        for col, (falling, offsets), numerators in entries:
+        a = b = 0  # the coefficient numerators times the row functions
+        for (falling, offsets), numerators in entries:
             value = ones
             for i, p in falling:
                 for step in range(p):
                     value = value * (M[:, i] - step)
             for j, k in offsets:
                 value = value * (Q[:, j] + k)
-            a, b = (np.array(n, dtype=dtype)[coset] for n in zip(*numerators))
-            re, im = fold.get(col, (0, 0))
-            fold[col] = (re + a * value, im + b * value)
-        weight = np.zeros((width, rows), dtype=dtype)  # (re, im) per column
-        for col, (a, b) in fold.items():
-            weight[2 * col] = a * RE - b * IM
-            weight[2 * col + 1] = a * IM + b * RE
+            x, y = (np.array(n, dtype=dtype)[coset] for n in zip(*numerators))
+            a, b = a + x * value, b + y * value
+        weight = np.stack((a * RE - b * IM, a * IM + b * RE))
         keep = (weight != 0).any(axis=0)
         if sum(dm) > 0:  # a term whose |m| passes the order leaves
             keep &= total <= order - sum(dm)
@@ -534,26 +510,15 @@ def apply_to_series(op: DiffOperator, series: GammaSeries) -> GammaSeries:
         weights.append(weight.take(keep, axis=1))
     keys, where = np.unique(np.concatenate(codes), return_inverse=True)
     weights = np.concatenate(weights, axis=1)
-    sums = np.zeros((width, len(keys)), dtype=dtype)
-    for into, weight in zip(sums, weights):
+    re, im = np.zeros((2, len(keys)), dtype=dtype)
+    for into, weight in zip((re, im), weights):
         np.add.at(into, where.ravel(), weight)
 
-    # 3. the numerators over S * scale: per key, the sum over the columns
-    # of beta_c times the column's sum
-    scale = common_denominator(b for bs in betas for b in bs)
-    parts = [[b.numerators(scale) for b in bs] for bs in betas]
-    mix = bound * sum(max(abs(x) + abs(y) for x, y in ps) for ps in parts)
-    mix_type = np.int64 if mix < 2 ** 63 else object
-    digits = (keys[:, None] // np.array(strides, dtype=dtype)
-              % np.array(radices, dtype=dtype))
-    c_out = digits[:, ns + 1].astype(np.intp)
-    re = im = np.zeros(len(keys), dtype=mix_type)
-    for col, ps in enumerate(parts):
-        x, y = (np.array(n, dtype=mix_type)[c_out] for n in zip(*ps))
-        sr, si = (sums[2 * col + k].astype(mix_type) for k in (0, 1))
-        re, im = re + x * sr - y * si, im + x * si + y * sr
+    # 3. the numerators over S * L, per surviving key
     alive = np.flatnonzero((re != 0) | (im != 0))
-    digits, c_out, re, im = digits[alive], c_out[alive], re[alive], im[alive]
+    digits = (keys[alive, None] // np.array(strides, dtype=dtype)
+              % np.array(radices, dtype=dtype))
+    c_out, re, im = digits[:, ns + 1].astype(np.intp), re[alive], im[alive]
     m_out, q_out = digits[:, 1:ns + 1], digits[:, ns + 2:] + lo
 
     # the surviving keys as terms, with one ExactComplex per distinct
@@ -571,7 +536,7 @@ def apply_to_series(op: DiffOperator, series: GammaSeries) -> GammaSeries:
             column.append(arg)
         args.append(column)
     args = list(zip(*args)) if nb else [()] * count
-    S = lattice.S * scale
+    S = lattice.S * L
     scalars, zero = {}, Fraction(0)
     numerators = list(zip(re.tolist(), im.tolist()))
     for pair in numerators:

@@ -33,9 +33,9 @@ exact coefficients per class of rows and summing the rows in int64
 arrays (see apply_to_series).  gg_series writes that form while it
 builds the terms, apply_to_series writes the form of its result, and
 both share one ExactComplex per distinct argument, so a built series is
-never converted back from Fractions.  integer_form() holds the terms
-over two common denominators; other series derive their lattice form
-from it.
+never converted back from Fractions.  Other closed-form series derive
+their lattice form from their terms once; integer_form() gives the
+terms over two common denominators on request.
 
 Numeric evaluation happens only at the very end.  A closed-form series
 compiles once into a cached numeric_form(): the complex scalars, per
@@ -352,8 +352,7 @@ class GammaSeries:
     """
 
     __slots__ = ("layout", "truncation_order", "terms", "form",
-                 "complete_below", "_closed", "_integers", "_lattice",
-                 "_numeric")
+                 "complete_below", "_closed", "_lattice", "_numeric")
 
     def __init__(self, layout: SeriesLayout, truncation_order: int,
                  terms: Sequence, form: str = "direct",
@@ -398,7 +397,6 @@ class GammaSeries:
             truncation_order + 1 if complete_below is None else complete_below,
         )
         object.__setattr__(self, "_closed", closed)
-        object.__setattr__(self, "_integers", None)
         object.__setattr__(self, "_lattice", lattice)
         object.__setattr__(self, "_numeric", None)
 
@@ -409,26 +407,24 @@ class GammaSeries:
         return self._closed
 
     def integer_form(self) -> tuple:
-        """The closed-form terms over two common denominators, computed once.
+        """The closed-form terms over two common denominators.
 
         Returns (W, S, rows): each row is (term, (p, q), A, B) with
         scalar = (p + q i) / S and args[j] = (A[j] + B[j] i) / W in
         integers, with the least common denominators W and S.  It is
-        derived from the terms; so is lattice_form() where gg_series or
-        apply_to_series did not write it.
+        computed from the terms on each call; operators work on
+        lattice_form() instead.
         """
-        if self._integers is None:
-            terms = self.terms
-            W = common_denominator(a for t in terms for a in t.args)
-            S = common_denominator(t.scalar for t in terms)
-            rows = []
-            for t in terms:
-                nums = [a.numerators(W) for a in t.args]
-                rows.append((t, t.scalar.numerators(S),
-                             tuple(a for a, _ in nums),
-                             tuple(b for _, b in nums)))
-            object.__setattr__(self, "_integers", (W, S, tuple(rows)))
-        return self._integers
+        terms = self.terms
+        W = common_denominator(a for t in terms for a in t.args)
+        S = common_denominator(t.scalar for t in terms)
+        rows = []
+        for t in terms:
+            nums = [a.numerators(W) for a in t.args]
+            rows.append((t, t.scalar.numerators(S),
+                         tuple(a for a, _ in nums),
+                         tuple(b for _, b in nums)))
+        return W, S, tuple(rows)
 
     def lattice_form(self) -> "LatticeForm":
         """The closed-form terms as small integers around exact anchors,
@@ -437,7 +433,7 @@ class GammaSeries:
         gg_series writes its integers in the pass that builds the terms
         (as lists, which this call makes arrays, so that building a
         series loads no numpy) and apply_to_series writes the form of its
-        result; any other series derives it from integer_form().
+        result; any other series derives it from its terms.
         """
         lattice = self._lattice
         if not isinstance(lattice, LatticeForm):
@@ -547,31 +543,30 @@ def _lattice_arrays(layout, D, anchors, coset, m, offsets, re, im, S,
 
 
 def _lattice_rows(series: GammaSeries) -> tuple:
-    """The arguments of _lattice_arrays from integer_form(): D is the
-    denominator of the layout's base coordinates, and each coset of
-    arguments modulo 1/D takes the least nonnegative residue as anchor."""
+    """The arguments of _lattice_arrays from the terms: D is the
+    denominator of the layout's base coordinates, each coset of arguments
+    modulo 1/D takes the least nonnegative residue as anchor, and S is
+    the least common denominator of the scalars."""
     layout = series.layout
     D = 1
     if layout.base is not None:
         D = math.lcm(*(l.denominator for var in layout.series_vars
                        for l in layout.coords(var)))
-    W, S, rows = series.integer_form()
-    V = math.lcm(W, D)
-    unit, scale = V // D, V // W
-    cosets = {}  # (residues of A, B) over V -> index
+    S = common_denominator(t.scalar for t in series.terms)
+    cosets = {}  # (residue, imaginary part) per argument -> index
     anchors, coset, ms, offsets, re, im = [], [], [], [], [], []
     arguments = {}
-    for term, (p, q), A, B in rows:
-        A = [a * scale for a in A]
-        key = (tuple(a % unit for a in A), tuple(b * scale for b in B))
+    for term in series.terms:
+        shifts = tuple(math.floor(a.re * D) for a in term.args)
+        key = tuple((a.re - Fraction(k, D), a.im)
+                    for a, k in zip(term.args, shifts))
         c = cosets.get(key)
         if c is None:
             c = cosets[key] = len(anchors)
-            anchors.append(tuple(ExactComplex(Fraction(r, V), Fraction(b, V))
-                                 for r, b in zip(*key)))
-        shifts = tuple((a - r) // unit for a, r in zip(A, key[0]))
+            anchors.append(tuple(ExactComplex(*z) for z in key))
         arguments.update(((c, j, k), arg)
                          for j, (k, arg) in enumerate(zip(shifts, term.args)))
+        p, q = term.scalar.numerators(S)
         coset.append(c)
         ms.append(term.m)
         offsets.append(shifts)

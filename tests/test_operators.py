@@ -406,9 +406,13 @@ def test_menu_applications_match_exact_reference(members, base, u, form):
         assert out.terms == _reference_apply(op, series)
         if op in eulers:
             assert out.terms == ()
-    # u1 + 0.05 leaves 0.05 * (the series) over the anchors' denominators
-    assert len(apply_to_series(shifted, series).terms) == len(series.terms)
+    # u1 + 0.05 leaves 0.05 * (the series) over the anchors' denominators,
+    # whose numerators pass int64, while the box results stay in it
+    out = apply_to_series(shifted, series)
+    assert len(out.terms) == len(series.terms)
+    assert out.lattice_form().re.dtype == object
     boxed = apply_to_series(boxes[0], series)
+    assert boxed.lattice_form().re.dtype.kind == "i"
     for op in boxes:
         assert apply_to_series(op, boxed).terms == _reference_apply(op, boxed)
 

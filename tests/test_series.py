@@ -326,9 +326,10 @@ def test_exact_hash_agrees_with_equality():
 
 
 def _assert_integer_form_is_terms(series):
-    """integer_form() is cached and each row equals its term exactly."""
+    """integer_form() is the same on each call and each row equals its
+    term exactly."""
     W, S, rows = series.integer_form()
-    assert series.integer_form() is series.integer_form()
+    assert series.integer_form() == (W, S, rows)
     assert [row[0] for row in rows] == list(series.terms)
     for term, (p, q), A_, B_ in rows:
         assert term.scalar == ExactComplex(Fraction(p, S), Fraction(q, S))
