@@ -15,9 +15,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence
-
-from .exact import solve_exact
 
 ExponentVector = tuple  # tuple[int, ...]; the multi-degree of a monomial
 
@@ -156,19 +155,33 @@ def int_det(matrix) -> int:
     return sign * m[n - 1][n - 1]
 
 
+def base_inverse(base: Base) -> tuple:
+    """(det B, adj B) of the matrix B whose columns are the base vectors.
+
+    adj B is the integer adjugate (the transposed cofactors, a tuple of
+    rows), so B^-1 = adj B / det B: the coordinates of any vector v in
+    the base are adj B v / det B, with one integer denominator.
+    """
+    columns = [list(v) for v in zip(*base.vectors)]
+    n = len(columns)
+    adj = tuple(
+        tuple((-1) ** (i + j) * int_det([row[:i] + row[i + 1:]
+                                         for k, row in enumerate(columns)
+                                         if k != j])
+              for j in range(n))
+        for i in range(n))
+    return int_det(columns), adj
+
+
 def base_coords(base: Base, omega) -> tuple:
     """Exact rational coordinates of ``omega`` in the given base.
 
     Returns l = (l^1, ..., l^n) with sum_j l^j * base_vector_j = omega,
-    solved over Fractions (no floating arithmetic).
+    as adj B omega / det B from base_inverse (no floating arithmetic).
     """
-    n = base.parent.dimension
-    omega = _normalize_member(omega, n)
-    vectors = base.vectors
-    # Columns of the system matrix are the base vectors.
-    rows = [[Fraction(vectors[j][i]) for j in range(n)] for i in range(n)]
-    rhs = [Fraction(omega[i]) for i in range(n)]
-    return tuple(solve_exact(rows, rhs))
+    omega = _normalize_member(omega, base.parent.dimension)
+    det, adj = base_inverse(base)
+    return tuple(Fraction(sum(map(mul, row, omega)), det) for row in adj)
 
 
 def kernel_basis(exponents: ExponentSet, homogeneous: bool = False):

@@ -401,7 +401,8 @@ def apply_to_series(op: DiffOperator, series: GammaSeries) -> GammaSeries:
     2. The coefficients, over their common denominator L, fold into one
        integer weight per row.  The weights times the scalar numerators
        are summed per output key (coset, m, q), coded as one integer,
-       with np.unique and np.add.at, into the numerators over S * L.
+       by sorting them and np.add.reduceat over each run of one key,
+       into the numerators over S * L.
        The arrays are int64 where the largest scalar numerator times the
        sum of the coefficient numerators times the largest row values
        bounds every sum below 2**63, and of dtype object otherwise (an
@@ -414,7 +415,7 @@ def apply_to_series(op: DiffOperator, series: GammaSeries) -> GammaSeries:
     """
     import numpy as np
 
-    from .series import GammaSeries, GammaTerm, LatticeForm, _args_key
+    from .series import GammaSeries, LatticeForm, _args_key, _new_term
 
     layout = series.layout
     if not series.is_closed_form():
@@ -508,11 +509,17 @@ def apply_to_series(op: DiffOperator, series: GammaSeries) -> GammaSeries:
         codes.append(code[keep] + sum(map(mul, strides, (
             sum(dm), *dm, 0, *(D * d for d in dk)))))
         weights.append(weight.take(keep, axis=1))
-    keys, where = np.unique(np.concatenate(codes), return_inverse=True)
-    weights = np.concatenate(weights, axis=1)
-    re, im = np.zeros((2, len(keys)), dtype=dtype)
-    for into, weight in zip((re, im), weights):
-        np.add.at(into, where.ravel(), weight)
+    # the rows sorted by key, and each run of one key summed
+    codes = np.concatenate(codes)
+    rank = codes.argsort()
+    codes = codes[rank]
+    first = np.ones(len(codes), dtype=bool)
+    first[1:] = codes[1:] != codes[:-1]
+    starts = np.flatnonzero(first)
+    keys = codes[starts]
+    weights = np.concatenate(weights, axis=1)[:, rank]
+    re, im = np.add.reduceat(weights, starts, axis=1) if len(keys) \
+        else weights
 
     # 3. the numerators over S * L, per surviving key
     alive = np.flatnonzero((re != 0) | (im != 0))
@@ -537,12 +544,11 @@ def apply_to_series(op: DiffOperator, series: GammaSeries) -> GammaSeries:
         args.append(column)
     args = list(zip(*args)) if nb else [()] * count
     S = lattice.S * L
-    scalars, zero = {}, Fraction(0)
     numerators = list(zip(re.tolist(), im.tolist()))
-    for pair in numerators:
-        if pair not in scalars:
-            scalars[pair] = ExactComplex(Fraction(pair[0], S), Fraction(
-                pair[1], S) if pair[1] else zero)
+    scalars, zero = dict.fromkeys(numerators), Fraction(0)
+    for p, q in scalars:
+        scalars[p, q] = ExactComplex(Fraction(p, S),
+                                     Fraction(q, S) if q else zero)
     # keys run in (|m|, m) order; within one m, merge_gamma_terms orders
     # by the args
     pick = list(range(count))
@@ -552,9 +558,10 @@ def apply_to_series(op: DiffOperator, series: GammaSeries) -> GammaSeries:
         for _, group in itertools.groupby(range(count),
                                           key=block.tolist().__getitem__):
             pick += sorted(group, key=lambda r: _args_key(args[r]))
-    ms = m_out.tolist()
-    terms = tuple(GammaTerm(tuple(ms[r]), scalars[numerators[r]], args[r])
-                  for r in pick)
+        numerators, args = ([x[r] for r in pick] for x in (numerators, args))
+    terms = tuple(map(_new_term, zip(map(tuple, m_out[pick].tolist()),
+                                     map(scalars.__getitem__, numerators),
+                                     args)))
     result = LatticeForm(D, anchors, c_out[pick], m_out[pick], q_out[pick],
                          re[pick], im[pick], S, memo)
     complete = max(min(series.complete_below, order + 1) - max_down, 0)

@@ -9,9 +9,13 @@ closed-form terms straight from the layout and the parameters u:
 
 with scalar = 1 / prod_w m_w!, s(m) = s0 + sum_w m_w * l_w, where l_w
 are the exact rational coordinates of w in the base and s0 solves
-sum_j s0_j * w_j = u.  The reciprocal form reads each Gamma(s) as
-1/Gamma(1 - s) and multiplies the scalar by the reflection sign
-(-1)**(sum_j k_j), k_j the integer part of s_j(m) - s0_j.
+sum_j s0_j * w_j = u.  Both come from the base's integer determinant
+and adjugate, so no linear system is solved: s0 = adj B u / det B and
+l_w = N_w / D, with the integer N_w = D adj B w / det B and D =
+|det B| / gcd(det B, the entries of adj B w over every w).  The
+reciprocal form reads each Gamma(s) as 1/Gamma(1 - s) and multiplies
+the scalar by the reflection sign (-1)**(sum_j k_j), k_j the integer
+part of s_j(m) - s0_j.
 expand_general (a coefficient function of the base values per m) and
 standard_expansion (a fixed number per m) give terms that can be
 evaluated but not differentiated exactly.
@@ -31,18 +35,24 @@ denominators of s0 (u = 1.37 enters as Fraction(1.37), over 2**52) stay
 in the anchors, and an operator is applied by collapsing it once into
 exact coefficients per class of rows and summing the rows in int64
 arrays (see apply_to_series).  gg_series writes that form while it
-builds the terms, apply_to_series writes the form of its result, and
-both share one ExactComplex per distinct argument, so a built series is
-never converted back from Fractions.  Other closed-form series derive
-their lattice form from their terms once; integer_form() gives the
-terms over two common denominators on request.
+builds the terms, a column of offsets N m per base variable, and
+apply_to_series writes the form of its result; both build one
+ExactComplex per distinct argument and per distinct scalar, shared by
+the terms, so a built series is never converted back from Fractions.
+Other closed-form series derive their lattice form from their terms
+once; integer_form() gives the terms over two common denominators on
+request.
 
 Numeric evaluation happens only at the very end.  A closed-form series
 compiles once into a cached numeric_form(): the complex scalars, per
 base variable the table of distinct arguments s with Gamma(s) (or
 1/Gamma(1 - s), from a reciprocal-Gamma-safe routine) and each term's
-index into it, and the exponent matrix of m.  Each point then computes
-only (-a_j)**(-s) per table entry and the products and sums in arrays.
+index into it, and the exponent matrix of m.  It reads the lattice
+form's arrays: one np.unique per base variable gives the table, and the
+scalars are an array division where every numerator and the
+denominator are exact doubles (the correctly rounded p / S, as Python
+gives it).  Each point then computes only (-a_j)**(-s) per table entry
+and the products and sums in arrays.
 The principal branch of log is used for the powers (-a_j)**(-s_j), with
 the plane cut along the negative real axis of (-a_j).  Only this numeric
 path and the lattice form's arrays import numpy, so building a series
@@ -53,14 +63,15 @@ from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import mul
-from typing import Callable, Mapping, Sequence
+from operator import add, floordiv, mul
+from typing import Callable, Mapping, NamedTuple, Sequence
 
-from .exact import ExactComplex, common_denominator, solve_exact
-from .lattice import Base, ExponentSet, base_coords
+from .exact import ExactComplex, common_denominator
+from .lattice import Base, ExponentSet, base_coords, base_inverse
 from .polynomials import CoeffVar, SparsePolynomial, as_coeff_var
 
 
@@ -204,20 +215,18 @@ def negated_power(a: complex, rho: complex) -> complex:
     return _exp(complex(rho) * cmath.log(base))
 
 
-def multi_indices(width: int, max_total: int):
+def multi_indices(width: int, max_total: int) -> list:
     """All tuples of ``width`` nonnegative ints with sum <= max_total,
-    ordered by total then lexicographically."""
+    ordered by total then lexicographically, as a list."""
     if width == 0:
-        yield ()
-        return
-    for total in range(max_total + 1):
-        def rec(prefix, remaining, slots):
-            if slots == 1:
-                yield prefix + (remaining,)
-                return
-            for head in range(remaining + 1):
-                yield from rec(prefix + (head,), remaining - head, slots - 1)
-        yield from rec((), total, width)
+        return [()]
+    # by[t]: the tuples of total t over the last k slots, in order; one
+    # more slot puts each head h before the tuples of total t - h
+    by = [[(t,)] for t in range(max_total + 1)]
+    for _ in range(width - 1):
+        by = [[(h,) + rest for h in range(t + 1) for rest in by[t - h]]
+              for t in range(max_total + 1)]
+    return list(itertools.chain.from_iterable(by))
 
 
 @dataclass(frozen=True)
@@ -262,9 +271,12 @@ class SeriesLayout:
         return self.base_vars + self.series_vars
 
 
-@dataclass(frozen=True)
-class GammaTerm:
-    """A full series term in closed form (weight folded into the scalar)."""
+class GammaTerm(NamedTuple):
+    """A full series term in closed form (weight folded into the scalar).
+
+    An immutable record, equal to a term with the same fields; the series
+    builders make terms in bulk with _new_term, which costs one tuple.
+    """
 
     m: tuple
     scalar: ExactComplex
@@ -276,6 +288,10 @@ class GammaTerm:
     def rho(self) -> tuple:
         """Exponents of the base-variable power functions, rho_j = -s_j."""
         return tuple(-a for a in self.args)
+
+
+# GammaTerm from an (m, scalar, args) tuple, with no Python-level call
+_new_term = functools.partial(tuple.__new__, GammaTerm)
 
 
 @dataclass(frozen=True)
@@ -430,9 +446,9 @@ class GammaSeries:
         """The closed-form terms as small integers around exact anchors,
         computed once; operators are applied to this form.
 
-        gg_series writes its integers in the pass that builds the terms
-        (as lists, which this call makes arrays, so that building a
-        series loads no numpy) and apply_to_series writes the form of its
+        gg_series writes its integers while it builds the terms (as
+        lists, which this call makes arrays, so that building a series
+        loads no numpy) and apply_to_series writes the form of its
         result; any other series derives it from its terms.
         """
         lattice = self._lattice
@@ -509,7 +525,9 @@ class LatticeForm:
         """What every application reads, computed once: the matrix of
         each term's (|m|, m, coset, offsets), the largest m_i, the least
         and the largest offset per base variable, and the largest |re|
-        plus the largest |im|, the last four as Python ints."""
+        plus the largest |im|, the last four as Python ints.  The largest
+        |x| is read off the least and the largest x, since int64 abs
+        wraps at -2**63."""
         import numpy as np
 
         digits = np.column_stack((self.m.sum(axis=1), self.m, self.coset,
@@ -517,17 +535,19 @@ class LatticeForm:
         return (digits, self.m.max(axis=0, initial=0).tolist(),
                 self.offsets.min(axis=0, initial=0).tolist(),
                 self.offsets.max(axis=0, initial=0).tolist(),
-                int(abs(self.re).max(initial=0))
-                + int(abs(self.im).max(initial=0)))
+                sum(max(-int(x.min(initial=0)), int(x.max(initial=0)))
+                    for x in (self.re, self.im)))
 
 
 def _int_array(values, columns: int | None = None) -> np.ndarray:
     """Python ints as an int64 array, or of dtype object where one does
-    not fit; ``columns`` reshapes a list of rows to (rows, columns)."""
+    not fit; ``columns`` reads a list of rows as (rows, columns)."""
     import numpy as np
 
+    flat, count = (values, len(values)) if columns is None else \
+        (itertools.chain.from_iterable(values), len(values) * columns)
     try:
-        out = np.array(values, dtype=np.int64)
+        out = np.fromiter(flat, dtype=np.int64, count=count)
     except OverflowError:
         out = np.array(values, dtype=object)
     return out if columns is None else out.reshape(len(values), columns)
@@ -578,10 +598,13 @@ def _lattice_rows(series: GammaSeries) -> tuple:
 class _GammaArguments:
     """The Gamma arguments s(m) = s0 + L m of one layout and parameter u.
 
-    s0 (sum_j s0_j * w_j = u) and the base coordinates L of the series
-    exponents are solved once.  With D the common denominator of L,
-    L = N / D for an integer matrix N; with W a common denominator of
-    every s_j(m), Re s_j(m) = (A0_j + (N m)_j * W / D) / W, where
+    Both come from the integer adjugate of the base (base_inverse):
+    s0 = adj B u / det B solves sum_j s0_j * w_j = u, and the base
+    coordinates of a series exponent w, a column of L, are
+    adj B w / det B.  Their common denominator is D = |det B| /
+    gcd(det B, every entry of adj B w), so L = N / D with the integer
+    matrix N = D adj B w / det B.  With W a common denominator of every
+    s_j(m), Re s_j(m) = (A0_j + (N m)_j * W / D) / W, where
     A0_j / W = Re s0_j.
     """
 
@@ -594,16 +617,20 @@ class _GammaArguments:
         if len(u) != n:
             raise ValueError(
                 f"parameter vector has length {len(u)}, expected {n}")
-        vectors = layout.base.vectors
-        rows = [[ExactComplex.from_value(vectors[j][i]) for j in range(n)]
-                for i in range(n)]
-        self.s0 = tuple(solve_exact(rows,
-                                    [ExactComplex.from_value(x) for x in u]))
-        coords = [layout.coords(var) for var in layout.series_vars]
-        self.D = math.lcm(*(l.denominator for c in coords for l in c))
+        det, adj = base_inverse(layout.base)
+        u = [ExactComplex.from_value(x) for x in u]
+        U = common_denominator(u)
+        re, im = zip(*(x.numerators(U) for x in u))  # u = (re + im i) / U
+        self.s0 = tuple(ExactComplex(Fraction(sum(map(mul, row, re)), det * U),
+                                     Fraction(sum(map(mul, row, im)), det * U))
+                        for row in adj)
+        # adj B w per series exponent w
+        coords = [[sum(map(mul, row, var.exponent)) for row in adj]
+                  for var in layout.series_vars]
+        self.D = abs(det) // math.gcd(det, *itertools.chain(*coords))
         # N row by row: (N m)_j = sum(map(mul, m, N[j]))
-        self.N = tuple(tuple(c[j].numerator * (self.D // c[j].denominator)
-                             for c in coords) for j in range(n))
+        self.N = tuple(tuple(c[j] * self.D // det for c in coords)
+                       for j in range(n))
         self.W = math.lcm(self.D, common_denominator(self.s0))
         self.A0 = tuple(s.numerators(self.W)[0] for s in self.s0)
 
@@ -644,48 +671,54 @@ def gg_series(exponents: ExponentSet, base: Base, u, order: int,
     direct one times a constant per coset, annihilated by the same
     operators.
 
-    The lattice form is written in the same pass over m, with one
-    ExactComplex per distinct argument of a base variable and one per
-    distinct scalar shared by the terms.  It has one coset, anchored at
-    s0, whose offsets are N m.
+    The terms and the lattice form are built column by column: the
+    offsets (N m)_j of every term one base variable at a time, one
+    ExactComplex per distinct offset of a base variable and one per
+    distinct scalar, shared by the terms.  The lattice form has one
+    coset, anchored at s0, whose offsets are N m.
     """
     layout = SeriesLayout(exponents, base)
     grid = _GammaArguments(layout, u)
     _check_order_and_form(order, form)
     W, D = grid.W, grid.D
     unit = W // D
-    reciprocal = form == "reciprocal"
     S = math.factorial(order) if layout.series_vars else 1
-    tables = [{} for _ in grid.s0]  # per base variable: (N m)_j -> argument
-    scalars = {}  # (prod m_w!, sign) -> (numerator over S, the scalar)
-    ms, terms, offsets, numerators = [], [], [], []
-    for m in multi_indices(len(layout.series_vars), order):
-        args, shifts, flips = [], [], 0
-        for n_j, table, a0, s0 in zip(grid.N, tables, grid.A0, grid.s0):
-            shift = sum(map(mul, m, n_j))
-            arg = table.get(shift)
-            if arg is None:
-                arg = table[shift] = ExactComplex(
-                    Fraction(a0 + shift * unit, W), s0.im)
-            args.append(arg)
-            shifts.append(shift)
-            flips += shift // D
-        key = (math.prod(map(math.factorial, m)),
-               -1 if reciprocal and flips % 2 else 1)
-        scalar = scalars.get(key)
-        if scalar is None:
-            scalar = scalars[key] = (key[1] * (S // key[0]), ExactComplex(
-                Fraction(key[1], key[0]), Fraction(0)))
-        terms.append(GammaTerm(m, scalar[1], tuple(args)))
-        ms.append(m)
+    ms = multi_indices(len(layout.series_vars), order)
+    count = len(ms)
+    m_columns = list(zip(*ms))
+    offsets, columns, arguments = [], [], {}
+    for j, (n_j, a0, s0) in enumerate(zip(grid.N, grid.A0, grid.s0)):
+        shifts = [0] * count
+        for n, m_w in zip(n_j, m_columns):
+            if n:
+                shifts = list(map(add, shifts, map(mul, m_w,
+                                                   itertools.repeat(n))))
+        table = {shift: ExactComplex(Fraction(a0 + shift * unit, W), s0.im)
+                 for shift in sorted(set(shifts))}
+        arguments.update(((0, j, shift), arg) for shift, arg in table.items())
         offsets.append(shifts)
-        numerators.append(scalar[0])
-    zeros = [0] * len(terms)
+        columns.append(map(table.__getitem__, shifts))
+    # each scalar is 1 / den, with den = prod m_w! times, in reciprocal
+    # form, the sign (-1)**(sum_j floor((N m)_j / D))
+    factorial = [math.factorial(k) for k in range(order + 1)]
+    dens = [1] * count
+    for m_w in m_columns:
+        dens = list(map(mul, dens, map(factorial.__getitem__, m_w)))
+    if form == "reciprocal":
+        flips = [0] * count
+        for shifts in offsets:
+            flips = list(map(add, flips, map(floordiv, shifts,
+                                             itertools.repeat(D))))
+        dens = [-k if f % 2 else k for k, f in zip(dens, flips)]
+    zero = Fraction(0)
+    scalars = {k: ExactComplex(Fraction(1, k), zero) for k in set(dens)}
+    terms = tuple(map(_new_term, zip(ms, map(scalars.__getitem__, dens),
+                                     zip(*columns))))
+    zeros = [0] * count
     return GammaSeries._built(
-        layout, order, form, None, tuple(terms),
-        (D, (grid.s0,), zeros, ms, offsets, numerators, zeros, S,
-         {(0, j, shift): arg for j, table in enumerate(tables)
-          for shift, arg in table.items()}))
+        layout, order, form, None, terms,
+        (D, (grid.s0,), zeros, ms, list(zip(*offsets)),
+         [S // k for k in dens], zeros, S, arguments))
 
 
 def standard_expansion(center: SparsePolynomial, exponents: ExponentSet,
@@ -766,19 +799,33 @@ class NumericForm:
     last_order: np.ndarray  # the terms with |m| == truncation order
 
 
+# below 2**53 an integer is a double exactly, so p / S in floats is the
+# correctly rounded quotient that Python's int division gives
+_EXACT_DOUBLE = 2 ** 53
+
+
 def _numeric_form(series: GammaSeries) -> NumericForm:
     import numpy as np
 
     lattice = series.lattice_form()
     direct = series.form == "direct"
-    cosets = lattice.coset.tolist()
+    coset = lattice.coset
     tables = []
-    poles = np.zeros(len(cosets), dtype=bool)
-    for j, offsets in enumerate(lattice.offsets.T.tolist()):
-        entries = {}
-        index = np.array([entries.setdefault((c, k), len(entries))
-                          for c, k in zip(cosets, offsets)], dtype=np.intp)
-        exact = [lattice.arguments[c, j, k] for c, k in entries]
+    poles = np.zeros(len(coset), dtype=bool)
+    for j, offsets in enumerate(lattice.offsets.T):
+        # the table holds the distinct (coset, offset) pairs, coded as
+        # coset * span + offset - lo (of dtype object where that may pass
+        # int64)
+        lo = int(offsets.min(initial=0))
+        span = int(offsets.max(initial=0)) - lo + 1
+        if len(lattice.anchors) * span < 2 ** 63:
+            code = coset * span + (offsets - lo)
+        else:
+            code = coset.astype(object) * span + (offsets.astype(object) - lo)
+        codes, index = np.unique(code, return_inverse=True)
+        exact = [lattice.arguments[c, j, k + lo]
+                 for c, k in map(divmod, codes.tolist(),
+                                 itertools.repeat(span))]
         args = tuple(map(complex, exact))
         tables.append(ArgumentTable(
             args, tuple(_gamma_part(s, series.form) for s in args), index))
@@ -787,11 +834,17 @@ def _numeric_form(series: GammaSeries) -> NumericForm:
                                dtype=bool)
             poles |= on_pole[index]
     exponents = lattice.m.astype(np.intp)
-    S = lattice.S
+    S, re, im = lattice.S, lattice.re, lattice.im
+    if S < _EXACT_DOUBLE and all(
+            -_EXACT_DOUBLE < x.min(initial=0) and x.max(initial=0)
+            < _EXACT_DOUBLE for x in (re, im)):
+        scalars = np.empty(len(re), dtype=complex)
+        scalars.real, scalars.imag = re / S, im / S
+    else:
+        scalars = np.array([complex(p / S, q / S) for p, q in
+                            zip(re.tolist(), im.tolist())], dtype=complex)
     return NumericForm(
-        scalars=np.array([complex(p / S, q / S) for p, q in
-                          zip(lattice.re.tolist(), lattice.im.tolist())],
-                         dtype=complex),
+        scalars=scalars,
         tables=tuple(tables),
         exponents=exponents,
         first_pole=int(np.argmax(poles)) if poles.any() else None,

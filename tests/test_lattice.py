@@ -4,8 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+from exact_reference import solve_exact
 from hypint.lattice import (Base, ExponentSet, LatticeRelation, base_coords,
-                            cayley_set, enumerate_bases, int_det, kernel_basis)
+                            base_inverse, cayley_set, enumerate_bases, int_det,
+                            kernel_basis)
 
 
 def brute_force_kernel(members, bound=4, homogeneous=False):
@@ -30,7 +32,6 @@ def in_lattice(vec, basis):
     for combo in itertools.combinations(cols, len(basis)):
         sub = [[Fraction(basis[i][j]) for i in range(len(basis))] for j in combo]
         try:
-            from hypint.exact import solve_exact
             x = solve_exact(sub, [Fraction(vec[j]) for j in combo])
         except ValueError:
             continue
@@ -104,6 +105,37 @@ class TestBaseCoords:
                 sum(c * v[j] for c, v in zip(coords, B.vectors))
                 for j in range(n))
             assert recon == tuple(Fraction(x) for x in w)
+
+    def test_base_inverse_is_the_adjugate(self):
+        # adj B . B = det B . I, with det B from int_det, and base_coords
+        # equals Gaussian elimination over Fractions; reversed indices
+        # give bases of negative determinant
+        rng = random.Random(11)
+        signs = set()
+        for _ in range(200):
+            n = rng.randint(1, 4)
+            members = set()
+            while len(members) < n + 2:
+                members.add(tuple(rng.randint(0, 6) for _ in range(n)))
+            A = ExponentSet(n, sorted(members))
+            bases = enumerate_bases(A)
+            if not bases:
+                continue
+            B = rng.choice(bases)
+            if rng.random() < 0.5:
+                B = Base(A, B.indices[::-1])
+            det, adj = base_inverse(B)
+            columns = [list(v) for v in zip(*B.vectors)]
+            assert det == int_det(columns)
+            signs.add(det > 0)
+            assert [[sum(a * columns[k][j] for k, a in enumerate(row))
+                     for j in range(n)] for row in adj] == \
+                [[det if i == j else 0 for j in range(n)] for i in range(n)]
+            w = rng.choice(A.members)
+            rows = [[Fraction(x) for x in row] for row in columns]
+            assert list(base_coords(B, w)) == solve_exact(
+                rows, [Fraction(x) for x in w])
+        assert signs == {True, False}
 
 
 class TestKernelBasis:

@@ -448,3 +448,19 @@ def test_large_coefficients_on_vanishing_rows():
     out = apply_to_series(cubed, series)
     assert out.terms == _reference_apply(cubed, series)
     assert apply_to_series(op, out).terms == ()
+
+
+@pytest.mark.parametrize("numerator", [-2 ** 63, 2 ** 63 - 1])
+def test_scalar_numerators_at_the_ends_of_int64(numerator):
+    # the numerators fit int64, but 3 times them does not: the bound must
+    # read |-2**63| as 2**63, where int64 abs wraps to -2**63
+    c1 = CoeffVar(0, (1,))
+    arg = ExactComplex(Fraction(1, 3), Fraction(1, 5))
+    series = GammaSeries(SeriesLayout(A12, Base(A12, (0,))), 0, [
+        GammaTerm((0,), ExactComplex.from_value(numerator), (arg,)),
+        GammaTerm((0,), ExactComplex.from_value(1), (arg + 1,))])
+    assert series.lattice_form().re.dtype.kind == "i"
+    op = DiffOperator([((), ((c1, 1),), 3)])
+    out = apply_to_series(op, series)
+    assert out.terms == _reference_apply(op, series)
+    assert out.terms[0].scalar == ExactComplex.from_value(3 * numerator)

@@ -7,18 +7,20 @@ import warnings
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 
-from hypint.exact import ONE, ZERO, ExactComplex, solve_exact
-from hypint.lattice import Base, ExponentSet, base_coords, kernel_basis
+from exact_reference import solve_exact
+from hypint.exact import ONE, ZERO, ExactComplex
+from hypint.lattice import Base, ExponentSet, kernel_basis
 from hypint.polynomials import CoeffVar, SparsePolynomial
 from hypint.operators import (DiffOperator, apply_to_series, box_operator,
                               euler_t_operator)
 from hypint.series import (GammaSeries, GammaTerm, NumericTerm, OracleTerm,
-                           SeriesLayout, SeriesPoleError, complex_gamma,
-                           evaluate_series, expand_general, gg_series,
-                           multi_indices, negated_power, reciprocal_gamma,
-                           standard_expansion)
+                           SeriesLayout, SeriesPoleError, _int_array,
+                           complex_gamma, evaluate_series, expand_general,
+                           gg_series, multi_indices, negated_power,
+                           reciprocal_gamma, standard_expansion)
 
 A12 = ExponentSet(1, [1, 2])
 B1 = Base(A12, (0,))
@@ -250,16 +252,21 @@ class TestGammaCoefficient:
                     assert (s_b[j] - s_m[j]) == ec(l[j])
 
 
-def _per_term_args(m, u, layout):
-    """s0 + sum_w m_w l_w in Fraction arithmetic: one solve for s0 and one
-    per series exponent for its base coordinates l_w, for every term."""
+def _solve_in_base(layout, rhs):
+    """x with sum_j x_j * (base vector j) = rhs, by Gaussian elimination."""
     n = layout.exponents.dimension
     vectors = layout.base.vectors
     rows = [[ec(vectors[j][i]) for j in range(n)] for i in range(n)]
-    s = solve_exact(rows, [ec(x) for x in u])
+    return solve_exact(rows, [ec(x) for x in rhs])
+
+
+def _per_term_args(m, u, layout):
+    """s0 + sum_w m_w l_w in Fraction arithmetic: one solve for s0 and one
+    per series exponent for its base coordinates l_w, for every term."""
+    s = _solve_in_base(layout, u)
     for mw, var in zip(m, layout.series_vars):
-        for j, l in enumerate(base_coords(layout.base, var.exponent)):
-            s[j] = s[j] + ec(l) * mw
+        for j, l in enumerate(_solve_in_base(layout, var.exponent)):
+            s[j] = s[j] + l * mw
     return tuple(s)
 
 
@@ -277,14 +284,25 @@ SET_3D = ([(1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 0, 0), (1, 1, 1), (0, 2, 1)],
 
 
 @pytest.mark.parametrize("form", ["direct", "reciprocal"])
-@pytest.mark.parametrize("members, base", SETS_2D)
+@pytest.mark.parametrize("members, base", SETS_2D + [
+    # (0,2) (1,1) in this order: determinant -2
+    ([(1, 0), (1, 1), (0, 2), (2, 1), (2, 2)], (2, 1)),
+    ([1, 2], (1,)),  # the base (2,) of {1, 2}: determinant 2
+    SET_3D,
+])
 def test_gg_series_equals_per_term_coefficients(members, base, form):
-    A = ExponentSet(2, members)
-    u = (complex(0.37, 0.21), Fraction(5, 3))
+    A = ExponentSet(1 if isinstance(members[0], int) else len(members[0]),
+                    members)
+    u = (complex(0.37, 0.21), Fraction(5, 3), 0.8 - 0.1j)[:A.dimension]
     series = gg_series(A, Base(A, base), u, 6, form=form)
     layout = series.layout
-    assert [t.m for t in series.terms] == list(multi_indices(3, 6))
-    s0 = _per_term_args((0, 0, 0), u, layout)
+    width = len(layout.series_vars)
+    assert [t.m for t in series.terms] == list(multi_indices(width, 6))
+    # D is the least common denominator of the base coordinates
+    assert series.lattice_form().D == math.lcm(*(
+        l.re.denominator for var in layout.series_vars
+        for l in _solve_in_base(layout, var.exponent)))
+    s0 = _per_term_args((0,) * width, u, layout)
     for t in series.terms:
         assert t.args == _per_term_args(t.m, u, layout)
         weight = Fraction(1, math.prod(math.factorial(k) for k in t.m))
@@ -297,6 +315,119 @@ def test_gg_series_equals_per_term_coefficients(members, base, form):
         assert t.scalar == ec(weight)
         assert all(type(x) is Fraction for a in (t.scalar, *t.args)
                    for x in (a.re, a.im))
+
+
+def _recursive_multi_indices(width, max_total):
+    """The tuples of each total in lexicographic order, head by head."""
+    if width == 0:
+        yield ()
+        return
+    for total in range(max_total + 1):
+        def rec(prefix, remaining, slots):
+            if slots == 1:
+                yield prefix + (remaining,)
+                return
+            for head in range(remaining + 1):
+                yield from rec(prefix + (head,), remaining - head, slots - 1)
+        yield from rec((), total, width)
+
+
+def test_multi_indices_match_recursive_reference():
+    for width in range(5):
+        for order in range(8):
+            assert list(multi_indices(width, order)) == \
+                list(_recursive_multi_indices(width, order))
+
+
+def test_gamma_term_is_an_immutable_record():
+    args = (ec(Fraction(1, 2)), ec(-2))
+    term = GammaTerm((1, 2), ONE, args)
+    assert (term.m, term.scalar, term.args) == ((1, 2), ONE, args)
+    assert term.is_pole()
+    assert not GammaTerm((1, 2), ONE, args[:1]).is_pole()
+    assert term.rho() == (ec(Fraction(-1, 2)), ec(2))
+    for name in ("m", "scalar", "args"):
+        with pytest.raises(AttributeError):
+            setattr(term, name, None)
+    # equal and of equal hash exactly when the fields are equal
+    same = GammaTerm((1, 2), ExactComplex(Fraction(1), Fraction(0)),
+                     (ec(Fraction(2, 4)), ec(-2)))
+    assert same == term and hash(same) == hash(term)
+    assert GammaTerm((1, 2), ZERO, args) != term
+    assert GammaTerm((2, 1), ONE, args) != term
+    assert GammaTerm((1, 2), ONE, args[::-1]) != term
+    # never equal to the other kinds of term with the same m
+    for other in (OracleTerm((1, 2), Fraction(1), lambda values: 1),
+                  NumericTerm((1, 2), Fraction(1), 1.0)):
+        assert term != other and other != term
+    # the builders make the same records
+    series = gg_series(A12, B2, 0.37 + 0.21j, 3)
+    box = box_operator(kernel_basis(A12)[0])
+    for t in series.terms + apply_to_series(box, series).terms:
+        assert type(t) is GammaTerm
+        assert t == GammaTerm(t.m, t.scalar, t.args)
+
+
+def _assert_scalars_are_quotients(series):
+    """numeric_form().scalars are complex(p / S, q / S), float for float."""
+    lattice = series.lattice_form()
+    S = lattice.S
+    scalars = series.numeric_form().scalars
+    assert len(scalars) == len(series.terms)
+    for x, p, q, term in zip(scalars.tolist(), lattice.re.tolist(),
+                             lattice.im.tolist(), series.terms):
+        assert x == complex(p / S, q / S) == complex(term.scalar)
+        assert (math.copysign(1, x.real), math.copysign(1, x.imag)) == \
+            (math.copysign(1, p / S), math.copysign(1, q / S))
+
+
+def test_numeric_scalars_equal_exact_quotients():
+    A = ExponentSet(2, SETS_2D[1][0])
+    u = (1.37 + 0.21j, 0.84 - 0.33j)
+    for form in ("direct", "reciprocal"):
+        # numerators and S = 10! below 2**53: the array division
+        series = gg_series(A, Base(A, SETS_2D[1][1]), u, 10, form=form)
+        assert series.lattice_form().re.dtype == np.int64
+        _assert_scalars_are_quotients(series)
+        # u1 + 0.05 leaves numerators past 2**53 (and int64): the loop
+        shifted = apply_to_series(euler_t_operator(A, 1, u[0] + 0.05), series)
+        assert shifted.lattice_form().re.dtype == object
+        _assert_scalars_are_quotients(shifted)
+    # S = 30! passes int64 in the scalars of gg_series itself
+    series = gg_series(A12, B1, 0.37 + 0.21j, 30)
+    assert series.lattice_form().re.dtype == object
+    _assert_scalars_are_quotients(series)
+
+
+def test_numeric_tables_with_offsets_past_int64():
+    # an argument 2**70 away from the other one: the offsets and their
+    # table codes need dtype object
+    layout = SeriesLayout(A12, B1)
+    near = ExactComplex(Fraction(1, 3), Fraction(1, 5))
+    far = ExactComplex(near.re + 2 ** 70, near.im)
+    series = GammaSeries(layout, 1, [GammaTerm((0,), ONE, (near,)),
+                                     GammaTerm((1,), ONE, (far,))])
+    assert series.lattice_form().offsets.dtype == object
+    (table,) = series.numeric_form().tables
+    assert [table.args[k] for k in table.index] == [complex(near),
+                                                    complex(far)]
+
+
+def test_int_array_falls_back_to_object_past_int64():
+    small = _int_array([3, -(2 ** 63)])
+    assert small.dtype == np.int64 and small.tolist() == [3, -(2 ** 63)]
+    for big in (2 ** 63, -(2 ** 63) - 1, 7 ** 40):
+        out = _int_array([1, big, -2])
+        assert out.dtype == object and out.tolist() == [1, big, -2]
+        rows = [(1, 2), (big, -5), (0, 3)]
+        out = _int_array(rows, 2)
+        assert out.dtype == object and out.shape == (3, 2)
+        assert out.tolist() == [list(r) for r in rows]
+    rows = [(1, 2, 3), (4, 5, 6)]
+    out = _int_array(rows, 3)
+    assert out.dtype == np.int64 and out.tolist() == [list(r) for r in rows]
+    assert _int_array([(), ()], 0).shape == (2, 0)
+    assert _int_array([], 2).shape == (0, 2)
 
 
 def _general_product(x, y):
